@@ -16,6 +16,7 @@ from .model import (
     GoodsOnlyError,
     IncompleteAllocationError,
     Instance,
+    InternalError,
     ValidationError,
     bundle_impact,
     bundle_value,
@@ -42,6 +43,7 @@ __all__ = [
     "GoodsOnlyError",
     "IncompleteAllocationError",
     "Instance",
+    "InternalError",
     "Notion",
     "UnsupportedNotionError",
     "ValidationError",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .model import (
     Allocation,
     Instance,
+    InternalError,
     ValidationError,
     all_maximizers,
     bundle_impact,
@@ -182,7 +183,10 @@ def sa_efl_partials(inst: Instance):
     vertices = list(range(inst.n))
     remaining = set(range(inst.m))
     while remaining:
-        assert vertices, "maximizer sets are never empty, so a vertex must remain"
+        if not vertices:
+            raise InternalError(
+                "maximizer sets are never empty, so a vertex must remain"
+            )
         graph = build_sa_envy_graph(inst, alloc, vertices)
         source = min(v for v in vertices if not graph.has_incoming(v))
         candidates = sorted(g for g in remaining if source in maxsets[g])

@@ -3,7 +3,8 @@
 Subcommands: ``check`` (verdict for an allocation), ``solve`` (find an
 allocation), ``gen`` (write gadget/canned/random instances), ``brute``
 (oracle scan).  Exit codes: 0 fair/found, 1 unfair/none, 2 validation error,
-3 resource budget exceeded.  All randomness is seeded explicitly and output
+3 resource budget exceeded, 4 internal error (an answer failed its own
+re-check).  All randomness is seeded explicitly and output
 is deterministic; the FDSI_STATE_BUDGET environment variable overrides the
 default state budget of the exact solver.
 """
@@ -20,6 +21,7 @@ from .model import (
     Allocation,
     BudgetExceededError,
     Instance,
+    InternalError,
     ValidationError,
     is_complete,
     validate_allocation,
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _witness_obj(inst: Instance, verdict: Verdict):
@@ -115,9 +118,7 @@ def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
             candidate = allocators.two_agent_mixed_fast_path(inst)
         if candidate is not None and _satisfies(inst, candidate, notion):
             return candidate
-    return search.exact_solve(
-        inst, notion, state_budget=args.state_budget, threads=args.threads
-    )
+    return search.exact_solve(inst, notion, state_budget=args.state_budget)
 
 
 def _cmd_solve(args) -> int:
@@ -138,9 +139,7 @@ def _cmd_solve(args) -> int:
                 "instance; use the exact or brute method"
             )
     elif method == "exact":
-        alloc = search.exact_solve(
-            inst, notion, state_budget=args.state_budget, threads=args.threads
-        )
+        alloc = search.exact_solve(inst, notion, state_budget=args.state_budget)
     elif method == "brute":
         alloc = search.brute_force_solve(
             inst, notion, require_sim=args.require_sim, cap=args.brute_cap
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--state-budget", type=int, default=None)
     p_solve.add_argument("--brute-cap", type=int, default=search.DEFAULT_BRUTE_CAP)
     p_solve.add_argument("--node-budget", type=int, default=sa_empty.DEFAULT_NODE_BUDGET)
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument(
         "--no-require-sim",
         dest="require_sim",
@@ -369,6 +367,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -31,6 +31,14 @@ class BudgetExceededError(RuntimeError):
     """
 
 
+class InternalError(RuntimeError):
+    """A solver's answer failed its own final re-check (a bug, never a verdict).
+
+    Raised explicitly rather than by ``assert``, so the check also runs under
+    ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class Instance:
     """Agents, items, and the two integer matrices that drive everything.

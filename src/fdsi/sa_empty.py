@@ -32,6 +32,7 @@ from .model import (
     Allocation,
     BudgetExceededError,
     Instance,
+    InternalError,
     TypePartition,
     compute_types,
 )
@@ -175,7 +176,8 @@ def _materialize(
             c = counts.get((i, t), 0)
             bundles[i].update(pool[at : at + c])
             at += c
-        assert at == len(pool), "type not fully distributed"
+        if at != len(pool):
+            raise InternalError("type not fully distributed")
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
@@ -206,7 +208,9 @@ def solve_sa_empty(
             if counts is None:
                 continue
             alloc = _materialize(inst, types, prog, counts)
-            assert fairness.is_sim(inst, alloc).fair
-            assert fairness.is_sa_empty(inst, alloc).fair
+            if not fairness.is_sim(inst, alloc).fair:
+                raise InternalError("sa-empty solver built a non-maximizing allocation")
+            if not fairness.is_sa_empty(inst, alloc).fair:
+                raise InternalError("sa-empty solver built a failing allocation")
             return alloc
     return None

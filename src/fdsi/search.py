@@ -5,25 +5,29 @@ states reachable after assigning the first k items (input order), and a state
 records, for every ordered agent pair (a, b):
 
 * ``x[a][b]``  the value, in a's eyes, of b's bundle so far;
-* ``y[a][b]``  the value, in a's eyes, of a tracked removal item in b's
-  bundle (what "up to one item" may subtract at the end);
+* ``y[a][b]``  what "up to one item" may subtract from b's bundle at the end
+  (a tracked removal value, or for ``efl`` a set of values, see below);
 * optionally a flag per pair, set once b received an item with strictly
   higher impact for b than for a (which on impact-maximizing allocations is
   exactly when the awareness override fires).
 
 Assigning an item only ever goes to one of its impact maximizers, so every
 path encodes an impact-maximizing allocation.  How ``y`` evolves depends on
-the notion: the one-removal family keeps a running maximum, the
+the notion: the one-removal family keeps a running maximum, and the
 universal-item family branches on whether the new item becomes the single
-tracked removal for the whole bundle, and the one-less-preferred notion
-branches per observer because each observer may need a different removal
-item.  Acceptance at the last layer evaluates the notion's closed-form
-inequality on (x, y).
+tracked removal for the whole bundle.  The one-less-preferred notion keeps,
+per pair, the frozenset of distinct positive values, in a's eyes, of the
+items in b's bundle; assigning an item adds one value per observer and never
+branches.  The set loses nothing the sink test reads (a zero value could only
+pass a pair without envy, which passes anyway), and unlike a bitmask over
+values its size does not grow with how large the values are.  Acceptance at
+the last layer evaluates the notion's closed-form condition on (x, y).
 
-A returned allocation is always re-checked against the reference checkers
-before being handed out; a negative answer means no accepting path exists.
-States are deduplicated per layer and expanded in deterministic order, so
-results are reproducible (and independent of the thread count).
+A returned allocation is always re-checked against the reference checkers,
+and a failed re-check raises :class:`InternalError` (not an assert, so it
+also holds under ``python -O``); a negative answer means no accepting path
+exists.  States are deduplicated per layer and expanded in deterministic
+order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -41,6 +44,7 @@ from .model import (
     Allocation,
     BudgetExceededError,
     Instance,
+    InternalError,
     ValidationError,
     all_maximizers,
     impact_maximizers,
@@ -74,19 +78,25 @@ def default_state_budget() -> int:
 class SearchState:
     """One vertex of the layered graph; ``x``/``y`` are row-major n*n tuples.
 
-    ``y`` is empty for the plain envy-free notion (nothing is ever removed)
-    and ``flags`` is None unless a mixed-awareness profile is being tracked.
+    ``y`` is empty for the plain envy-free notion (nothing is ever removed),
+    holds frozensets of values for ``efl`` and ints otherwise; ``flags`` is
+    None unless a mixed-awareness profile is being tracked.
     """
 
     layer: int
     n: int
     x: tuple[int, ...]
-    y: tuple[int, ...]
+    y: tuple
     flags: tuple[int, ...] | None = None
 
     @classmethod
     def initial(cls, n: int, base: str, track_flags: bool) -> "SearchState":
-        y = () if base == "ef" else (0,) * (n * n)
+        if base == "ef":
+            y = ()
+        elif base == "efl":
+            y = (frozenset(),) * (n * n)
+        else:
+            y = (0,) * (n * n)
         flags = (0,) * (n * n) if track_flags else None
         return cls(layer=0, n=n, x=(0,) * (n * n), y=y, flags=flags)
 
@@ -138,9 +148,9 @@ def successor_states(
 ) -> list[tuple[SearchState, int]]:
     """All (state, assignee) pairs reachable by assigning ``item``.
 
-    One branch per impact maximizer of the item; notions that track removal
-    candidates add their y-branches on top.  Duplicates are dropped,
-    first-generated wins, and the order is deterministic.
+    One branch per impact maximizer of the item; the universal-item notions
+    add their y-branches on top.  Duplicates are dropped, first-generated
+    wins, and the order is deterministic.
     """
     n = state.n
     c_list = tuple(sorted(impact_maximizers(inst, item)))
@@ -164,8 +174,8 @@ def successor_states(
 
 
 def _y_branches(
-    y: tuple[int, ...], n: int, c: int, vals: tuple[int, ...], base: str
-) -> list[tuple[int, ...]]:
+    y: tuple, n: int, c: int, vals: tuple[int, ...], base: str
+) -> list[tuple]:
     if base == "ef":
         return [y]
     if base in ("ef1", "wef1", "tef1"):
@@ -182,17 +192,12 @@ def _y_branches(
         branched = tuple(new_y)
         return [y] if branched == y else [y, branched]
     if base == "efl":
-        options: list[tuple[int, ...]] = []
-        per_agent = []
+        new_y = list(y)
         for a in range(n):
-            old = y[a * n + c]
-            per_agent.append((old,) if old == vals[a] else (old, vals[a]))
-        for combo in product(*per_agent):
-            new_y = list(y)
-            for a in range(n):
-                new_y[a * n + c] = combo[a]
-            options.append(tuple(new_y))
-        return options
+            idx = a * n + c
+            if vals[a] and vals[a] not in new_y[idx]:
+                new_y[idx] = new_y[idx] | {vals[a]}
+        return [tuple(new_y)]
     raise UnsupportedNotionError(f"no state encoding for base {base!r}")
 
 
@@ -205,7 +210,10 @@ def accepting_state(
     """Sink condition: does the final (x, y) satisfy the notion for all pairs?
 
     With an awareness profile, a pair (a, b) also passes when a is aware and
-    the pair's flag is set.
+    the pair's flag is set.  For ``efl`` a pair passes without envy, when one
+    item carries all of b's bundle value for a (at most one positively valued
+    item), or when some value v in the pair's set has
+    ``x_ab - x_aa <= v <= x_aa``.
     """
     n = state.n
     base = notion.base
@@ -235,9 +243,9 @@ def accepting_state(
                 ok = xaa + yab >= xab - yab
             elif base == "efl":
                 ok = (
-                    (xaa >= xab - yab and yab <= xaa)
-                    or xaa >= xab
-                    or xab == yab
+                    xaa >= xab
+                    or xab in yab
+                    or any(xab - xaa <= v <= xaa for v in yab)
                 )
             else:
                 raise UnsupportedNotionError(f"no sink condition for base {base!r}")
@@ -283,7 +291,6 @@ def exact_solve(
     profile=None,
     *,
     state_budget: int | None = None,
-    threads: int = 1,
     best_first: bool = False,
     stats: dict | None = None,
 ) -> Allocation | None:
@@ -292,12 +299,17 @@ def exact_solve(
 
     ``profile`` optionally overrides the per-agent awareness (True = aware);
     by default it is derived from the notion and the instance flags.  The
-    search is a layer-synchronous frontier walk with duplicate elimination;
-    ``best_first`` switches to an experimental deepest-first expansion that
-    can reach a witness sooner but may return a different (equally valid)
-    allocation.  Raises :class:`BudgetExceededError` once more than
-    ``state_budget`` states have been created, so a budget overrun is never
-    reported as a negative answer.
+    search is a single-threaded, layer-synchronous frontier walk with
+    duplicate elimination; every base except the universal-item ones gives
+    each assignee exactly one successor (``efl`` through its per-pair value
+    sets).  ``best_first`` switches to an experimental deepest-first
+    expansion that can reach a witness sooner but may return a different
+    (equally valid) allocation.  Raises :class:`BudgetExceededError` once
+    more than ``state_budget`` states have been created, so a budget overrun
+    is never reported as a negative answer, and :class:`InternalError` if
+    the found allocation fails the reference re-check.  When ``stats`` is a
+    dict, it receives ``visited`` (states created) and, for the layered
+    walk, ``layer_sizes``.
     """
     require_goods(inst)
     if notion.base not in BASES:
@@ -347,38 +359,17 @@ def exact_solve(
     for g in range(m):
         c_list, vals, impact_col = item_params[g]
         nxt: dict = {}
-        keys = list(frontier.keys())
-        if threads > 1 and len(keys) > 1:
-            size = (len(keys) + threads - 1) // threads
-            chunks = [keys[i : i + size] for i in range(0, len(keys), size)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(
-                        lambda chunk: [
-                            (key, succ)
-                            for key in chunk
-                            for succ in _expand_key(
-                                key, n, c_list, vals, impact_col, base, track
-                            )
-                        ],
-                        chunks,
-                    )
-                )
-            pairs = [pair for chunk in results for pair in chunk]
-        else:
-            pairs = [
-                (key, succ)
-                for key in keys
-                for succ in _expand_key(key, n, c_list, vals, impact_col, base, track)
-            ]
-        for key, (succ_key, assignee) in pairs:
-            if succ_key not in nxt:
-                nxt[succ_key] = (key, assignee)
-                visited += 1
-                if visited > budget:
-                    raise BudgetExceededError(
-                        f"state budget of {budget} exceeded at layer {g + 1}"
-                    )
+        for key in frontier:
+            for succ_key, assignee in _expand_key(
+                key, n, c_list, vals, impact_col, base, track
+            ):
+                if succ_key not in nxt:
+                    nxt[succ_key] = (key, assignee)
+                    visited += 1
+                    if visited > budget:
+                        raise BudgetExceededError(
+                            f"state budget of {budget} exceeded at layer {g + 1}"
+                        )
         layers.append(nxt)
         frontier = nxt
     if stats is not None:
@@ -448,11 +439,13 @@ def _best_first_solve(
 
 def _verify(inst: Instance, notion: Notion, prof, alloc: Allocation) -> None:
     """Re-check a reconstructed allocation against the reference checkers."""
-    assert fairness.is_sim(inst, alloc).fair, "search produced a non-maximizing allocation"
+    if not fairness.is_sim(inst, alloc).fair:
+        raise InternalError("search produced a non-maximizing allocation")
     eff_inst, eff_notion = _effective(inst, notion, prof)
-    assert fairness.check(
-        eff_inst, alloc, eff_notion
-    ).fair, "search accepted a state whose allocation fails the notion"
+    if not fairness.check(eff_inst, alloc, eff_notion).fair:
+        raise InternalError(
+            f"search accepted a state whose allocation fails {notion.label()}"
+        )
 
 
 def _effective(inst: Instance, notion: Notion, prof) -> tuple[Instance, Notion]:

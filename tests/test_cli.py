@@ -1,13 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdsi import fairness
 from fdsi.cli import main
 from fdsi.fairness import Notion
-from fdsi.generators import CANNED_NAMES, canned, gen_random
+from fdsi.generators import CANNED_NAMES, canned, gen_partition_ef1, gen_random
 from fdsi.model import ValidationError
 from fdsi.serialize import (
     allocation_from_obj,
@@ -16,6 +22,7 @@ from fdsi.serialize import (
     instance_to_obj,
     parse_notion_spec,
     parse_rational,
+    save_instance,
 )
 
 from helpers import random_instances
@@ -258,14 +265,37 @@ class TestCommands:
         assert main(["solve", str(none), "ef1", "--method", "exact"]) == 3
         monkeypatch.delenv("FDSI_STATE_BUDGET")
 
-    def test_threads_flag_identical_output(self, tmp_path, capsys):
-        rand = tmp_path / "r.json"
-        assert main(
-            ["gen", "random", "--agents", "3", "--items", "6", "--v-max", "4",
-             "--s-max", "3", "--seed", "5", "-o", str(rand)]
-        ) == 0
-        assert main(["solve", str(rand), "ef1", "--method", "exact"]) in (0, 1)
-        out1 = capsys.readouterr().out
-        assert main(["solve", str(rand), "ef1", "--method", "exact", "--threads", "4"]) in (0, 1)
-        out2 = capsys.readouterr().out
-        assert out1 == out2
+    def test_internal_error_exit_4(self, tmp_path, monkeypatch, capsys):
+        inst = tmp_path / "p.json"
+        save_instance(gen_partition_ef1((1, 1, 2)), inst)
+        # a reference checker that rejects everything makes the final
+        # re-check of the search's answer fail
+        monkeypatch.setattr(
+            fairness, "check", lambda *args, **kwargs: SimpleNamespace(fair=False)
+        )
+        assert main(["solve", str(inst), "ef1", "--method", "exact"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_solve_under_python_O_same_output(self, tmp_path):
+        # the final re-check is not an assert, so -O must not change anything
+        inst = tmp_path / "r.json"
+        save_instance(gen_random(3, 9, 9, 2, 1, seed=5), inst)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        runs = []
+        for flags in ([], ["-O"]):
+            runs.append(
+                subprocess.run(
+                    [sys.executable, *flags, "-m", "fdsi", "solve", str(inst),
+                     "efl", "--method", "exact"],
+                    capture_output=True, text=True, env=env, timeout=60,
+                )
+            )
+        plain, optimized = runs
+        assert plain.returncode == 0 and plain.stderr == ""
+        assert plain.stdout
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr
+        )

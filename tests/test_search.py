@@ -2,13 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdsi.fairness import BASES, Notion, check, is_sim, target_fair
 from fdsi.generators import canned, gen_partition_ef1, gen_random
-from fdsi.model import Allocation, BudgetExceededError, make_instance
+from fdsi.model import (
+    Allocation,
+    BudgetExceededError,
+    InternalError,
+    make_instance,
+)
 from fdsi.search import (
     SearchState,
     UnsupportedNotionError,
+    _verify,
     accepting_state,
     brute_force_solve,
     enumerate_sim_allocations,
@@ -57,8 +65,18 @@ class TestSuccessorStates:
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
         root = SearchState.initial(2, "efl", track_flags=False)
         succ = successor_states(inst, root, 0, Notion("efl"))
-        # 2 assignees x 2 independent observer choices (new values differ from 0)
-        assert len(succ) == 8
+        # one successor per assignee; each observer's value joins its set
+        assert [assignee for _, assignee in succ] == [0, 1]
+        by_assignee = dict((a, s) for s, a in succ)
+        empty = frozenset()
+        assert by_assignee[0].y == (frozenset({3}), empty, frozenset({5}), empty)
+        assert by_assignee[1].y == (empty, frozenset({3}), empty, frozenset({5}))
+        # a repeated value leaves the set as it is, a zero value is not kept
+        inst = make_instance(((3, 3, 0), (0, 5, 7)), ((1, 1, 1), (0, 0, 0)))
+        state = root
+        for g in range(3):
+            (state, _), = successor_states(inst, state, g, Notion("efl"))
+        assert state.y == (frozenset({3}), empty, frozenset({5, 7}), empty)
 
     def test_flags_follow_strict_impact(self):
         inst = make_instance(((1, 1), (1, 1)), ((3, 0), (1, 0)), aware=(True, True))
@@ -89,11 +107,23 @@ class TestAcceptingState:
         assert not accepting_state(state, Notion("wef1"), (1, 1))
 
     def test_efl_disjuncts(self):
-        # tracked item carries the whole bundle value: at most one positive item
-        state = SearchState.from_matrices(2, [[0, 9], [0, 0]], [[0, 9], [0, 0]])
-        assert accepting_state(state, Notion("efl"), (1, 1))
-        state = SearchState.from_matrices(2, [[0, 9], [0, 0]], [[0, 4], [0, 0]])
-        assert not accepting_state(state, Notion("efl"), (1, 1))
+        def accepts(x_aa, x_ab, values):
+            empty = frozenset()
+            y = [[empty, frozenset(values)], [empty, empty]]
+            state = SearchState.from_matrices(2, [[x_aa, x_ab], [0, 0]], y)
+            return accepting_state(state, Notion("efl"), (1, 1))
+
+        # no envy
+        assert accepts(5, 5, {2, 3})
+        assert accepts(0, 0, ())
+        # one item carries the whole bundle value: at most one positive item
+        assert accepts(0, 9, {9})
+        assert not accepts(0, 9, {4, 5})
+        # some value v with x_ab - x_aa <= v <= x_aa
+        assert accepts(5, 8, {1, 3, 4})
+        assert accepts(5, 9, {4, 5})
+        # the only value large enough to kill the envy (6 >= 8 - 5) exceeds x_aa
+        assert not accepts(5, 8, {1, 6})
 
     def test_flag_exemption(self):
         state = SearchState.from_matrices(
@@ -151,13 +181,24 @@ class TestExactSolve:
         with pytest.raises(UnsupportedNotionError):
             exact_solve(inst, Notion("sa-empty"))
 
-    def test_threads_bit_identical(self):
-        for seed in (3, 7, 11):
-            inst = gen_random(3, 6, 4, 3, 2, seed=seed)
-            for base in ("ef1", "sef1", "efl", "wef1"):
-                one = exact_solve(inst, Notion(base), threads=1)
-                four = exact_solve(inst, Notion(base), threads=4)
-                assert one == four
+    def test_efl_state_count(self):
+        # one value set per ordered pair keeps this tiny; per-observer
+        # branching of a single tracked value created about 1.56M states here
+        stats = {}
+        alloc = exact_solve(gen_random(3, 9, 9, 2, 1, 5), Notion("efl"), stats=stats)
+        assert alloc is not None
+        assert stats["visited"] <= 1000
+
+    def test_verify_raises_on_a_failing_allocation(self):
+        inst = make_instance(((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1)))
+        hoarded = Allocation.from_assignment(2, [0, 0, 0])
+        with pytest.raises(InternalError, match="efl"):
+            _verify(inst, Notion("efl"), None, hoarded)
+        fair = Allocation.from_assignment(2, [0, 1, 1])
+        _verify(inst, Notion("efl"), None, fair)
+        dominated = make_instance(((1,), (1,)), ((2,), (1,)))
+        with pytest.raises(InternalError, match="non-maximizing"):
+            _verify(dominated, Notion("efl"), None, Allocation.from_assignment(2, [1]))
 
     def test_best_first_same_answer(self):
         for seed in range(8):
@@ -179,6 +220,52 @@ class TestExactSolve:
             for j in range(inst.n):
                 assert target_fair(inst, alloc, j, "sef1")
         assert hits > 20
+
+
+# values of 10**6 and more pin the value-set encoding: a bitmask over values
+# would need megabytes per key
+_EFL_VALUE = st.one_of(
+    st.integers(0, 6), st.sampled_from((0, 10**6, 10**6 + 1, 2 * 10**6, 10**9))
+)
+
+
+@st.composite
+def _efl_instances(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 7))
+    valuations = [[draw(_EFL_VALUE) for _ in range(m)] for _ in range(n)]
+    # small impact ranges make ties, so items often have several maximizers
+    s_max = draw(st.integers(1, 2))
+    impacts = [[draw(st.integers(0, s_max)) for _ in range(m)] for _ in range(n)]
+    aware = [draw(st.booleans()) for _ in range(n)]
+    return make_instance(valuations, impacts, aware=aware)
+
+
+class TestEflDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_efl_instances())
+    @example(
+        make_instance(
+            ((10**6, 10**6, 1, 1, 0), (3, 10**9, 10**6, 0, 2)),
+            ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1)),
+            aware=(False, True),
+        )
+    )
+    @example(
+        make_instance(
+            ((10**6, 10**6, 10**6 + 1), (1, 2, 3), (0, 0, 0)),
+            ((1, 1, 0), (1, 1, 1), (0, 1, 1)),
+            aware=(True, False, False),
+        )
+    )
+    def test_exact_matches_brute(self, inst):
+        for notion in (Notion("efl"), Notion("efl", "sa")):
+            exact = exact_solve(inst, notion)
+            brute = brute_force_solve(inst, notion)
+            assert (exact is None) == (brute is None), notion.label()
+            if exact is not None:
+                assert is_sim(inst, exact).fair
+                assert check(inst, exact, notion).fair
 
 
 class TestPathReplay:
