@@ -32,6 +32,7 @@ from .model import (
 from .sa_empty import solve_sa_empty
 from .search import (
     UnsupportedNotionError,
+    brute_force_count,
     brute_force_solve,
     enumerate_sim_allocations,
     exact_solve,
@@ -49,6 +50,7 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "Witness",
+    "brute_force_count",
     "brute_force_solve",
     "bundle_impact",
     "bundle_value",

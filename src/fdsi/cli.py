@@ -15,7 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import allocators, generators, sa_empty, search, serialize
+from . import allocators, sa_empty, search, serialize
 from .fairness import SA_EMPTY, Notion, Verdict, check as check_notion, is_sim
 from .model import (
     Allocation,
@@ -32,6 +32,18 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# the examples ``generators.canned`` builds; kept here, not in the generators,
+# so that building the parser does not import them
+CANNED_NAMES = (
+    "bill-joe",
+    "unaware-nonexistence",
+    "alpha-nonexistence",
+    "wsa-nonexistence",
+    "tef1-vs-ef1",
+    "sim-unfair",
+    "chores-roundrobin",
+)
 
 
 def _witness_obj(inst: Instance, verdict: Verdict):
@@ -186,6 +198,8 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _cmd_gen(args) -> int:
+    from . import generators  # only this command needs it; keeps startup lean
+
     allocation = None
     if args.generator == "partition-ef1":
         inst = generators.gen_partition_ef1(_parse_weights(args.weights))
@@ -234,30 +248,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_brute(args) -> int:
     inst = serialize.load_instance(args.instance)
-    if args.notion == "any":
-        if args.count:
-            total = 0
-            cap = args.cap
-            if search.sim_allocation_count(inst) > cap:
-                raise BudgetExceededError("candidate count exceeds the cap")
-            for _ in search.enumerate_sim_allocations(inst):
-                total += 1
-            print(serialize.dumps({"count": total}), end="")
-            return EXIT_OK
-        alloc = next(search.enumerate_sim_allocations(inst), None)
+    # "any" accepts every candidate: its count needs no scan
+    notion = None if args.notion == "any" else _notion_from_args(args)
+    if args.count:
+        total = search.brute_force_count(
+            inst, notion, require_sim=args.require_sim, cap=args.cap
+        )
+        print(serialize.dumps({"count": total}), end="")
+        return EXIT_OK
+    if notion is None:
+        columns = search.candidate_columns(inst, args.require_sim)
+        alloc = Allocation.from_assignment(inst.n, [col[0] for col in columns])
     else:
-        notion = _notion_from_args(args)
-        if args.count:
-            cap = args.cap
-            if search.sim_allocation_count(inst) > cap:
-                raise BudgetExceededError("candidate count exceeds the cap")
-            total = sum(
-                1
-                for alloc in search.enumerate_sim_allocations(inst)
-                if check_notion(inst, alloc, notion).fair
-            )
-            print(serialize.dumps({"count": total}), end="")
-            return EXIT_OK
         alloc = search.brute_force_solve(
             inst, notion, require_sim=args.require_sim, cap=args.cap
         )
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_gen)
     g = gen_sub.add_parser("example")
-    g.add_argument("name", choices=generators.CANNED_NAMES)
+    g.add_argument("name", choices=CANNED_NAMES)
     g.add_argument("--alpha", help="rational for the alpha example")
     g.add_argument("--allocation-out", help="write the reference allocation here")
     g.add_argument("-o", "--output")

@@ -21,6 +21,18 @@ v_i(A_j) * s_i(A_j) <= v_i(A_i) * s_j(A_j).  Agents whose ``aware`` flag is
 off never get an override.  The standalone notion ``sa-empty`` demands that
 every non-empty bundle strictly impact-dominates all other agents.
 
+Every notion is stated once, in matrix form.  For a complete or partial
+allocation, ``matrices`` builds ``V[i][j] = v_i(A_j)`` and
+``S[i][j] = s_i(A_j)`` in O(n*m).  An ordered pair (i, j) is *envious* when
+``V[i][i] * w_j < V[i][j] * w_i`` (unit weights except for ``wef1`` and
+``swef1``); a pair that is not envious passes every base.  Envious pairs are
+decided from V, S and, only then, the values in i's eyes of the items of A_j:
+the largest removal, the positive values for ``efl``, or the per-item test of
+the universal-item bases.  ``decider`` compiles a notion once per instance
+into a function of (V, S, owners) that returns the first failing
+(observer, target) pair; ``check`` and the brute-force oracle both call it,
+the oracle while updating V and S by one item column per step.
+
 All comparisons are exact integer arithmetic (rational thresholds are
 applied by cross multiplication).
 """
@@ -29,16 +41,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .model import (
     Allocation,
     Instance,
     ValidationError,
-    bundle_impact,
-    bundle_value,
     all_maximizers,
     require_complete,
     require_goods,
+    validate_allocation,
 )
 
 BASES = ("ef", "ef1", "sef1", "wef1", "swef1", "efl", "tef1")
@@ -136,31 +148,187 @@ def _best_removal(inst: Instance, i: int, bundle: frozenset[int]) -> int | None:
     return best
 
 
-def _pair_fair(inst: Instance, alloc: Allocation, i: int, j: int, base: str) -> bool:
-    if i == j:
-        return True
-    a_j = alloc.bundles[j]
-    own = bundle_value(inst, i, alloc.bundles[i])
-    other = bundle_value(inst, i, a_j)
-    vals = inst.valuations[i]
-    if base == "ef":
-        return own >= other
-    if base == "ef1":
-        return not a_j or own >= other - max(vals[g] for g in a_j)
-    if base == "wef1":
-        if not a_j:
+Matrix = list[list[int]]
+Owners = Sequence["int | None"]
+# fails(V, S, owners) -> first failing (observer, target), or None when fair
+Decider = Callable[[Matrix, Matrix, Owners], "tuple[int, int] | None"]
+
+
+def matrices(inst: Instance, owners: Owners) -> tuple[Matrix, Matrix]:
+    """``V[i][j] = v_i(A_j)`` and ``S[i][j] = s_i(A_j)`` for the item -> owner
+    map ``owners`` (None marks an unallocated item), in O(n*m)."""
+    n = inst.n
+    V = [[0] * n for _ in range(n)]
+    S = [[0] * n for _ in range(n)]
+    for Vi, Si, vals, imps in zip(V, S, inst.valuations, inst.impacts):
+        for j, v, s in zip(owners, vals, imps):
+            if j is not None:
+                Vi[j] += v
+                Si[j] += s
+    return V, S
+
+
+def _owners(inst: Instance, alloc: Allocation) -> list[int | None]:
+    errors = validate_allocation(inst, alloc)
+    if errors:
+        raise ValidationError("; ".join(errors))
+    return alloc.owners(inst.m)
+
+
+def _require_agents(inst: Instance, *agents: int) -> None:
+    for i in agents:
+        if not (0 <= i < inst.n):
+            raise ValidationError(f"unknown agent index {i}")
+
+
+# -- per-notion formulas -------------------------------------------------------
+#
+# Base condition of an envious ordered pair (i, j): ``own = v_i(A_i)``,
+# ``other = v_i(A_j)``, the pair's weights, and ``values``, the values in i's
+# eyes of the items of A_j (never empty: envy needs a positive item).
+
+
+def _ef(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
+    return False
+
+
+def _one_removal(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
+    # ef1 (unit weights) and wef1: v_i(A_i) / w_i >= (v_i(A_j) - max) / w_j
+    return own * wj >= (other - max(values)) * wi
+
+
+def _efl(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
+    # at most one positive item, or a removal that kills the envy and is not
+    # itself worth more than A_i
+    positive = [v for v in values if v > 0]
+    return len(positive) <= 1 or any(other - own <= v <= own for v in positive)
+
+
+def _tef1(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
+    # moving the best item from A_j to A_i kills the envy
+    return own + 2 * max(values) >= other
+
+
+_ENVIOUS_PAIR_OK = {
+    "ef": _ef,
+    "ef1": _one_removal,
+    "wef1": _one_removal,
+    "efl": _efl,
+    "tef1": _tef1,
+}
+
+
+def _pair_weights(inst: Instance, base: str) -> tuple[int, ...]:
+    return inst.weights if base in ("wef1", "swef1") else (1,) * inst.n
+
+
+def _excuse(inst: Instance, notion: Notion, *, strict: bool = True):
+    """``excused(i, j, V, S)`` for the awareness mode, or None when no
+    observer can ever be excused."""
+    if notion.awareness is None or not any(inst.aware):
+        return None
+    aware = inst.aware
+    if notion.awareness == "wsa":
+        # v_i(A_j) * s_i(A_j) <= v_i(A_i) * s_j(A_j)
+        return lambda i, j, V, S: aware[i] and V[i][j] * S[i][j] <= V[i][i] * S[j][j]
+    if notion.awareness == "alpha":
+        p, q = notion.alpha.numerator, notion.alpha.denominator
+    else:  # "sa" is alpha = 1
+        p, q = 1, 1
+    # s_i(A_j) < alpha * s_j(A_j), or <= when not strict
+    if strict:
+        return lambda i, j, V, S: aware[i] and S[i][j] * q < p * S[j][j]
+    return lambda i, j, V, S: aware[i] and S[i][j] * q <= p * S[j][j]
+
+
+def _target_rule(inst: Instance, base: str, excused):
+    """``target_ok(j, V, S, owners)``: one removed item of A_j must satisfy
+    every envious observer of j that is not excused."""
+    rng = range(inst.n)
+    vals = inst.valuations
+    wt = _pair_weights(inst, base)
+
+    def target_ok(j: int, V: Matrix, S: Matrix, owners: Owners) -> bool:
+        # item g serves envious observer i iff v_i(g) * w_i >= need_i, where
+        # need_i = v_i(A_j) * w_i - v_i(A_i) * w_j is positive exactly when i envies j
+        wj = wt[j]
+        needs = []
+        for i in rng:
+            need = V[i][j] * wt[i] - V[i][i] * wj
+            if need > 0 and not (excused is not None and excused(i, j, V, S)):
+                needs.append((vals[i], wt[i], need))
+        if not needs:
             return True
-        w_i, w_j = inst.weights[i], inst.weights[j]
-        return own * w_j >= (other - max(vals[g] for g in a_j)) * w_i
-    if base == "efl":
-        if sum(1 for g in a_j if vals[g] > 0) <= 1:
-            return True
-        return any(own >= other - vals[g] and own >= vals[g] for g in a_j)
-    if base == "tef1":
-        if own >= other:
-            return True
-        return bool(a_j) and own + 2 * max(vals[g] for g in a_j) >= other
-    raise ValidationError(f"{base!r} is not a pairwise base notion")
+        items = [g for g, o in enumerate(owners) if o == j]
+        for row, wi, need in needs:  # keep the items that serve every observer so far
+            items = [g for g in items if row[g] * wi >= need]
+        return bool(items)
+
+    return target_ok
+
+
+def decider(inst: Instance, notion: Notion) -> Decider:
+    """Compile ``notion`` on ``inst`` into ``fails(V, S, owners)``.
+
+    The result is the first failing (observer, target) pair in lexicographic
+    order, or None when the allocation is fair.  For the universal-item bases
+    a failing target j contributes (its least non-excused observer, j).
+    Nothing is validated here: callers pass matrices of a valid allocation of
+    a goods instance (any instance for ``sa-empty``).
+    """
+    rng = range(inst.n)
+    if notion.base == SA_EMPTY:
+
+        def fails(V: Matrix, S: Matrix, owners: Owners):
+            for i in rng:
+                Si = S[i]
+                for j in rng:
+                    if i != j and Si[j] >= S[j][j] and j in owners:
+                        return i, j
+            return None
+
+        return fails
+    excused = _excuse(inst, notion)
+    if notion.base in TARGET_BASES:
+        target_ok = _target_rule(inst, notion.base, excused)
+
+        def fails(V: Matrix, S: Matrix, owners: Owners):
+            first = None
+            for j in rng:
+                if target_ok(j, V, S, owners):
+                    continue
+                i = next(
+                    i
+                    for i in rng
+                    if i != j and not (excused is not None and excused(i, j, V, S))
+                )
+                if first is None or i < first[0]:
+                    first = (i, j)
+                    if i == 0:  # no later target can give a smaller pair
+                        break
+            return first
+
+        return fails
+    ok = _ENVIOUS_PAIR_OK[notion.base]
+    vals = inst.valuations
+    wt = _pair_weights(inst, notion.base)
+
+    def fails(V: Matrix, S: Matrix, owners: Owners):
+        for i in rng:
+            Vi, wi, row = V[i], wt[i], vals[i]
+            own = Vi[i]
+            for j in rng:
+                other, wj = Vi[j], wt[j]
+                if own * wj >= other * wi:  # not envious (always so for j == i)
+                    continue
+                if excused is not None and excused(i, j, V, S):
+                    continue
+                if ok(own, other, wi, wj, [v for v, o in zip(row, owners) if o == j]):
+                    continue
+                return i, j
+        return None
+
+    return fails
 
 
 def pair_fair(inst: Instance, alloc: Allocation, i: int, j: int, base: str) -> bool:
@@ -168,39 +336,15 @@ def pair_fair(inst: Instance, alloc: Allocation, i: int, j: int, base: str) -> b
     if base not in PAIR_BASES:
         raise ValidationError(f"{base!r} is not a pairwise base notion")
     require_goods(inst)
-    return _pair_fair(inst, alloc, i, j, base)
-
-
-def _target_fair(
-    inst: Instance,
-    alloc: Allocation,
-    j: int,
-    base: str,
-    exempt: frozenset[int] = frozenset(),
-) -> bool:
-    a_j = alloc.bundles[j]
-    if not a_j:
+    _require_agents(inst, i, j)
+    owners = _owners(inst, alloc)
+    V, _ = matrices(inst, owners)
+    wt = _pair_weights(inst, base)
+    own, other = V[i][i], V[i][j]
+    if own * wt[j] >= other * wt[i]:
         return True
-    observers = [i for i in range(inst.n) if i != j and i not in exempt]
-    if not observers:
-        return True
-    weighted = base == "swef1"
-    other = {i: bundle_value(inst, i, a_j) for i in observers}
-    own = {i: bundle_value(inst, i, alloc.bundles[i]) for i in observers}
-    for g in sorted(a_j):
-        ok = True
-        for i in observers:
-            reduced = other[i] - inst.valuations[i][g]
-            if weighted:
-                if own[i] * inst.weights[j] < reduced * inst.weights[i]:
-                    ok = False
-                    break
-            elif own[i] < reduced:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    values = [v for v, o in zip(inst.valuations[i], owners) if o == j]
+    return _ENVIOUS_PAIR_OK[base](own, other, wt[i], wt[j], values)
 
 
 def target_fair(inst: Instance, alloc: Allocation, j: int, base: str) -> bool:
@@ -208,7 +352,10 @@ def target_fair(inst: Instance, alloc: Allocation, j: int, base: str) -> bool:
     if base not in TARGET_BASES:
         raise ValidationError(f"{base!r} is not a target-based notion")
     require_goods(inst)
-    return _target_fair(inst, alloc, j, base)
+    _require_agents(inst, j)
+    owners = _owners(inst, alloc)
+    V, S = matrices(inst, owners)
+    return _target_rule(inst, base, None)(j, V, S, owners)
 
 
 def sa_override(
@@ -228,20 +375,13 @@ def sa_override(
     every impact-maximizing allocation passes trivially); ``wsa`` is
     non-strict by definition and is unaffected.
     """
-    if notion.awareness is None or not inst.aware[i]:
+    _require_agents(inst, i, j)
+    owners = _owners(inst, alloc)
+    excused = _excuse(inst, notion, strict=strict)
+    if excused is None:
         return False
-    s_i = bundle_impact(inst, i, alloc.bundles[j])
-    s_j = bundle_impact(inst, j, alloc.bundles[j])
-    if notion.awareness == "sa":
-        return s_i < s_j if strict else s_i <= s_j
-    if notion.awareness == "alpha":
-        p, q = notion.alpha.numerator, notion.alpha.denominator
-        return s_i * q < p * s_j if strict else s_i * q <= p * s_j
-    if notion.awareness == "wsa":
-        v_other = bundle_value(inst, i, alloc.bundles[j])
-        v_own = bundle_value(inst, i, alloc.bundles[i])
-        return v_other * s_i <= v_own * s_j
-    raise ValidationError(f"unknown awareness mode {notion.awareness!r}")
+    V, S = matrices(inst, owners)
+    return bool(excused(i, j, V, S))
 
 
 def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
@@ -252,55 +392,27 @@ def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
     an override toward target j are exempt from j's universal-item
     requirement; the remaining observers must share one removal item.  The
     witness is the first failing pair in lexicographic (observer, target)
-    order.
+    order; for target bases, the least (non-exempt observer, failing target).
     """
-    if notion.base == SA_EMPTY:
-        return is_sa_empty(inst, alloc)
-    require_goods(inst)
-    n = inst.n
-    label = notion.label()
-    if notion.base in TARGET_BASES:
-        failing: list[tuple[int, int]] = []
-        for j in range(n):
-            exempt = frozenset(
-                i
-                for i in range(n)
-                if i != j and sa_override(inst, alloc, i, j, notion)
-            )
-            if not _target_fair(inst, alloc, j, notion.base, exempt):
-                failing.extend(
-                    (i, j) for i in range(n) if i != j and i not in exempt
-                )
-        if failing:
-            i, j = min(failing)
-            return Verdict(
-                fair=False,
-                witness=Witness(
-                    reason=label,
-                    observer=i,
-                    target=j,
-                    item=_best_removal(inst, i, alloc.bundles[j]),
-                ),
-            )
+    if notion.base != SA_EMPTY:
+        require_goods(inst)
+    owners = _owners(inst, alloc)
+    V, S = matrices(inst, owners)
+    failing = decider(inst, notion)(V, S, owners)
+    if failing is None:
         return Verdict(fair=True)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if _pair_fair(inst, alloc, i, j, notion.base):
-                continue
-            if sa_override(inst, alloc, i, j, notion):
-                continue
-            return Verdict(
-                fair=False,
-                witness=Witness(
-                    reason=label,
-                    observer=i,
-                    target=j,
-                    item=_best_removal(inst, i, alloc.bundles[j]),
-                ),
-            )
-    return Verdict(fair=True)
+    i, j = failing
+    if notion.base == SA_EMPTY:
+        return Verdict(fair=False, witness=Witness(reason=SA_EMPTY, observer=i, target=j))
+    return Verdict(
+        fair=False,
+        witness=Witness(
+            reason=notion.label(),
+            observer=i,
+            target=j,
+            item=_best_removal(inst, i, alloc.bundles[j]),
+        ),
+    )
 
 
 def is_sa_empty(inst: Instance, alloc: Allocation) -> Verdict:
@@ -309,15 +421,4 @@ def is_sa_empty(inst: Instance, alloc: Allocation) -> Verdict:
     Fair iff for each ordered pair (i, j) with i != j either A_j is empty or
     s_i(A_j) < s_j(A_j).
     """
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j or not alloc.bundles[j]:
-                continue
-            s_i = bundle_impact(inst, i, alloc.bundles[j])
-            s_j = bundle_impact(inst, j, alloc.bundles[j])
-            if s_i >= s_j:
-                return Verdict(
-                    fair=False,
-                    witness=Witness(reason=SA_EMPTY, observer=i, target=j),
-                )
-    return Verdict(fair=True)
+    return check(inst, alloc, Notion(SA_EMPTY))

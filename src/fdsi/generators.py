@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from .cli import CANNED_NAMES  # noqa: F401  (the parser lists the same names)
 from .model import Allocation, Instance, ValidationError, make_instance
 
 ORACLE_WEIGHT_CAP = 10  # source-problem oracles stay exhaustive below this size
@@ -330,17 +331,6 @@ def canned(name: str, *, alpha: Fraction = Fraction(1, 2)) -> CannedExample:
             name, inst, Allocation((frozenset({0, 1}), frozenset({2, 3, 4})))
         )
     raise ValidationError(f"unknown canned instance {name!r}")
-
-
-CANNED_NAMES = (
-    "bill-joe",
-    "unaware-nonexistence",
-    "alpha-nonexistence",
-    "wsa-nonexistence",
-    "tef1-vs-ef1",
-    "sim-unfair",
-    "chores-roundrobin",
-)
 
 
 def gen_random(

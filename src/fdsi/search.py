@@ -23,11 +23,20 @@ pass a pair without envy, which passes anyway), and unlike a bitmask over
 values its size does not grow with how large the values are.  Acceptance at
 the last layer evaluates the notion's closed-form condition on (x, y).
 
-A returned allocation is always re-checked against the reference checkers,
-and a failed re-check raises :class:`InternalError` (not an assert, so it
-also holds under ``python -O``); a negative answer means no accepting path
-exists.  States are deduplicated per layer and expanded in deterministic
-order, so results are reproducible.
+The brute-force oracle is independent of that encoding.  It scans candidate
+owner tuples as an odometer in ``itertools.product`` order (per item, the
+impact maximizers ascending, or every agent without the impact restriction).
+It keeps the value and impact matrices of ``fairness.matrices`` up to date by
+one item column per owner change.  It decides each candidate with the same
+``fairness.decider`` that ``check`` uses, and builds an :class:`Allocation`
+only for the answer it returns.  ``brute_force_solve`` and
+``brute_force_count`` share that one scan.
+
+An allocation the exact solver returns is always re-checked against the
+reference checkers, and a failed re-check raises :class:`InternalError` (not
+an assert, so it also holds under ``python -O``); a negative answer means no
+accepting path exists.  States are deduplicated per layer and expanded in
+deterministic order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -454,17 +463,93 @@ def _effective(inst: Instance, notion: Notion, prof) -> tuple[Instance, Notion]:
     return replace(inst, aware=prof), Notion(notion.base, "sa")
 
 
+def candidate_columns(inst: Instance, require_sim: bool = True) -> list[tuple[int, ...]]:
+    """Owner choices per item, in scan order: the impact maximizers ascending
+    or, without ``require_sim``, every agent."""
+    if require_sim:
+        return [tuple(sorted(s)) for s in all_maximizers(inst)]
+    return [tuple(range(inst.n))] * inst.m
+
+
 def enumerate_sim_allocations(inst: Instance):
     """Iterate every impact-maximizing complete allocation in lexicographic
     order (per item, maximizers ascending; item order is input order)."""
-    choices = [tuple(sorted(s)) for s in all_maximizers(inst)]
-    for owners in product(*choices):
+    for owners in product(*candidate_columns(inst)):
         yield Allocation.from_assignment(inst.n, owners)
 
 
 def sim_allocation_count(inst: Instance) -> int:
     """Number of impact-maximizing complete allocations."""
     return math.prod(len(s) for s in all_maximizers(inst))
+
+
+def _oracle_notion(inst: Instance, notion: Notion, profile) -> tuple[Instance, Notion]:
+    """The instance and notion the oracle decides: a profile becomes the
+    ``aware`` flags of plain-or-sa awareness."""
+    if notion.base != SA_EMPTY:
+        require_goods(inst)
+    if profile is None:
+        return inst, notion
+    if notion.awareness not in (None, "sa"):
+        raise ValidationError("profiles combine only with plain or sa awareness")
+    prof = tuple(bool(b) for b in profile)
+    if len(prof) != inst.n:
+        raise ValidationError("awareness profile length must match agent count")
+    eff_notion = Notion(notion.base, "sa") if notion.base != SA_EMPTY else notion
+    return replace(inst, aware=prof), eff_notion
+
+
+def _capped_columns(inst: Instance, require_sim: bool, cap: int):
+    columns = candidate_columns(inst, require_sim)
+    count = math.prod(len(c) for c in columns)
+    if count > cap:
+        kind = "impact-maximizing allocations" if require_sim else "allocations"
+        raise BudgetExceededError(f"{count} {kind} exceed the cap of {cap}")
+    return columns, count
+
+
+def _scan(inst: Instance, notion: Notion, profile, require_sim: bool, cap: int):
+    """Yield the owner tuple of every candidate passing the notion, in
+    ``itertools.product`` order over the candidate columns.
+
+    An odometer over the items with more than one choice: when an item
+    changes owner, V and S move by that item's column in O(n), and every
+    candidate is decided by the same ``fairness.decider`` as ``check``.
+    """
+    eff_inst, eff_notion = _oracle_notion(inst, notion, profile)
+    columns, _ = _capped_columns(inst, require_sim, cap)
+    fails = fairness.decider(eff_inst, eff_notion)
+    owners = [col[0] for col in columns]
+    V, S = fairness.matrices(eff_inst, owners)
+    # the items with a choice, last item first (it varies fastest): index,
+    # next owner after each owner (cyclic), first owner, and the item's
+    # value and impact columns
+    free = []
+    for g in reversed(range(len(columns))):
+        col = columns[g]
+        if len(col) > 1:
+            nxt = [0] * inst.n
+            for a, b in zip(col, col[1:] + col[:1]):
+                nxt[a] = b
+            vcol = [row[g] for row in inst.valuations]
+            scol = [row[g] for row in inst.impacts]
+            free.append((g, nxt, col[0], vcol, scol))
+    rows = list(zip(V, S))
+    while True:
+        if fails(V, S, owners) is None:
+            yield tuple(owners)
+        for g, nxt, first, vcol, scol in free:
+            old = owners[g]
+            new = owners[g] = nxt[old]
+            for (Vi, Si), v, s in zip(rows, vcol, scol):
+                Vi[old] -= v
+                Vi[new] += v
+                Si[old] -= s
+                Si[new] += s
+            if new != first:
+                break
+        else:
+            return
 
 
 def brute_force_solve(
@@ -484,36 +569,22 @@ def brute_force_solve(
     applied.  Raises :class:`BudgetExceededError` when the candidate count
     exceeds ``cap``.
     """
-    if notion.base != SA_EMPTY:
-        require_goods(inst)
-    if profile is not None and notion.awareness not in (None, "sa"):
-        raise ValidationError("profiles combine only with plain or sa awareness")
-    if profile is not None:
-        prof = tuple(bool(b) for b in profile)
-        if len(prof) != inst.n:
-            raise ValidationError("awareness profile length must match agent count")
-        eff_inst = replace(inst, aware=prof)
-        eff_notion = Notion(notion.base, "sa") if notion.base != SA_EMPTY else notion
-    else:
-        eff_inst, eff_notion = inst, notion
-    if require_sim:
-        count = sim_allocation_count(inst)
-        if count > cap:
-            raise BudgetExceededError(
-                f"{count} impact-maximizing allocations exceed the cap of {cap}"
-            )
-        candidates = enumerate_sim_allocations(inst)
-    else:
-        count = inst.n**inst.m
-        if count > cap:
-            raise BudgetExceededError(
-                f"{count} allocations exceed the cap of {cap}"
-            )
-        candidates = (
-            Allocation.from_assignment(inst.n, owners)
-            for owners in product(range(inst.n), repeat=inst.m)
-        )
-    for alloc in candidates:
-        if fairness.check(eff_inst, alloc, eff_notion).fair:
-            return alloc
-    return None
+    owners = next(_scan(inst, notion, profile, require_sim, cap), None)
+    return None if owners is None else Allocation.from_assignment(inst.n, owners)
+
+
+def brute_force_count(
+    inst: Instance,
+    notion: Notion | None,
+    profile=None,
+    *,
+    require_sim: bool = True,
+    cap: int = DEFAULT_BRUTE_CAP,
+) -> int:
+    """Number of candidate allocations passing the notion, over the same scan
+    as :func:`brute_force_solve`; ``notion=None`` counts every candidate
+    without a scan.  Raises :class:`BudgetExceededError` when the candidate
+    count exceeds ``cap``."""
+    if notion is None:
+        return _capped_columns(inst, require_sim, cap)[1]
+    return sum(1 for _ in _scan(inst, notion, profile, require_sim, cap))

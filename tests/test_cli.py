@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from fdsi import fairness
 from fdsi.cli import main
-from fdsi.fairness import Notion
+from fdsi.fairness import Notion, check, is_sim
 from fdsi.generators import CANNED_NAMES, canned, gen_partition_ef1, gen_random
-from fdsi.model import ValidationError
+from fdsi.model import Allocation, ValidationError
 from fdsi.serialize import (
     allocation_from_obj,
     allocation_to_obj,
@@ -230,6 +231,46 @@ class TestCommands:
         assert main(["brute", str(inst), "sa-ef1"]) == 0
         capsys.readouterr()
 
+    def test_brute_count_honours_no_require_sim(self, tmp_path, capsys):
+        q = tmp_path / "q.json"
+        assert main(["gen", "random", "--agents", "2", "--items", "4", "--v-max", "5",
+                     "--s-max", "3", "--seed", "3", "-o", str(q)]) == 0
+        inst = gen_random(2, 4, 5, 3, 1, seed=3)
+        counts = {}
+        for extra in ([], ["--no-require-sim"]):
+            for notion in ("ef1", "any"):
+                assert main(["brute", str(q), notion, "--count", *extra]) == 0
+                counts[notion, bool(extra)] = json.loads(capsys.readouterr().out)["count"]
+        allocs = [Allocation.from_assignment(2, o) for o in product(range(2), repeat=4)]
+        assert counts["any", True] == 16
+        assert counts["any", False] == sum(is_sim(inst, a).fair for a in allocs)
+        assert counts["ef1", True] == sum(check(inst, a, Notion("ef1")).fair for a in allocs)
+        assert counts["ef1", False] == sum(
+            is_sim(inst, a).fair and check(inst, a, Notion("ef1")).fair for a in allocs
+        )
+        assert counts["ef1", True] != counts["ef1", False]
+        # the cap is checked against the count of the candidates scanned
+        args = ["brute", str(q), "ef1", "--count", "--cap", "15"]
+        assert main(args) == 0
+        assert main([*args, "--no-require-sim"]) == 3
+        assert main(["brute", str(q), "any", "--count", "--no-require-sim", "--cap", "15"]) == 3
+        capsys.readouterr()
+
+    def test_brute_any_honours_no_require_sim(self, tmp_path, capsys):
+        # agent b maximizes every item, so the first of all n**m allocations
+        # (everything to agent a) is not impact maximizing
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({
+            "agents": [{"id": "a"}, {"id": "b"}],
+            "items": ["x", "y"],
+            "valuations": [[1, 1], [1, 1]],
+            "impacts": [[1, 1], [2, 2]],
+        }))
+        assert main(["brute", str(path), "any"]) == 0
+        assert json.loads(capsys.readouterr().out)["bundles"] == {"a": [], "b": ["x", "y"]}
+        assert main(["brute", str(path), "any", "--no-require-sim"]) == 0
+        assert json.loads(capsys.readouterr().out)["bundles"] == {"a": ["x", "y"], "b": []}
+
     def test_gen_writes_table_faithful_file(self, tmp_path):
         out = tmp_path / "p.json"
         assert main(["gen", "partition-ef1", "--weights", "1,2,3", "-o", str(out)]) == 0
@@ -257,6 +298,26 @@ class TestCommands:
             assert main(["gen", "example", name, "-o", str(out)]) == 0
             json.loads(out.read_text())
         capsys.readouterr()
+
+    def test_gen_example_names(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "example", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for name in CANNED_NAMES:
+            assert name in help_text
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "example", "no-such-example"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_cli_import_leaves_generators_out(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        code = "import sys, fdsi.cli; print('fdsi.generators' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     def test_state_budget_env(self, tmp_path, monkeypatch):
         none = tmp_path / "none.json"

@@ -24,7 +24,11 @@ from fdsi.model import (
 )
 
 from helpers import (
+    impact_of,
+    naive_base,
     naive_check,
+    naive_override,
+    naive_target,
     random_allocation,
     random_instances,
     random_sim_allocation,
@@ -355,3 +359,118 @@ class TestAgainstNaive:
             Notion("ef1", "alpha", Fraction(3, 2))
         with pytest.raises(ValidationError):
             Notion("sa-empty", "sa")
+
+
+def _naive_witness(inst, alloc, notion):
+    """(observer, target) of the first failing pair by the literal
+    definitions, or None when fair."""
+    n, bundles = inst.n, alloc.bundles
+    if notion.base == "sa-empty":
+        return next(
+            (
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if i != j
+                and bundles[j]
+                and impact_of(inst, i, bundles[j]) >= impact_of(inst, j, bundles[j])
+            ),
+            None,
+        )
+
+    def excused(i, j):
+        return naive_override(inst, alloc, i, j, notion.awareness, notion.alpha)
+
+    if notion.base in ("sef1", "swef1"):
+        failing = []
+        for j in range(n):
+            exempt = {i for i in range(n) if i != j and excused(i, j)}
+            if not naive_target(inst, alloc, j, notion.base, exempt):
+                failing += [(i, j) for i in range(n) if i != j and i not in exempt]
+        return min(failing, default=None)
+    return next(
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if not naive_base(inst, alloc, i, j, notion.base) and not excused(i, j)
+        ),
+        None,
+    )
+
+
+class TestWitnessParity:
+    MODES = ((None, None), ("sa", None), ("alpha", Fraction(1, 2)), ("wsa", None))
+
+    def test_witness_matches_naive_first_failing_pair(self):
+        rng = random.Random(404)
+        unfair = 0
+        for inst in random_instances(400, 405, 1, 4, 0, 6, 4, 2, 3):
+            aware = tuple(rng.random() < 0.6 for _ in range(inst.n))
+            inst = make_instance(
+                inst.valuations, inst.impacts, weights=inst.weights, aware=aware
+            )
+            # partial allocations too: owner -1 leaves an item unallocated
+            owners = [rng.choice(range(-1, inst.n)) for _ in range(inst.m)]
+            bundles = [frozenset(g for g, o in enumerate(owners) if o == i) for i in range(inst.n)]
+            alloc = Allocation(tuple(bundles))
+            for base in BASES + ("sa-empty",):
+                modes = ((None, None),) if base == "sa-empty" else self.MODES
+                for mode, alpha in modes:
+                    notion = Notion(base, mode, alpha)
+                    verdict = check(inst, alloc, notion)
+                    want = _naive_witness(inst, alloc, notion)
+                    assert verdict.fair == (want is None), notion.label()
+                    if want is None:
+                        assert verdict.witness is None
+                        continue
+                    unfair += 1
+                    w = verdict.witness
+                    assert (w.observer, w.target) == want, notion.label()
+                    assert w.reason == notion.label()
+                    if base == "sa-empty":
+                        assert w.item is None
+                        continue
+                    i, j = want
+                    best = min(
+                        bundles[j], key=lambda g: (-inst.valuations[i][g], g), default=None
+                    )
+                    assert w.item == best
+        assert unfair > 1000
+
+    def test_unknown_item_index_rejected_at_entry(self):
+        inst = make_instance(((1, 2), (3, 4)), ((1, 1), (1, 1)))
+        alloc = Allocation((frozenset({0, 5}), frozenset({1})))
+        for notion in (Notion("ef"), Notion("sef1", "sa"), Notion("sa-empty")):
+            with pytest.raises(ValidationError):
+                check(inst, alloc, notion)
+        with pytest.raises(ValidationError):
+            is_sa_empty(inst, alloc)
+        with pytest.raises(ValidationError):
+            pair_fair(inst, alloc, 0, 1, "ef1")
+        with pytest.raises(ValidationError):
+            target_fair(inst, alloc, 1, "sef1")
+        with pytest.raises(ValidationError):
+            sa_override(inst, alloc, 0, 1, Notion("ef1", "sa"))
+
+    def test_malformed_allocations_rejected(self):
+        inst = make_instance(((1, 2), (3, 4)), ((1, 1), (1, 1)))
+        wrong_count = Allocation((frozenset({0, 1}),))
+        shared = Allocation((frozenset({0, 1}), frozenset({1})))
+        for alloc in (wrong_count, shared):
+            with pytest.raises(ValidationError):
+                check(inst, alloc, Notion("ef1"))
+        with pytest.raises(ValidationError):
+            pair_fair(inst, Allocation.empty(2), 0, 2, "ef1")
+
+    def test_negative_valuation_rejected(self):
+        chores = canned("chores-roundrobin")
+        for base in BASES:
+            with pytest.raises(GoodsOnlyError):
+                check(chores.instance, chores.allocation, Notion(base, "wsa"))
+        with pytest.raises(GoodsOnlyError):
+            target_fair(chores.instance, chores.allocation, 0, "swef1")
+        # sa-empty reads only impacts, so chores are decided, not rejected
+        assert is_sa_empty(chores.instance, chores.allocation).fair == naive_check(
+            chores.instance, chores.allocation, Notion("sa-empty")
+        )

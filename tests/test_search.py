@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from fdsi.model import (
     Allocation,
     BudgetExceededError,
     InternalError,
+    all_maximizers,
     make_instance,
 )
 from fdsi.search import (
@@ -18,14 +21,16 @@ from fdsi.search import (
     UnsupportedNotionError,
     _verify,
     accepting_state,
+    brute_force_count,
     brute_force_solve,
+    candidate_columns,
     enumerate_sim_allocations,
     exact_solve,
     sim_allocation_count,
     successor_states,
 )
 
-from helpers import random_instances
+from helpers import naive_check, random_instances
 
 
 class TestSuccessorStates:
@@ -360,3 +365,80 @@ class TestOracleEquivalenceSmoke:
                 mixed_exact = exact_solve(inst, Notion(base), profile=profile)
                 mixed_brute = brute_force_solve(inst, Notion(base), profile=profile)
                 assert (mixed_exact is None) == (mixed_brute is None), (k, base)
+
+
+_ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """An instance, a notion, an optional awareness profile and require_sim."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 6))
+    # small ranges give zero values and impact ties (several maximizers)
+    valuations = [[draw(st.integers(0, 4)) for _ in range(m)] for _ in range(n)]
+    impacts = [[draw(st.integers(0, 2)) for _ in range(m)] for _ in range(n)]
+    weights = [draw(st.integers(1, 3)) for _ in range(n)]
+    aware = [draw(st.booleans()) for _ in range(n)]
+    inst = make_instance(valuations, impacts, weights=weights, aware=aware)
+    base = draw(st.sampled_from(BASES + ("sa-empty",)))
+    mode = None if base == "sa-empty" else draw(st.sampled_from((None, "sa", "alpha", "wsa")))
+    alpha = draw(st.sampled_from(_ALPHAS)) if mode == "alpha" else None
+    notion = Notion(base, mode, alpha)
+    profile = None
+    if mode in (None, "sa") and draw(st.booleans()):
+        profile = tuple(draw(st.booleans()) for _ in range(n))
+    return inst, notion, profile, draw(st.booleans())
+
+
+class TestOracleScanDifferential:
+    """The incremental odometer scan against the literal definitions
+    (``helpers.naive_check``) over ``itertools.product`` of the candidates."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_oracle_cases())
+    def test_count_and_first_answer_match_naive(self, case):
+        inst, notion, profile, require_sim = case
+        judged_inst, judged = inst, notion
+        if profile is not None:
+            judged_inst = replace(inst, aware=profile)
+            if notion.base != "sa-empty":
+                judged = Notion(notion.base, "sa")
+        if require_sim:
+            choices = [sorted(s) for s in all_maximizers(inst)]
+        else:
+            choices = [range(inst.n)] * inst.m
+        passing = [
+            owners
+            for owners in product(*choices)
+            if naive_check(judged_inst, Allocation.from_assignment(inst.n, owners), judged)
+        ]
+        kwargs = dict(profile=profile, require_sim=require_sim)
+        assert brute_force_count(inst, notion, **kwargs) == len(passing)
+        found = brute_force_solve(inst, notion, **kwargs)
+        if passing:
+            assert found == Allocation.from_assignment(inst.n, passing[0])
+        else:
+            assert found is None
+
+    def test_count_any_needs_no_scan(self):
+        inst = make_instance(((1, 1, 1), (1, 1, 1)), ((2, 1, 1), (1, 1, 1)))
+        assert brute_force_count(inst, None) == 4 == sim_allocation_count(inst)
+        assert brute_force_count(inst, None, require_sim=False) == 8
+        with pytest.raises(BudgetExceededError):
+            brute_force_count(inst, None, require_sim=False, cap=7)
+        assert brute_force_count(inst, None, cap=4) == 4
+
+    def test_cap_counts_the_scanned_candidates(self):
+        inst = make_instance(((1, 1, 1), (1, 1, 1)), ((2, 2, 2), (1, 1, 1)))
+        # one impact-maximizing allocation, eight allocations in all
+        assert brute_force_count(inst, Notion("ef"), cap=1) == 0
+        with pytest.raises(BudgetExceededError):
+            brute_force_count(inst, Notion("ef"), require_sim=False, cap=7)
+        with pytest.raises(BudgetExceededError):
+            brute_force_solve(inst, Notion("ef"), require_sim=False, cap=7)
+
+    def test_candidate_columns(self):
+        inst = make_instance(((1, 1), (1, 1), (1, 1)), ((2, 1), (0, 1), (2, 0)))
+        assert candidate_columns(inst) == [(0, 2), (0, 1)]
+        assert candidate_columns(inst, require_sim=False) == [(0, 1, 2), (0, 1, 2)]
