@@ -3,8 +3,8 @@
 Subcommands: ``check`` (verdict for an allocation), ``solve`` (find an
 allocation), ``gen`` (write gadget/canned/random instances), ``brute``
 (oracle scan).  Exit codes: 0 fair/found, 1 unfair/none, 2 validation error,
-3 resource budget exceeded, 4 internal error (an answer failed its own
-re-check).  All randomness is seeded explicitly and output
+3 resource budget exceeded or memory exhausted, 4 internal error (an answer
+failed its own re-check).  All randomness is seeded explicitly and output
 is deterministic; the FDSI_STATE_BUDGET environment variable overrides the
 default state budget of the exact solver.
 """
@@ -375,6 +375,10 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError:
+        pass  # reported after the handler, whose traceback holds the call's memory
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 def entry() -> None:

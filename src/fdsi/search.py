@@ -1,8 +1,9 @@
 """Exact existence solvers: layered state-graph search and brute force.
 
-The exact solver walks a layered directed acyclic graph.  Layer k holds the
-states reachable after assigning the first k items (input order), and a state
-records, for every ordered agent pair (a, b):
+The exact solver walks a layered directed acyclic graph depth first.  Layer k
+holds the states reachable after assigning the first k items (input order),
+and a state, kept as an (x, y, flags) key, records for every ordered agent
+pair (a, b):
 
 * ``x[a][b]``  the value, in a's eyes, of b's bundle so far;
 * ``y[a][b]``  what "up to one item" may subtract from b's bundle at the end
@@ -20,8 +21,8 @@ per pair, the frozenset of distinct positive values, in a's eyes, of the
 items in b's bundle; assigning an item adds one value per observer and never
 branches.  The set loses nothing the sink test reads (a zero value could only
 pass a pair without envy, which passes anyway), and unlike a bitmask over
-values its size does not grow with how large the values are.  Acceptance at
-the last layer evaluates the notion's closed-form condition on (x, y).
+values its size does not grow with how large the values are.  A leaf (layer m)
+accepts when the notion's closed-form condition holds on (x, y).
 
 The brute-force oracle is independent of that encoding.  It scans candidate
 owner tuples as an odometer in ``itertools.product`` order (per item, the
@@ -32,19 +33,19 @@ one item column per owner change.  It decides each candidate with the same
 only for the answer it returns.  ``brute_force_solve`` and
 ``brute_force_count`` share that one scan.
 
-An allocation the exact solver returns is always re-checked against the
-reference checkers, and a failed re-check raises :class:`InternalError` (not
-an assert, so it also holds under ``python -O``); a negative answer means no
-accepting path exists.  States are deduplicated per layer and expanded in
-deterministic order, so results are reproducible.
+The walk keeps one set of created states per layer and never enters a state
+twice, and it tries successors in a fixed order, so the allocation it returns
+(the first accepting path in that order) is reproducible.  That allocation is
+always re-checked against the reference checkers, and a failed re-check
+raises :class:`InternalError` (not an assert, so it also holds under
+``python -O``); a negative answer means no accepting path exists.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
 
 from . import fairness
@@ -56,7 +57,6 @@ from .model import (
     InternalError,
     ValidationError,
     all_maximizers,
-    impact_maximizers,
     require_goods,
 )
 
@@ -81,47 +81,6 @@ def default_state_budget() -> int:
     if value < 1:
         raise ValidationError(f"{STATE_BUDGET_ENV} must be positive")
     return value
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """One vertex of the layered graph; ``x``/``y`` are row-major n*n tuples.
-
-    ``y`` is empty for the plain envy-free notion (nothing is ever removed),
-    holds frozensets of values for ``efl`` and ints otherwise; ``flags`` is
-    None unless a mixed-awareness profile is being tracked.
-    """
-
-    layer: int
-    n: int
-    x: tuple[int, ...]
-    y: tuple
-    flags: tuple[int, ...] | None = None
-
-    @classmethod
-    def initial(cls, n: int, base: str, track_flags: bool) -> "SearchState":
-        if base == "ef":
-            y = ()
-        elif base == "efl":
-            y = (frozenset(),) * (n * n)
-        else:
-            y = (0,) * (n * n)
-        flags = (0,) * (n * n) if track_flags else None
-        return cls(layer=0, n=n, x=(0,) * (n * n), y=y, flags=flags)
-
-    @classmethod
-    def from_matrices(
-        cls,
-        layer: int,
-        x,
-        y=None,
-        flags=None,
-    ) -> "SearchState":
-        n = len(x)
-        flat_x = tuple(v for row in x for v in row)
-        flat_y = () if y is None else tuple(v for row in y for v in row)
-        flat_f = None if flags is None else tuple(int(v) for row in flags for v in row)
-        return cls(layer=layer, n=n, x=flat_x, y=flat_y, flags=flat_f)
 
 
 def resolve_profile(
@@ -149,37 +108,31 @@ def resolve_profile(
     return None
 
 
-def successor_states(
-    inst: Instance,
-    state: SearchState,
-    item: int,
-    notion: Notion,
-) -> list[tuple[SearchState, int]]:
-    """All (state, assignee) pairs reachable by assigning ``item``.
+def _root_key(n: int, base: str, track: bool) -> tuple:
+    """The (x, y, flags) key of layer 0.  ``x`` and ``y`` are row-major n*n
+    tuples; ``y`` is empty for ``ef`` (nothing is ever removed), holds
+    frozensets of values for ``efl`` and ints otherwise; ``flags`` is None
+    unless a mixed-awareness profile is tracked."""
+    if base == "ef":
+        y = ()
+    elif base == "efl":
+        y = (frozenset(),) * (n * n)
+    else:
+        y = (0,) * (n * n)
+    return (0,) * (n * n), y, (0,) * (n * n) if track else None
 
-    One branch per impact maximizer of the item; the universal-item notions
-    add their y-branches on top.  Duplicates are dropped, first-generated
-    wins, and the order is deterministic.
-    """
-    n = state.n
-    c_list = tuple(sorted(impact_maximizers(inst, item)))
-    vals = tuple(inst.valuations[a][item] for a in range(n))
-    impact_col = tuple(inst.impacts[a][item] for a in range(n))
-    track = state.flags is not None
-    out: list[tuple[SearchState, int]] = []
-    seen: set[tuple] = set()
-    for key, assignee in _expand_key(
-        (state.x, state.y, state.flags), n, c_list, vals, impact_col,
-        notion.base, track,
-    ):
-        if key not in seen:
-            seen.add(key)
-            x, y, flags = key
-            out.append(
-                (SearchState(layer=state.layer + 1, n=n, x=x, y=y, flags=flags),
-                 assignee)
-            )
-    return out
+
+def _item_params(inst: Instance) -> tuple:
+    """Per item: its impact maximizers ascending, then its value and impact
+    columns (one entry per agent)."""
+    return tuple(
+        (
+            tuple(sorted(maxset)),
+            tuple(row[g] for row in inst.valuations),
+            tuple(row[g] for row in inst.impacts),
+        )
+        for g, maxset in enumerate(all_maximizers(inst))
+    )
 
 
 def _y_branches(
@@ -211,12 +164,13 @@ def _y_branches(
 
 
 def accepting_state(
-    state: SearchState,
+    key: tuple,
     notion: Notion,
     weights: tuple[int, ...],
     profile: tuple[bool, ...] | None = None,
 ) -> bool:
-    """Sink condition: does the final (x, y) satisfy the notion for all pairs?
+    """Sink condition: does the final (x, y, flags) key satisfy the notion
+    for all pairs?
 
     With an awareness profile, a pair (a, b) also passes when a is aware and
     the pair's flag is set.  For ``efl`` a pair passes without envy, when one
@@ -224,10 +178,9 @@ def accepting_state(
     item), or when some value v in the pair's set has
     ``x_ab - x_aa <= v <= x_aa``.
     """
-    n = state.n
+    x, y, flags = key
+    n = math.isqrt(len(x))
     base = notion.base
-    x = state.x
-    y = state.y
     for a in range(n):
         for b in range(n):
             if a == b:
@@ -235,8 +188,8 @@ def accepting_state(
             if (
                 profile is not None
                 and profile[a]
-                and state.flags is not None
-                and state.flags[a * n + b]
+                and flags is not None
+                and flags[a * n + b]
             ):
                 continue
             xaa = x[a * n + a]
@@ -272,7 +225,10 @@ def _expand_key(
     base: str,
     track: bool,
 ) -> list[tuple[tuple, int]]:
-    """Successor keys of one (x, y, flags) key for a fixed item (fast path)."""
+    """The (key, assignee) pairs reachable by assigning one item, whose
+    ``_item_params`` entry is (c_list, vals, impact_col): assignees
+    ascending, then the y-branches.  A key may repeat; the caller drops
+    repeats."""
     x, y, flags = key
     out: list[tuple[tuple, int]] = []
     for c in c_list:
@@ -300,7 +256,6 @@ def exact_solve(
     profile=None,
     *,
     state_budget: int | None = None,
-    best_first: bool = False,
     stats: dict | None = None,
 ) -> Allocation | None:
     """Decide whether an impact-maximizing allocation satisfying the notion
@@ -308,17 +263,21 @@ def exact_solve(
 
     ``profile`` optionally overrides the per-agent awareness (True = aware);
     by default it is derived from the notion and the instance flags.  The
-    search is a single-threaded, layer-synchronous frontier walk with
-    duplicate elimination; every base except the universal-item ones gives
-    each assignee exactly one successor (``efl`` through its per-pair value
-    sets).  ``best_first`` switches to an experimental deepest-first
-    expansion that can reach a witness sooner but may return a different
-    (equally valid) allocation.  Raises :class:`BudgetExceededError` once
-    more than ``state_budget`` states have been created, so a budget overrun
-    is never reported as a negative answer, and :class:`InternalError` if
-    the found allocation fails the reference re-check.  When ``stats`` is a
-    dict, it receives ``visited`` (states created) and, for the layered
-    walk, ``layer_sizes``.
+    search is one iterative depth-first walk: a stack holds the successor
+    iterator of each state on the current path (assignees ascending, then
+    y-branches), and the path's assignees are the answer, so no parent
+    pointers are kept.  One set per layer holds the states created there; a
+    state met again is skipped, because a layer is only reached from the
+    one before it, so its subtree has already failed.  The answer is the
+    accepting leaf with the lexicographically smallest path; a negative
+    answer has created every reachable state.
+
+    Raises :class:`BudgetExceededError` once more than ``state_budget``
+    states have been created, so a budget overrun is never reported as a
+    negative answer, and :class:`InternalError` if the found allocation
+    fails the reference re-check.  When ``stats`` is a dict, it receives
+    ``visited`` (states created, the root included) and ``layer_sizes``
+    (the size of each layer's set, layers 0 to m).
     """
     require_goods(inst)
     if notion.base not in BASES:
@@ -330,137 +289,57 @@ def exact_solve(
     n, m = inst.n, inst.m
     base = notion.base
     track = prof is not None
-    maxsets = all_maximizers(inst)
-    item_params = tuple(
-        (
-            tuple(sorted(maxsets[g])),
-            tuple(inst.valuations[a][g] for a in range(n)),
-            tuple(inst.impacts[a][g] for a in range(n)),
-        )
-        for g in range(m)
-    )
-    root = SearchState.initial(n, base, track)
-    root_key = (root.x, root.y, root.flags)
-    layers: list[dict] = [{root_key: None}]
-    visited = 1
-
-    def check_result(owners: list[int]) -> Allocation:
-        alloc = Allocation.from_assignment(n, owners)
-        _verify(inst, notion, prof, alloc)
-        return alloc
-
-    def reconstruct(final_key: tuple) -> list[int]:
-        owners: list[int] = [0] * m
-        key = final_key
-        for layer in range(m, 0, -1):
-            prev_key, assignee = layers[layer][key]
-            owners[layer - 1] = assignee
-            key = prev_key
-        return owners
-
-    if best_first:
-        result = _best_first_solve(
-            inst, notion, prof, item_params, root_key, budget, stats
-        )
-        return result
-
-    frontier = layers[0]
-    for g in range(m):
-        c_list, vals, impact_col = item_params[g]
-        nxt: dict = {}
-        for key in frontier:
-            for succ_key, assignee in _expand_key(
-                key, n, c_list, vals, impact_col, base, track
-            ):
-                if succ_key not in nxt:
-                    nxt[succ_key] = (key, assignee)
-                    visited += 1
-                    if visited > budget:
-                        raise BudgetExceededError(
-                            f"state budget of {budget} exceeded at layer {g + 1}"
-                        )
-        layers.append(nxt)
-        frontier = nxt
-    if stats is not None:
-        stats["visited"] = visited
-        stats["layer_sizes"] = [len(layer) for layer in layers]
     weights = inst.weights
-    for key in frontier:
-        x, y, flags = key
-        state = SearchState(layer=m, n=n, x=x, y=y, flags=flags)
-        if accepting_state(state, notion, weights, prof):
-            return check_result(reconstruct(key))
-    return None
-
-
-def _best_first_solve(
-    inst: Instance,
-    notion: Notion,
-    prof,
-    item_params,
-    root_key,
-    budget: int,
-    stats: dict | None,
-) -> Allocation | None:
-    n, m = inst.n, inst.m
-    base = notion.base
-    track = prof is not None
-    layers: list[dict] = [dict() for _ in range(m + 1)]
-    layers[0][root_key] = None
+    params = _item_params(inst)
+    root = _root_key(n, base, track)
+    seen: list[set] = [{root}] + [set() for _ in range(m)]
     visited = 1
-    heap: list[tuple[int, int, tuple]] = [(0, 0, root_key)]
-    seq = 1
-    weights = inst.weights
-    while heap:
-        neg_layer, _, key = heapq.heappop(heap)
-        layer = -neg_layer
-        if layer == m:
-            x, y, flags = key
-            state = SearchState(layer=m, n=n, x=x, y=y, flags=flags)
-            if accepting_state(state, notion, weights, prof):
-                owners: list[int] = [0] * m
-                walk = key
-                for lv in range(m, 0, -1):
-                    prev_key, assignee = layers[lv][walk]
-                    owners[lv - 1] = assignee
-                    walk = prev_key
-                alloc = Allocation.from_assignment(n, owners)
-                _verify(inst, notion, prof, alloc)
-                if stats is not None:
-                    stats["visited"] = visited
-                return alloc
+    owners: list[int] = []  # the assignees on the current path
+    stack = [iter(_expand_key(root, n, *params[0], base, track))] if m else []
+    while stack:
+        g = len(stack)  # the layer the top iterator's successors lie on
+        layer = seen[g]
+        for key, c in stack[-1]:
+            if key not in layer:
+                break
+        else:
+            stack.pop()
+            if owners:
+                owners.pop()
             continue
-        c_list, vals, impact_col = item_params[layer]
-        for succ_key, assignee in _expand_key(
-            key, n, c_list, vals, impact_col, base, track
-        ):
-            if succ_key not in layers[layer + 1]:
-                layers[layer + 1][succ_key] = (key, assignee)
-                visited += 1
-                if visited > budget:
-                    raise BudgetExceededError(f"state budget of {budget} exceeded")
-                heapq.heappush(heap, (-(layer + 1), seq, succ_key))
-                seq += 1
+        layer.add(key)
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(
+                f"state budget of {budget} exceeded at layer {g}"
+            )
+        if g < m:
+            owners.append(c)
+            stack.append(iter(_expand_key(key, n, *params[g], base, track)))
+        elif accepting_state(key, notion, weights, prof):
+            owners.append(c)
+            break
     if stats is not None:
         stats["visited"] = visited
-    return None
+        stats["layer_sizes"] = list(map(len, seen))
+    # an exhausted walk has emptied the path; with no items the root is the
+    # only leaf, and it accepts (every x is 0)
+    if len(owners) < m:
+        return None
+    alloc = Allocation.from_assignment(n, owners)
+    _verify(inst, notion, prof, alloc)
+    return alloc
 
 
 def _verify(inst: Instance, notion: Notion, prof, alloc: Allocation) -> None:
     """Re-check a reconstructed allocation against the reference checkers."""
     if not fairness.is_sim(inst, alloc).fair:
         raise InternalError("search produced a non-maximizing allocation")
-    eff_inst, eff_notion = _effective(inst, notion, prof)
+    eff_inst, eff_notion = _oracle_notion(inst, Notion(notion.base), prof)
     if not fairness.check(eff_inst, alloc, eff_notion).fair:
         raise InternalError(
             f"search accepted a state whose allocation fails {notion.label()}"
         )
-
-
-def _effective(inst: Instance, notion: Notion, prof) -> tuple[Instance, Notion]:
-    if prof is None:
-        return inst, Notion(notion.base)
-    return replace(inst, aware=prof), Notion(notion.base, "sa")
 
 
 def candidate_columns(inst: Instance, require_sim: bool = True) -> list[tuple[int, ...]]:

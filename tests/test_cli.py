@@ -15,7 +15,7 @@ from fdsi import fairness
 from fdsi.cli import main
 from fdsi.fairness import Notion, check, is_sim
 from fdsi.generators import CANNED_NAMES, canned, gen_partition_ef1, gen_random
-from fdsi.model import Allocation, ValidationError
+from fdsi.model import Allocation, ValidationError, make_instance
 from fdsi.serialize import (
     allocation_from_obj,
     allocation_to_obj,
@@ -339,6 +339,29 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("internal error: ")
         assert captured.err.count("\n") == 1
+
+    def test_out_of_memory_exit_3(self, tmp_path):
+        # identical values 1, 2, 4, ...: every subset sum differs, so each
+        # ef state is distinct (797,161 of them, over 200 MiB), and no split
+        # of 4095 into three equal bundles exists, so the search is negative
+        m = 12
+        inst = tmp_path / "big.json"
+        save_instance(
+            make_instance(((tuple(2**g for g in range(m)),) * 3), ((1,) * m,) * 3),
+            inst,
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        code = (
+            "import resource, sys\n"
+            "from fdsi.cli import main\n"
+            "cap = 128 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            f"sys.exit(main(['solve', {str(inst)!r}, 'ef', '--method', 'exact']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
 
     def test_solve_under_python_O_same_output(self, tmp_path):
         # the final re-check is not an assert, so -O must not change anything

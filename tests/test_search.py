@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdsi.fairness import BASES, Notion, check, is_sim, target_fair
+from fdsi.fairness import BASES, TARGET_BASES, Notion, check, is_sim, target_fair
 from fdsi.generators import canned, gen_partition_ef1, gen_random
 from fdsi.model import (
     Allocation,
@@ -17,8 +17,10 @@ from fdsi.model import (
     make_instance,
 )
 from fdsi.search import (
-    SearchState,
     UnsupportedNotionError,
+    _expand_key,
+    _item_params,
+    _root_key,
     _verify,
     accepting_state,
     brute_force_count,
@@ -27,96 +29,105 @@ from fdsi.search import (
     enumerate_sim_allocations,
     exact_solve,
     sim_allocation_count,
-    successor_states,
 )
 
 from helpers import naive_check, random_instances
 
 
+def _successors(inst, key, g, base):
+    """The (key, assignee) pairs of assigning item g, as the walk sees them."""
+    track = key[2] is not None
+    return _expand_key(key, inst.n, *_item_params(inst)[g], base, track)
+
+
+def _key(x, y=None, flags=None):
+    """An (x, y, flags) search key from row-major matrices."""
+    flat_y = () if y is None else tuple(v for row in y for v in row)
+    flat_f = None if flags is None else tuple(int(v) for row in flags for v in row)
+    return tuple(v for row in x for v in row), flat_y, flat_f
+
+
 class TestSuccessorStates:
     def test_single_agent_grows_own_cell(self):
         inst = make_instance(((4, 2),), ((1, 1),))
-        root = SearchState.initial(1, "ef1", track_flags=False)
-        succ = successor_states(inst, root, 0, Notion("ef1"))
+        succ = _successors(inst, _root_key(1, "ef1", False), 0, "ef1")
         assert len(succ) == 1
-        state, assignee = succ[0]
+        (x, y, _), assignee = succ[0]
         assert assignee == 0
-        assert state.x == (4,)
-        assert state.y == (4,)
+        assert x == (4,)
+        assert y == (4,)
 
     def test_update_rule_both_maximize(self):
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
-        root = SearchState.initial(2, "ef1", track_flags=False)
-        succ = successor_states(inst, root, 0, Notion("ef1"))
+        succ = _successors(inst, _root_key(2, "ef1", False), 0, "ef1")
         assert [assignee for _, assignee in succ] == [0, 1]
-        state = dict((a, s) for s, a in succ)[1]
-        assert state.x == (0, 3, 0, 5)  # x[0][1] += 3, x[1][1] += 5
-        assert state.y == (0, 3, 0, 5)
+        x, y, _ = dict((a, k) for k, a in succ)[1]
+        assert x == (0, 3, 0, 5)  # x[0][1] += 3, x[1][1] += 5
+        assert y == (0, 3, 0, 5)
 
     def test_unique_maximizer_single_branch(self):
         inst = make_instance(((3, 0), (5, 0)), ((2, 1), (1, 1)))
-        root = SearchState.initial(2, "ef1", track_flags=False)
-        succ = successor_states(inst, root, 0, Notion("ef1"))
+        succ = _successors(inst, _root_key(2, "ef1", False), 0, "ef1")
         assert len(succ) == 1 and succ[0][1] == 0
 
     def test_universal_branching(self):
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
-        root = SearchState.initial(2, "sef1", track_flags=False)
-        succ = successor_states(inst, root, 0, Notion("sef1"))
+        succ = _successors(inst, _root_key(2, "sef1", False), 0, "sef1")
         # per assignee: keep y, or set the universal removal to this item
-        assert len(succ) == 4
+        assert [assignee for _, assignee in succ] == [0, 0, 1, 1]
+        assert len({k for k, _ in succ}) == 4
+        assert succ[0][0][1] == (0, 0, 0, 0)  # the kept y comes first
 
     def test_per_observer_branching(self):
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
-        root = SearchState.initial(2, "efl", track_flags=False)
-        succ = successor_states(inst, root, 0, Notion("efl"))
+        root = _root_key(2, "efl", False)
+        succ = _successors(inst, root, 0, "efl")
         # one successor per assignee; each observer's value joins its set
         assert [assignee for _, assignee in succ] == [0, 1]
-        by_assignee = dict((a, s) for s, a in succ)
+        by_assignee = dict((a, k) for k, a in succ)
         empty = frozenset()
-        assert by_assignee[0].y == (frozenset({3}), empty, frozenset({5}), empty)
-        assert by_assignee[1].y == (empty, frozenset({3}), empty, frozenset({5}))
+        assert by_assignee[0][1] == (frozenset({3}), empty, frozenset({5}), empty)
+        assert by_assignee[1][1] == (empty, frozenset({3}), empty, frozenset({5}))
         # a repeated value leaves the set as it is, a zero value is not kept
         inst = make_instance(((3, 3, 0), (0, 5, 7)), ((1, 1, 1), (0, 0, 0)))
-        state = root
+        key = root
         for g in range(3):
-            (state, _), = successor_states(inst, state, g, Notion("efl"))
-        assert state.y == (frozenset({3}), empty, frozenset({5, 7}), empty)
+            (key, _), = _successors(inst, key, g, "efl")
+        assert key[1] == (frozenset({3}), empty, frozenset({5, 7}), empty)
 
     def test_flags_follow_strict_impact(self):
         inst = make_instance(((1, 1), (1, 1)), ((3, 0), (1, 0)), aware=(True, True))
-        root = SearchState.initial(2, "ef1", track_flags=True)
-        succ = successor_states(inst, root, 0, Notion("ef1"))
+        succ = _successors(inst, _root_key(2, "ef1", True), 0, "ef1")
         assert len(succ) == 1
-        state, assignee = succ[0]
+        (_, _, flags), assignee = succ[0]
         assert assignee == 0
-        assert state.flags == (0, 0, 1, 0)  # pair (1, 0) saw a dominated item
+        assert flags == (0, 0, 1, 0)  # pair (1, 0) saw a dominated item
 
 
 class TestAcceptingState:
     def test_single_agent_always_accepts(self):
-        state = SearchState.from_matrices(3, [[7]], [[2]])
+        key = _key([[7]], [[2]])
         for base in BASES:
-            st = state if base != "ef" else SearchState(3, 1, (7,), ())
-            assert accepting_state(st, Notion(base), (1,))
+            k = key if base != "ef" else _key([[7]])
+            assert accepting_state(k, Notion(base), (1,))
 
     def test_ef1_fails_tef1_holds(self):
-        state = SearchState.from_matrices(2, [[0, 2], [2, 0]], [[0, 1], [1, 0]])
-        assert not accepting_state(state, Notion("ef1"), (1, 1))
-        assert accepting_state(state, Notion("tef1"), (1, 1))
+        key = _key([[0, 2], [2, 0]], [[0, 1], [1, 0]])
+        assert not accepting_state(key, Notion("ef1"), (1, 1))
+        assert accepting_state(key, Notion("tef1"), (1, 1))
 
     def test_weighted_cross_multiplication(self):
         # x = ((2, 5), (0, 0)), y = ((0, 1), (0, 0)): 2/1 >= 4/2 holds
-        state = SearchState.from_matrices(2, [[2, 5], [0, 0]], [[0, 1], [0, 0]])
-        assert accepting_state(state, Notion("wef1"), (1, 2))
-        assert not accepting_state(state, Notion("wef1"), (1, 1))
+        key = _key([[2, 5], [0, 0]], [[0, 1], [0, 0]])
+        assert accepting_state(key, Notion("wef1"), (1, 2))
+        assert not accepting_state(key, Notion("wef1"), (1, 1))
 
     def test_efl_disjuncts(self):
         def accepts(x_aa, x_ab, values):
             empty = frozenset()
             y = [[empty, frozenset(values)], [empty, empty]]
-            state = SearchState.from_matrices(2, [[x_aa, x_ab], [0, 0]], y)
-            return accepting_state(state, Notion("efl"), (1, 1))
+            key = _key([[x_aa, x_ab], [0, 0]], y)
+            return accepting_state(key, Notion("efl"), (1, 1))
 
         # no envy
         assert accepts(5, 5, {2, 3})
@@ -131,12 +142,10 @@ class TestAcceptingState:
         assert not accepts(5, 8, {1, 6})
 
     def test_flag_exemption(self):
-        state = SearchState.from_matrices(
-            2, [[0, 9], [0, 0]], [[0, 0], [0, 0]], flags=[[0, 1], [0, 0]]
-        )
-        assert not accepting_state(state, Notion("ef1"), (1, 1))
-        assert accepting_state(state, Notion("ef1"), (1, 1), profile=(True, True))
-        assert not accepting_state(state, Notion("ef1"), (1, 1), profile=(False, True))
+        key = _key([[0, 9], [0, 0]], [[0, 0], [0, 0]], flags=[[0, 1], [0, 0]])
+        assert not accepting_state(key, Notion("ef1"), (1, 1))
+        assert accepting_state(key, Notion("ef1"), (1, 1), profile=(True, True))
+        assert not accepting_state(key, Notion("ef1"), (1, 1), profile=(False, True))
 
 
 class TestExactSolve:
@@ -149,7 +158,11 @@ class TestExactSolve:
 
     def test_partition_gadget_unsolvable(self):
         inst = gen_partition_ef1((1, 1, 4))
-        assert exact_solve(inst, Notion("ef1")) is None
+        stats = {}
+        assert exact_solve(inst, Notion("ef1"), stats=stats) is None
+        # a negative answer creates every reachable state, each once
+        assert stats["layer_sizes"] == [1, 1, 1, 2, 3, 6]
+        assert stats["visited"] == sum(stats["layer_sizes"])
         assert brute_force_solve(inst, Notion("ef1")) is None
 
     def test_no_items_trivial(self):
@@ -205,15 +218,15 @@ class TestExactSolve:
         with pytest.raises(InternalError, match="non-maximizing"):
             _verify(dominated, Notion("efl"), None, Allocation.from_assignment(2, [1]))
 
-    def test_best_first_same_answer(self):
-        for seed in range(8):
-            inst = gen_random(2, 5, 4, 3, 2, seed=seed)
-            for base in ("ef1", "efl", "tef1"):
-                a = exact_solve(inst, Notion(base))
-                b = exact_solve(inst, Notion(base), best_first=True)
-                assert (a is None) == (b is None)
-                if b is not None:
-                    assert check(inst, b, Notion(base)).fair
+    def test_deep_instance(self):
+        # unique impact maximizers: one state per layer on a path 3000 items
+        # deep, which a recursive walk could not descend
+        m = 3000
+        impacts = ((1, 0) * (m // 2), (0, 1) * (m // 2))
+        inst = make_instance(((1,) * m, (1,) * m), impacts)
+        stats = {}
+        assert exact_solve(inst, Notion("ef1"), stats=stats) is not None
+        assert stats["layer_sizes"] == [1] * (m + 1)
 
     def test_sef1_reconstruction_satisfies_every_target(self):
         hits = 0
@@ -282,21 +295,21 @@ class TestPathReplay:
         alloc = Allocation.from_assignment(2, owners)
         assert is_sim(inst, alloc).fair
         assert check(inst, alloc, Notion("ef1")).fair
-        state = SearchState.initial(2, "ef1", track_flags=False)
+        key = _root_key(2, "ef1", False)
         for g, owner in enumerate(owners):
-            successors = successor_states(inst, state, g, Notion("ef1"))
-            state = next(s for s, assignee in successors if assignee == owner)
-        assert state.layer == inst.m
-        assert accepting_state(state, Notion("ef1"), inst.weights)
+            successors = _successors(inst, key, g, "ef1")
+            key = next(k for k, assignee in successors if assignee == owner)
+        assert accepting_state(key, Notion("ef1"), inst.weights)
+        assert exact_solve(inst, Notion("ef1")) is not None
 
     def test_unbalanced_path_is_rejected(self):
         inst = gen_partition_ef1((1, 1, 2))
         owners = [0, 1, 0, 0, 0]  # everything small hoarded left
-        state = SearchState.initial(2, "ef1", track_flags=False)
+        key = _root_key(2, "ef1", False)
         for g, owner in enumerate(owners):
-            successors = successor_states(inst, state, g, Notion("ef1"))
-            state = next(s for s, assignee in successors if assignee == owner)
-        assert not accepting_state(state, Notion("ef1"), inst.weights)
+            successors = _successors(inst, key, g, "ef1")
+            key = next(k for k, assignee in successors if assignee == owner)
+        assert not accepting_state(key, Notion("ef1"), inst.weights)
 
 
 class TestOracles:
@@ -358,13 +371,19 @@ class TestOracleEquivalenceSmoke:
         rng = random.Random(81)
         for k, inst in enumerate(random_instances(40, 82, 2, 3, 1, 6, 5, 5, 3)):
             profile = tuple(rng.random() < 0.5 for _ in range(inst.n))
-            for base in BASES:
-                plain_exact = exact_solve(inst, Notion(base))
-                plain_brute = brute_force_solve(inst, Notion(base))
-                assert (plain_exact is None) == (plain_brute is None), (k, base)
-                mixed_exact = exact_solve(inst, Notion(base), profile=profile)
-                mixed_brute = brute_force_solve(inst, Notion(base), profile=profile)
-                assert (mixed_exact is None) == (mixed_brute is None), (k, base)
+            for base, prof in product(BASES, (None, profile)):
+                exact = exact_solve(inst, Notion(base), profile=prof)
+                brute = brute_force_solve(inst, Notion(base), profile=prof)
+                if base not in TARGET_BASES:
+                    # both return the lexicographically first passing owners
+                    assert exact == brute, (k, base, prof)
+                    continue
+                # the y-branches of sef1/swef1 reorder the walk's paths
+                assert (exact is None) == (brute is None), (k, base, prof)
+                if exact is not None:
+                    judged = replace(inst, aware=prof or (False,) * inst.n)
+                    assert is_sim(inst, exact).fair
+                    assert check(judged, exact, Notion(base, "sa")).fair, (k, base)
 
 
 _ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
