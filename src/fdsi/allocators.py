@@ -8,7 +8,7 @@ run reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     Allocation,
@@ -20,21 +20,6 @@ from .model import (
     bundle_value,
     require_goods,
 )
-
-
-@dataclass
-class PickingState:
-    """Bookkeeping for the weighted picking sequence.
-
-    ``counts[i]`` is how many picks agent i has made.  Agents leave ``active``
-    permanently once they maximize impact for no remaining item; this is
-    equivalent to the skip-and-increment formulation because the remaining
-    item set only shrinks.
-    """
-
-    counts: list[int]
-    active: list[int]
-    remaining: set[int] = field(default_factory=set)
 
 
 def greedy_sim(inst: Instance) -> Allocation:
@@ -61,31 +46,27 @@ def sa_weighted_picking(
     if len(w) != inst.n or any(x < 1 for x in w):
         raise ValidationError("picking weights must be positive, one per agent")
     maxsets = all_maximizers(inst)
-    state = PickingState(
-        counts=[0] * inst.n,
-        active=[],
-        remaining=set(range(inst.m)),
-    )
-    state.active = [
-        i for i in range(inst.n) if any(i in maxsets[g] for g in state.remaining)
-    ]
+    # counts[i] is how many picks agent i has made.  Agents leave ``active``
+    # for good once they maximize impact for no remaining item; this is the
+    # skip-and-increment formulation, because the remaining items only shrink.
+    counts = [0] * inst.n
+    remaining = set(range(inst.m))
+    active = [i for i in range(inst.n) if any(i in maxsets[g] for g in remaining)]
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    while state.remaining:
-        picker = state.active[0]
-        for i in state.active[1:]:
-            if state.counts[i] * w[picker] < state.counts[picker] * w[i]:
+    while remaining:
+        picker = active[0]
+        for i in active[1:]:
+            if counts[i] * w[picker] < counts[picker] * w[i]:
                 picker = i
-        candidates = sorted(g for g in state.remaining if picker in maxsets[g])
+        candidates = sorted(g for g in remaining if picker in maxsets[g])
         best = candidates[0]
         for g in candidates[1:]:
             if inst.valuations[picker][g] > inst.valuations[picker][best]:
                 best = g
         bundles[picker].add(best)
-        state.remaining.discard(best)
-        state.counts[picker] += 1
-        state.active = [
-            i for i in state.active if any(i in maxsets[g] for g in state.remaining)
-        ]
+        remaining.discard(best)
+        counts[picker] += 1
+        active = [i for i in active if any(i in maxsets[g] for g in remaining)]
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 

@@ -67,6 +67,18 @@ def _notion_from_args(args) -> Notion:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the budgets and caps: a budget below 1 is invalid
+    input, not a budget that runs out."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _add_notion_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sa", action="store_true", help="awareness override")
     parser.add_argument("--alpha", metavar="P/Q", help="alpha-scaled awareness")
@@ -297,9 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "picking", "efl", "exact", "brute", "sa-empty"),
         default="auto",
     )
-    p_solve.add_argument("--state-budget", type=int, default=None)
-    p_solve.add_argument("--brute-cap", type=int, default=search.DEFAULT_BRUTE_CAP)
-    p_solve.add_argument("--node-budget", type=int, default=sa_empty.DEFAULT_NODE_BUDGET)
+    p_solve.add_argument("--state-budget", type=_positive_int, default=None)
+    p_solve.add_argument("--brute-cap", type=_positive_int, default=search.DEFAULT_BRUTE_CAP)
+    p_solve.add_argument(
+        "--node-budget", type=_positive_int, default=sa_empty.DEFAULT_NODE_BUDGET
+    )
     p_solve.add_argument(
         "--no-require-sim",
         dest="require_sim",
@@ -352,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_brute.add_argument("notion", help='a notion spec or "any"')
     _add_notion_flags(p_brute)
     p_brute.add_argument("--count", action="store_true")
-    p_brute.add_argument("--cap", type=int, default=search.DEFAULT_BRUTE_CAP)
+    p_brute.add_argument("--cap", type=_positive_int, default=search.DEFAULT_BRUTE_CAP)
     p_brute.add_argument(
         "--no-require-sim", dest="require_sim", action="store_false"
     )

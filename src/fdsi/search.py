@@ -8,21 +8,24 @@ pair (a, b):
 * ``x[a][b]``  the value, in a's eyes, of b's bundle so far;
 * ``y[a][b]``  what "up to one item" may subtract from b's bundle at the end
   (a tracked removal value, or for ``efl`` a set of values, see below);
-* optionally a flag per pair, set once b received an item with strictly
-  higher impact for b than for a (which on impact-maximizing allocations is
-  exactly when the awareness override fires).
+* optionally a flag per pair (a, b) with an aware observer a, set once b
+  received an item with strictly higher impact for b than for a (which on
+  impact-maximizing allocations is exactly when the ``sa`` override fires).
+  Awareness is read from the instance's ``aware`` flags under an ``sa``
+  notion only, so mixed awareness is an instance with some flags off.
 
 Assigning an item only ever goes to one of its impact maximizers, so every
-path encodes an impact-maximizing allocation.  How ``y`` evolves depends on
-the notion: the one-removal family keeps a running maximum, and the
+path encodes an impact-maximizing allocation.  How ``y`` starts and evolves,
+and what a leaf (layer m) tests per pair, is one entry per base of
+``_ENCODING``: the one-removal family keeps a running maximum, and the
 universal-item family branches on whether the new item becomes the single
 tracked removal for the whole bundle.  The one-less-preferred notion keeps,
 per pair, the frozenset of distinct positive values, in a's eyes, of the
 items in b's bundle; assigning an item adds one value per observer and never
 branches.  The set loses nothing the sink test reads (a zero value could only
 pass a pair without envy, which passes anyway), and unlike a bitmask over
-values its size does not grow with how large the values are.  A leaf (layer m)
-accepts when the notion's closed-form condition holds on (x, y).
+values its size does not grow with how large the values are.  A leaf accepts
+when every unflagged pair passes the base's closed-form test on (x, y).
 
 The brute-force oracle is independent of that encoding.  It scans candidate
 owner tuples as an odometer in ``itertools.product`` order (per item, the
@@ -45,11 +48,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
 from itertools import product
 
 from . import fairness
-from .fairness import BASES, SA_EMPTY, Notion, TARGET_BASES
+from .fairness import BASES, SA_EMPTY, Notion
 from .model import (
     Allocation,
     BudgetExceededError,
@@ -83,43 +85,101 @@ def default_state_budget() -> int:
     return value
 
 
-def resolve_profile(
-    inst: Instance, notion: Notion, profile=None
-) -> tuple[bool, ...] | None:
-    """Per-agent awareness used by the solvers (True means the override applies).
+def _aware_flags(inst: Instance, notion: Notion) -> tuple[bool, ...] | None:
+    """The ``aware`` flags the walk tracks: the instance's under ``sa`` when
+    some agent is aware, else None (no override fires anywhere).
 
-    An explicit profile wins; otherwise ``sa`` awareness reads the instance
-    flags and no awareness means no overrides anywhere.  Alpha and wsa modes
-    are out of reach for the state encoding (their overrides depend on impact
-    sums, not on a per-pair bit) and are rejected.
+    Alpha and wsa modes are out of reach for the state encoding (their
+    overrides depend on impact sums, not on a per-pair bit) and are rejected.
     """
     if notion.awareness in ("alpha", "wsa"):
         raise UnsupportedNotionError(
             f"{notion.label()} is not solvable by the state search; "
             "use the brute-force oracle"
         )
-    if profile is not None:
-        prof = tuple(bool(b) for b in profile)
-        if len(prof) != inst.n:
-            raise ValidationError("awareness profile length must match agent count")
-        return prof if any(prof) else None
-    if notion.awareness == "sa":
-        return inst.aware if any(inst.aware) else None
+    if notion.awareness == "sa" and any(inst.aware):
+        return inst.aware
     return None
 
 
+# -- per-base encoding ---------------------------------------------------------
+#
+# A column step maps ``y`` and the assignee c of an item whose values, one per
+# observer, are ``vals`` to the y-branches of the successor; column c of the
+# row-major ``y`` is the slice ``y[c::n]``.  A leaf test decides one ordered
+# pair (a, b) from ``x_aa``, ``x_ab``, ``y_ab`` and the pair's weights.
+
+
+def _keep(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
+    return (y,)
+
+
+def _running_max(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
+    new_y = list(y)
+    for a in range(n):
+        if vals[a] > new_y[a * n + c]:
+            new_y[a * n + c] = vals[a]
+    return (tuple(new_y),)
+
+
+def _keep_or_set(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
+    # keep the universal removal, or make this item the removal for every
+    # observer of the bundle
+    if y[c::n] == vals:
+        return (y,)
+    new_y = list(y)
+    new_y[c::n] = vals
+    return y, tuple(new_y)
+
+
+def _add_value(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
+    new_y = list(y)
+    for a in range(n):
+        v = vals[a]
+        if v and v not in new_y[a * n + c]:
+            new_y[a * n + c] = new_y[a * n + c] | {v}
+    return (tuple(new_y),)
+
+
+def _no_envy(xaa: int, xab: int, yab, wa: int, wb: int) -> bool:
+    return xaa >= xab
+
+
+def _weighted_removal(xaa: int, xab: int, yab: int, wa: int, wb: int) -> bool:
+    return xaa * wb >= (xab - yab) * wa
+
+
+def _transfer(xaa: int, xab: int, yab: int, wa: int, wb: int) -> bool:
+    return xaa + yab >= xab - yab
+
+
+def _less_preferred(xaa: int, xab: int, yab: frozenset, wa: int, wb: int) -> bool:
+    # no envy, one item carries all of b's bundle value for a (at most one
+    # positive item), or some value v with x_ab - x_aa <= v <= x_aa
+    return xaa >= xab or xab in yab or any(xab - xaa <= v <= xaa for v in yab)
+
+
+# base -> (the y entry of every pair at the root, None when no y is tracked;
+# column step; leaf test)
+_ENCODING = {
+    "ef": (None, _keep, _no_envy),
+    "ef1": (0, _running_max, _weighted_removal),
+    "wef1": (0, _running_max, _weighted_removal),
+    "tef1": (0, _running_max, _transfer),
+    "sef1": (0, _keep_or_set, _weighted_removal),
+    "swef1": (0, _keep_or_set, _weighted_removal),
+    "efl": (frozenset(), _add_value, _less_preferred),
+}
+_WEIGHTED_BASES = ("wef1", "swef1")
+
+
 def _root_key(n: int, base: str, track: bool) -> tuple:
-    """The (x, y, flags) key of layer 0.  ``x`` and ``y`` are row-major n*n
-    tuples; ``y`` is empty for ``ef`` (nothing is ever removed), holds
-    frozensets of values for ``efl`` and ints otherwise; ``flags`` is None
-    unless a mixed-awareness profile is tracked."""
-    if base == "ef":
-        y = ()
-    elif base == "efl":
-        y = (frozenset(),) * (n * n)
-    else:
-        y = (0,) * (n * n)
-    return (0,) * (n * n), y, (0,) * (n * n) if track else None
+    """The (x, y, flags) key of layer 0.  ``x``, ``y`` and ``flags`` are
+    row-major n*n tuples; ``y`` is empty when the base tracks no removal
+    (``ef``), and ``flags`` is None unless some observer is aware."""
+    y0 = _ENCODING[base][0]
+    zeros = (0,) * (n * n)
+    return zeros, () if y0 is None else (y0,) * (n * n), zeros if track else None
 
 
 def _item_params(inst: Instance) -> tuple:
@@ -135,83 +195,26 @@ def _item_params(inst: Instance) -> tuple:
     )
 
 
-def _y_branches(
-    y: tuple, n: int, c: int, vals: tuple[int, ...], base: str
-) -> list[tuple]:
-    if base == "ef":
-        return [y]
-    if base in ("ef1", "wef1", "tef1"):
-        new_y = list(y)
-        for a in range(n):
-            idx = a * n + c
-            if vals[a] > new_y[idx]:
-                new_y[idx] = vals[a]
-        return [tuple(new_y)]
-    if base in TARGET_BASES:
-        new_y = list(y)
-        for a in range(n):
-            new_y[a * n + c] = vals[a]
-        branched = tuple(new_y)
-        return [y] if branched == y else [y, branched]
-    if base == "efl":
-        new_y = list(y)
-        for a in range(n):
-            idx = a * n + c
-            if vals[a] and vals[a] not in new_y[idx]:
-                new_y[idx] = new_y[idx] | {vals[a]}
-        return [tuple(new_y)]
-    raise UnsupportedNotionError(f"no state encoding for base {base!r}")
+def accepting_state(key: tuple, base: str, weights: tuple[int, ...]) -> bool:
+    """Sink condition: does the final (x, y, flags) key satisfy ``base`` for
+    every ordered pair?
 
-
-def accepting_state(
-    key: tuple,
-    notion: Notion,
-    weights: tuple[int, ...],
-    profile: tuple[bool, ...] | None = None,
-) -> bool:
-    """Sink condition: does the final (x, y, flags) key satisfy the notion
-    for all pairs?
-
-    With an awareness profile, a pair (a, b) also passes when a is aware and
-    the pair's flag is set.  For ``efl`` a pair passes without envy, when one
-    item carries all of b's bundle value for a (at most one positively valued
-    item), or when some value v in the pair's set has
-    ``x_ab - x_aa <= v <= x_aa``.
+    A flagged pair passes (only aware observers are ever flagged); every
+    other pair must pass the base's leaf test.  ``weights`` are the pair
+    weights of that test: the instance weights for ``wef1``/``swef1``, ones
+    otherwise.
     """
     x, y, flags = key
-    n = math.isqrt(len(x))
-    base = notion.base
+    n = len(weights)
+    ok = _ENCODING[base][2]
+    y = y or (0,) * (n * n)
     for a in range(n):
+        row = a * n
+        xaa, wa = x[row + a], weights[a]
         for b in range(n):
-            if a == b:
+            if b == a or (flags is not None and flags[row + b]):
                 continue
-            if (
-                profile is not None
-                and profile[a]
-                and flags is not None
-                and flags[a * n + b]
-            ):
-                continue
-            xaa = x[a * n + a]
-            xab = x[a * n + b]
-            yab = y[a * n + b] if y else 0
-            if base == "ef":
-                ok = xaa >= xab
-            elif base in ("ef1", "sef1"):
-                ok = xaa >= xab - yab
-            elif base in ("wef1", "swef1"):
-                ok = xaa * weights[b] >= (xab - yab) * weights[a]
-            elif base == "tef1":
-                ok = xaa + yab >= xab - yab
-            elif base == "efl":
-                ok = (
-                    xaa >= xab
-                    or xab in yab
-                    or any(xab - xaa <= v <= xaa for v in yab)
-                )
-            else:
-                raise UnsupportedNotionError(f"no sink condition for base {base!r}")
-            if not ok:
+            if not ok(xaa, x[row + b], y[row + b], wa, weights[b]):
                 return False
     return True
 
@@ -222,13 +225,15 @@ def _expand_key(
     c_list: tuple[int, ...],
     vals: tuple[int, ...],
     impact_col: tuple[int, ...],
-    base: str,
-    track: bool,
+    step,
+    aware: tuple[bool, ...] | None,
 ) -> list[tuple[tuple, int]]:
     """The (key, assignee) pairs reachable by assigning one item, whose
     ``_item_params`` entry is (c_list, vals, impact_col): assignees
-    ascending, then the y-branches.  A key may repeat; the caller drops
-    repeats."""
+    ascending, then the y-branches of the base's column ``step``.  With
+    ``aware`` flags, pair (a, c) is flagged once c receives an item with
+    strictly higher impact for c than for an aware a.  A key may repeat; the
+    caller drops repeats."""
     x, y, flags = key
     out: list[tuple[tuple, int]] = []
     for c in c_list:
@@ -236,16 +241,15 @@ def _expand_key(
         for a in range(n):
             new_x[a * n + c] += vals[a]
         nx = tuple(new_x)
-        if track:
+        nf = flags
+        if aware is not None:
             new_f = list(flags)
             s_c = impact_col[c]
             for a in range(n):
-                if s_c > impact_col[a]:
+                if aware[a] and s_c > impact_col[a]:
                     new_f[a * n + c] = 1
             nf = tuple(new_f)
-        else:
-            nf = None
-        for ny in _y_branches(y, n, c, vals, base):
+        for ny in step(y, n, c, vals):
             out.append(((nx, ny, nf), c))
     return out
 
@@ -253,7 +257,6 @@ def _expand_key(
 def exact_solve(
     inst: Instance,
     notion: Notion,
-    profile=None,
     *,
     state_budget: int | None = None,
     stats: dict | None = None,
@@ -261,9 +264,9 @@ def exact_solve(
     """Decide whether an impact-maximizing allocation satisfying the notion
     exists, and return one if so.
 
-    ``profile`` optionally overrides the per-agent awareness (True = aware);
-    by default it is derived from the notion and the instance flags.  The
-    search is one iterative depth-first walk: a stack holds the successor
+    Under ``sa`` the instance's ``aware`` flags say which observers the
+    override applies to; mixed awareness is an instance with some flags off.
+    The search is one iterative depth-first walk: a stack holds the successor
     iterator of each state on the current path (assignees ascending, then
     y-branches), and the path's assignees are the answer, so no parent
     pointers are kept.  One set per layer holds the states created there; a
@@ -284,18 +287,18 @@ def exact_solve(
         raise UnsupportedNotionError(
             f"state search supports bases {BASES}, not {notion.base!r}"
         )
-    prof = resolve_profile(inst, notion, profile)
+    aware = _aware_flags(inst, notion)
     budget = default_state_budget() if state_budget is None else state_budget
     n, m = inst.n, inst.m
     base = notion.base
-    track = prof is not None
-    weights = inst.weights
+    step = _ENCODING[base][1]
+    weights = inst.weights if base in _WEIGHTED_BASES else (1,) * n
     params = _item_params(inst)
-    root = _root_key(n, base, track)
+    root = _root_key(n, base, aware is not None)
     seen: list[set] = [{root}] + [set() for _ in range(m)]
     visited = 1
     owners: list[int] = []  # the assignees on the current path
-    stack = [iter(_expand_key(root, n, *params[0], base, track))] if m else []
+    stack = [iter(_expand_key(root, n, *params[0], step, aware))] if m else []
     while stack:
         g = len(stack)  # the layer the top iterator's successors lie on
         layer = seen[g]
@@ -315,8 +318,8 @@ def exact_solve(
             )
         if g < m:
             owners.append(c)
-            stack.append(iter(_expand_key(key, n, *params[g], base, track)))
-        elif accepting_state(key, notion, weights, prof):
+            stack.append(iter(_expand_key(key, n, *params[g], step, aware)))
+        elif accepting_state(key, base, weights):
             owners.append(c)
             break
     if stats is not None:
@@ -327,16 +330,15 @@ def exact_solve(
     if len(owners) < m:
         return None
     alloc = Allocation.from_assignment(n, owners)
-    _verify(inst, notion, prof, alloc)
+    _verify(inst, notion, alloc)
     return alloc
 
 
-def _verify(inst: Instance, notion: Notion, prof, alloc: Allocation) -> None:
+def _verify(inst: Instance, notion: Notion, alloc: Allocation) -> None:
     """Re-check a reconstructed allocation against the reference checkers."""
     if not fairness.is_sim(inst, alloc).fair:
         raise InternalError("search produced a non-maximizing allocation")
-    eff_inst, eff_notion = _oracle_notion(inst, Notion(notion.base), prof)
-    if not fairness.check(eff_inst, alloc, eff_notion).fair:
+    if not fairness.check(inst, alloc, notion).fair:
         raise InternalError(
             f"search accepted a state whose allocation fails {notion.label()}"
         )
@@ -362,22 +364,6 @@ def sim_allocation_count(inst: Instance) -> int:
     return math.prod(len(s) for s in all_maximizers(inst))
 
 
-def _oracle_notion(inst: Instance, notion: Notion, profile) -> tuple[Instance, Notion]:
-    """The instance and notion the oracle decides: a profile becomes the
-    ``aware`` flags of plain-or-sa awareness."""
-    if notion.base != SA_EMPTY:
-        require_goods(inst)
-    if profile is None:
-        return inst, notion
-    if notion.awareness not in (None, "sa"):
-        raise ValidationError("profiles combine only with plain or sa awareness")
-    prof = tuple(bool(b) for b in profile)
-    if len(prof) != inst.n:
-        raise ValidationError("awareness profile length must match agent count")
-    eff_notion = Notion(notion.base, "sa") if notion.base != SA_EMPTY else notion
-    return replace(inst, aware=prof), eff_notion
-
-
 def _capped_columns(inst: Instance, require_sim: bool, cap: int):
     columns = candidate_columns(inst, require_sim)
     count = math.prod(len(c) for c in columns)
@@ -387,7 +373,7 @@ def _capped_columns(inst: Instance, require_sim: bool, cap: int):
     return columns, count
 
 
-def _scan(inst: Instance, notion: Notion, profile, require_sim: bool, cap: int):
+def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int):
     """Yield the owner tuple of every candidate passing the notion, in
     ``itertools.product`` order over the candidate columns.
 
@@ -395,11 +381,12 @@ def _scan(inst: Instance, notion: Notion, profile, require_sim: bool, cap: int):
     changes owner, V and S move by that item's column in O(n), and every
     candidate is decided by the same ``fairness.decider`` as ``check``.
     """
-    eff_inst, eff_notion = _oracle_notion(inst, notion, profile)
+    if notion.base != SA_EMPTY:
+        require_goods(inst)
     columns, _ = _capped_columns(inst, require_sim, cap)
-    fails = fairness.decider(eff_inst, eff_notion)
+    fails = fairness.decider(inst, notion)
     owners = [col[0] for col in columns]
-    V, S = fairness.matrices(eff_inst, owners)
+    V, S = fairness.matrices(inst, owners)
     # the items with a choice, last item first (it varies fastest): index,
     # next owner after each owner (cyclic), first owner, and the item's
     # value and impact columns
@@ -434,7 +421,6 @@ def _scan(inst: Instance, notion: Notion, profile, require_sim: bool, cap: int):
 def brute_force_solve(
     inst: Instance,
     notion: Notion,
-    profile=None,
     *,
     require_sim: bool = True,
     cap: int = DEFAULT_BRUTE_CAP,
@@ -448,14 +434,13 @@ def brute_force_solve(
     applied.  Raises :class:`BudgetExceededError` when the candidate count
     exceeds ``cap``.
     """
-    owners = next(_scan(inst, notion, profile, require_sim, cap), None)
+    owners = next(_scan(inst, notion, require_sim, cap), None)
     return None if owners is None else Allocation.from_assignment(inst.n, owners)
 
 
 def brute_force_count(
     inst: Instance,
     notion: Notion | None,
-    profile=None,
     *,
     require_sim: bool = True,
     cap: int = DEFAULT_BRUTE_CAP,
@@ -466,4 +451,4 @@ def brute_force_count(
     count exceeds ``cap``."""
     if notion is None:
         return _capped_columns(inst, require_sim, cap)[1]
-    return sum(1 for _ in _scan(inst, notion, profile, require_sim, cap))
+    return sum(1 for _ in _scan(inst, notion, require_sim, cap))

@@ -319,6 +319,28 @@ class TestCommands:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["solve", "ef1", "--method", "exact"], "--state-budget"),
+            (["solve", "ef1", "--method", "brute"], "--brute-cap"),
+            (["solve", "sa-empty"], "--node-budget"),
+            (["brute", "ef1"], "--cap"),
+        ],
+    )
+    def test_non_positive_budget_exit_2(self, tmp_path, capsys, command, flag):
+        # a budget below 1 is invalid input (exit 2), as FDSI_STATE_BUDGET=0
+        # is, not a budget that runs out (exit 3)
+        inst = tmp_path / "p.json"
+        save_instance(gen_partition_ef1((1, 1, 4)), inst)
+        argv = [command[0], str(inst), *command[1:]]
+        for value in ("0", "-3", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            assert exc.value.code == 2
+            assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+        assert main([*argv, flag, "1"]) == 3  # a budget of 1 is valid and runs out
+
     def test_state_budget_env(self, tmp_path, monkeypatch):
         none = tmp_path / "none.json"
         assert main(["gen", "partition-ef1", "--weights", "1,1,4", "-o", str(none)]) == 0

@@ -17,6 +17,7 @@ from fdsi.model import (
     make_instance,
 )
 from fdsi.search import (
+    _ENCODING,
     UnsupportedNotionError,
     _expand_key,
     _item_params,
@@ -35,9 +36,10 @@ from helpers import naive_check, random_instances
 
 
 def _successors(inst, key, g, base):
-    """The (key, assignee) pairs of assigning item g, as the walk sees them."""
-    track = key[2] is not None
-    return _expand_key(key, inst.n, *_item_params(inst)[g], base, track)
+    """The (key, assignee) pairs of assigning item g, as the walk sees them
+    (the instance's ``aware`` flags are tracked when the key has flags)."""
+    aware = inst.aware if key[2] is not None else None
+    return _expand_key(key, inst.n, *_item_params(inst)[g], _ENCODING[base][1], aware)
 
 
 def _key(x, y=None, flags=None):
@@ -96,12 +98,19 @@ class TestSuccessorStates:
         assert key[1] == (frozenset({3}), empty, frozenset({5, 7}), empty)
 
     def test_flags_follow_strict_impact(self):
-        inst = make_instance(((1, 1), (1, 1)), ((3, 0), (1, 0)), aware=(True, True))
-        succ = _successors(inst, _root_key(2, "ef1", True), 0, "ef1")
-        assert len(succ) == 1
-        (_, _, flags), assignee = succ[0]
-        assert assignee == 0
-        assert flags == (0, 0, 1, 0)  # pair (1, 0) saw a dominated item
+        def flags_after_item_0(aware):
+            inst = make_instance(((1, 1), (1, 1)), ((3, 0), (1, 0)), aware=aware)
+            succ = _successors(inst, _root_key(2, "ef1", True), 0, "ef1")
+            assert len(succ) == 1
+            (_, _, flags), assignee = succ[0]
+            assert assignee == 0
+            return flags
+
+        # pair (1, 0) saw a dominated item
+        assert flags_after_item_0((True, True)) == (0, 0, 1, 0)
+        assert flags_after_item_0((False, True)) == (0, 0, 1, 0)
+        # an unaware observer gets no flag: its override never fires
+        assert flags_after_item_0((True, False)) == (0, 0, 0, 0)
 
 
 class TestAcceptingState:
@@ -109,25 +118,25 @@ class TestAcceptingState:
         key = _key([[7]], [[2]])
         for base in BASES:
             k = key if base != "ef" else _key([[7]])
-            assert accepting_state(k, Notion(base), (1,))
+            assert accepting_state(k, base, (1,))
 
     def test_ef1_fails_tef1_holds(self):
         key = _key([[0, 2], [2, 0]], [[0, 1], [1, 0]])
-        assert not accepting_state(key, Notion("ef1"), (1, 1))
-        assert accepting_state(key, Notion("tef1"), (1, 1))
+        assert not accepting_state(key, "ef1", (1, 1))
+        assert accepting_state(key, "tef1", (1, 1))
 
     def test_weighted_cross_multiplication(self):
         # x = ((2, 5), (0, 0)), y = ((0, 1), (0, 0)): 2/1 >= 4/2 holds
         key = _key([[2, 5], [0, 0]], [[0, 1], [0, 0]])
-        assert accepting_state(key, Notion("wef1"), (1, 2))
-        assert not accepting_state(key, Notion("wef1"), (1, 1))
+        assert accepting_state(key, "wef1", (1, 2))
+        assert not accepting_state(key, "wef1", (1, 1))
 
     def test_efl_disjuncts(self):
         def accepts(x_aa, x_ab, values):
             empty = frozenset()
             y = [[empty, frozenset(values)], [empty, empty]]
             key = _key([[x_aa, x_ab], [0, 0]], y)
-            return accepting_state(key, Notion("efl"), (1, 1))
+            return accepting_state(key, "efl", (1, 1))
 
         # no envy
         assert accepts(5, 5, {2, 3})
@@ -142,10 +151,13 @@ class TestAcceptingState:
         assert not accepts(5, 8, {1, 6})
 
     def test_flag_exemption(self):
-        key = _key([[0, 9], [0, 0]], [[0, 0], [0, 0]], flags=[[0, 1], [0, 0]])
-        assert not accepting_state(key, Notion("ef1"), (1, 1))
-        assert accepting_state(key, Notion("ef1"), (1, 1), profile=(True, True))
-        assert not accepting_state(key, Notion("ef1"), (1, 1), profile=(False, True))
+        # a flagged pair passes; the walk flags aware observers only
+        # (``test_flags_follow_strict_impact``)
+        x, y = [[0, 9], [0, 0]], [[0, 0], [0, 0]]
+        assert not accepting_state(_key(x, y), "ef1", (1, 1))
+        assert not accepting_state(_key(x, y, flags=[[0, 0], [0, 0]]), "ef1", (1, 1))
+        assert not accepting_state(_key(x, y, flags=[[0, 0], [1, 0]]), "ef1", (1, 1))
+        assert accepting_state(_key(x, y, flags=[[0, 1], [0, 0]]), "ef1", (1, 1))
 
 
 class TestExactSolve:
@@ -211,12 +223,12 @@ class TestExactSolve:
         inst = make_instance(((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1)))
         hoarded = Allocation.from_assignment(2, [0, 0, 0])
         with pytest.raises(InternalError, match="efl"):
-            _verify(inst, Notion("efl"), None, hoarded)
+            _verify(inst, Notion("efl"), hoarded)
         fair = Allocation.from_assignment(2, [0, 1, 1])
-        _verify(inst, Notion("efl"), None, fair)
+        _verify(inst, Notion("efl"), fair)
         dominated = make_instance(((1,), (1,)), ((2,), (1,)))
         with pytest.raises(InternalError, match="non-maximizing"):
-            _verify(dominated, Notion("efl"), None, Allocation.from_assignment(2, [1]))
+            _verify(dominated, Notion("efl"), Allocation.from_assignment(2, [1]))
 
     def test_deep_instance(self):
         # unique impact maximizers: one state per layer on a path 3000 items
@@ -240,28 +252,38 @@ class TestExactSolve:
         assert hits > 20
 
 
-# values of 10**6 and more pin the value-set encoding: a bitmask over values
-# would need megabytes per key
-_EFL_VALUE = st.one_of(
+# values of 10**6 and more pin the efl value-set encoding: a bitmask over
+# values would need megabytes per key
+_VALUE = st.one_of(
     st.integers(0, 6), st.sampled_from((0, 10**6, 10**6 + 1, 2 * 10**6, 10**9))
 )
 
 
 @st.composite
-def _efl_instances(draw):
+def _differential_instances(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 7))
-    valuations = [[draw(_EFL_VALUE) for _ in range(m)] for _ in range(n)]
+    valuations = [[draw(_VALUE) for _ in range(m)] for _ in range(n)]
     # small impact ranges make ties, so items often have several maximizers
     s_max = draw(st.integers(1, 2))
     impacts = [[draw(st.integers(0, s_max)) for _ in range(m)] for _ in range(n)]
+    weights = [draw(st.integers(1, 3)) for _ in range(n)]
     aware = [draw(st.booleans()) for _ in range(n)]
-    return make_instance(valuations, impacts, aware=aware)
+    return make_instance(valuations, impacts, weights=weights, aware=aware)
 
 
-class TestEflDifferential:
-    @settings(max_examples=400, deadline=None)
-    @given(_efl_instances())
+# a mixed-awareness negative (sa-ef) where keys that differ only in the flags
+# of the unaware observers 0 and 2 merge: 28 states, 32 with those flags kept
+_MERGED_FLAGS = make_instance(
+    ((2, 2, 3, 2, 4), (3, 4, 0, 4, 3), (0, 0, 4, 0, 2)),
+    ((1, 0, 2, 1, 2), (0, 2, 2, 1, 0), (0, 2, 1, 1, 1)),
+    aware=(False, True, False),
+)
+
+
+class TestExactDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(_differential_instances())
     @example(
         make_instance(
             ((10**6, 10**6, 1, 1, 0), (3, 10**9, 10**6, 0, 2)),
@@ -276,14 +298,73 @@ class TestEflDifferential:
             aware=(True, False, False),
         )
     )
+    @example(_MERGED_FLAGS)
     def test_exact_matches_brute(self, inst):
-        for notion in (Notion("efl"), Notion("efl", "sa")):
+        for base, mode in product(BASES, (None, "sa")):
+            notion = Notion(base, mode)
             exact = exact_solve(inst, notion)
             brute = brute_force_solve(inst, notion)
+            if base not in TARGET_BASES:
+                # both return the lexicographically first passing owners
+                assert exact == brute, notion.label()
+                continue
             assert (exact is None) == (brute is None), notion.label()
             if exact is not None:
                 assert is_sim(inst, exact).fair
                 assert check(inst, exact, notion).fair
+
+    def test_unaware_flags_merge(self):
+        stats = {}
+        assert exact_solve(_MERGED_FLAGS, Notion("ef", "sa"), stats=stats) is None
+        assert stats["visited"] == 28
+
+
+@st.composite
+def _metamorphic_cases(draw):
+    """A small instance and its three transforms: items permuted, agents
+    permuted with their weights and ``aware`` flags, valuations scaled."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 5))
+    vals = [[draw(st.integers(0, 4)) for _ in range(m)] for _ in range(n)]
+    imps = [[draw(st.integers(0, 2)) for _ in range(m)] for _ in range(n)]
+    weights = [draw(st.integers(1, 3)) for _ in range(n)]
+    aware = [draw(st.booleans()) for _ in range(n)]
+    inst = make_instance(vals, imps, weights=weights, aware=aware)
+    items = draw(st.permutations(range(m)))
+    agents = draw(st.permutations(range(n)))
+    factor = draw(st.sampled_from((2, 3)))
+    transforms = (
+        make_instance(
+            [[row[g] for g in items] for row in vals],
+            [[row[g] for g in items] for row in imps],
+            weights=weights,
+            aware=aware,
+        ),
+        make_instance(
+            [vals[i] for i in agents],
+            [imps[i] for i in agents],
+            weights=[weights[i] for i in agents],
+            aware=[aware[i] for i in agents],
+        ),
+        make_instance(
+            [[v * factor for v in row] for row in vals], imps, weights=weights, aware=aware
+        ),
+    )
+    return inst, transforms
+
+
+class TestMetamorphic:
+    @settings(max_examples=150, deadline=None)
+    @given(_metamorphic_cases())
+    def test_answers_survive_permutation_and_scaling(self, case):
+        inst, transforms = case
+        for base, mode in product(BASES, (None, "sa")):
+            notion = Notion(base, mode)
+            found = exact_solve(inst, notion) is not None
+            count = brute_force_count(inst, notion)
+            for other in transforms:
+                assert (exact_solve(other, notion) is not None) == found, notion.label()
+                assert brute_force_count(other, notion) == count, notion.label()
 
 
 class TestPathReplay:
@@ -299,7 +380,7 @@ class TestPathReplay:
         for g, owner in enumerate(owners):
             successors = _successors(inst, key, g, "ef1")
             key = next(k for k, assignee in successors if assignee == owner)
-        assert accepting_state(key, Notion("ef1"), inst.weights)
+        assert accepting_state(key, "ef1", inst.weights)
         assert exact_solve(inst, Notion("ef1")) is not None
 
     def test_unbalanced_path_is_rejected(self):
@@ -309,7 +390,7 @@ class TestPathReplay:
         for g, owner in enumerate(owners):
             successors = _successors(inst, key, g, "ef1")
             key = next(k for k, assignee in successors if assignee == owner)
-        assert not accepting_state(key, Notion("ef1"), inst.weights)
+        assert not accepting_state(key, "ef1", inst.weights)
 
 
 class TestOracles:
@@ -371,19 +452,20 @@ class TestOracleEquivalenceSmoke:
         rng = random.Random(81)
         for k, inst in enumerate(random_instances(40, 82, 2, 3, 1, 6, 5, 5, 3)):
             profile = tuple(rng.random() < 0.5 for _ in range(inst.n))
-            for base, prof in product(BASES, (None, profile)):
-                exact = exact_solve(inst, Notion(base), profile=prof)
-                brute = brute_force_solve(inst, Notion(base), profile=prof)
+            mixed = replace(inst, aware=profile)
+            for base, (judged, mode) in product(BASES, ((inst, None), (mixed, "sa"))):
+                notion = Notion(base, mode)
+                exact = exact_solve(judged, notion)
+                brute = brute_force_solve(judged, notion)
                 if base not in TARGET_BASES:
                     # both return the lexicographically first passing owners
-                    assert exact == brute, (k, base, prof)
+                    assert exact == brute, (k, notion)
                     continue
                 # the y-branches of sef1/swef1 reorder the walk's paths
-                assert (exact is None) == (brute is None), (k, base, prof)
+                assert (exact is None) == (brute is None), (k, notion)
                 if exact is not None:
-                    judged = replace(inst, aware=prof or (False,) * inst.n)
                     assert is_sim(inst, exact).fair
-                    assert check(judged, exact, Notion(base, "sa")).fair, (k, base)
+                    assert check(judged, exact, notion).fair, (k, notion)
 
 
 _ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
@@ -391,7 +473,8 @@ _ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction
 
 @st.composite
 def _oracle_cases(draw):
-    """An instance, a notion, an optional awareness profile and require_sim."""
+    """An instance, a notion, an optional awareness profile (to become the
+    instance's ``aware`` flags under ``sa``) and require_sim."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(0, 6))
     # small ranges give zero values and impact ties (several maximizers)
@@ -418,11 +501,10 @@ class TestOracleScanDifferential:
     @given(_oracle_cases())
     def test_count_and_first_answer_match_naive(self, case):
         inst, notion, profile, require_sim = case
-        judged_inst, judged = inst, notion
         if profile is not None:
-            judged_inst = replace(inst, aware=profile)
+            inst = replace(inst, aware=profile)
             if notion.base != "sa-empty":
-                judged = Notion(notion.base, "sa")
+                notion = Notion(notion.base, "sa")
         if require_sim:
             choices = [sorted(s) for s in all_maximizers(inst)]
         else:
@@ -430,11 +512,10 @@ class TestOracleScanDifferential:
         passing = [
             owners
             for owners in product(*choices)
-            if naive_check(judged_inst, Allocation.from_assignment(inst.n, owners), judged)
+            if naive_check(inst, Allocation.from_assignment(inst.n, owners), notion)
         ]
-        kwargs = dict(profile=profile, require_sim=require_sim)
-        assert brute_force_count(inst, notion, **kwargs) == len(passing)
-        found = brute_force_solve(inst, notion, **kwargs)
+        assert brute_force_count(inst, notion, require_sim=require_sim) == len(passing)
+        found = brute_force_solve(inst, notion, require_sim=require_sim)
         if passing:
             assert found == Allocation.from_assignment(inst.n, passing[0])
         else:
