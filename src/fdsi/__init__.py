@@ -1,75 +1,60 @@
 """Fair division of indivisible goods under a social-impact-maximization
 constraint: checkers for envy-based fairness notions and awareness overrides,
 guaranteed polynomial allocators, exact existence solvers, and generators for
-the hardness gadgets and counterexample instances."""
+the hardness gadgets and counterexample instances.
 
-from .allocators import (
-    greedy_sim,
-    sa_efl_allocate,
-    sa_weighted_picking,
-    two_agent_mixed_fast_path,
-)
-from .fairness import Notion, Verdict, Witness, check, is_sa_empty, is_sim
-from .model import (
-    Allocation,
-    BudgetExceededError,
-    GoodsOnlyError,
-    IncompleteAllocationError,
-    Instance,
-    InternalError,
-    ValidationError,
-    bundle_impact,
-    bundle_value,
-    compute_types,
-    impact_maximizers,
-    is_goods,
-    make_instance,
-    normalize_impacts,
-    total_social_impact,
-    validate,
-    validate_allocation,
-)
-from .sa_empty import solve_sa_empty
-from .search import (
-    UnsupportedNotionError,
-    brute_force_count,
-    brute_force_solve,
-    enumerate_sim_allocations,
-    exact_solve,
-)
+The public names below load lazily: ``import fdsi`` imports no submodule,
+and the first access to a name imports only the module that defines it.
+"""
 
-__all__ = [
-    "Allocation",
-    "BudgetExceededError",
-    "GoodsOnlyError",
-    "IncompleteAllocationError",
-    "Instance",
-    "InternalError",
-    "Notion",
-    "UnsupportedNotionError",
-    "ValidationError",
-    "Verdict",
-    "Witness",
-    "brute_force_count",
-    "brute_force_solve",
-    "bundle_impact",
-    "bundle_value",
-    "check",
-    "compute_types",
-    "enumerate_sim_allocations",
-    "exact_solve",
-    "greedy_sim",
-    "impact_maximizers",
-    "is_goods",
-    "is_sa_empty",
-    "is_sim",
-    "make_instance",
-    "normalize_impacts",
-    "sa_efl_allocate",
-    "sa_weighted_picking",
-    "solve_sa_empty",
-    "total_social_impact",
-    "two_agent_mixed_fast_path",
-    "validate",
-    "validate_allocation",
-]
+from importlib import import_module
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "Allocation": "model",
+    "BudgetExceededError": "model",
+    "GoodsOnlyError": "model",
+    "IncompleteAllocationError": "model",
+    "Instance": "model",
+    "InternalError": "model",
+    "ValidationError": "model",
+    "compute_types": "model",
+    "impact_maximizers": "model",
+    "is_goods": "model",
+    "make_instance": "model",
+    "normalize_impacts": "model",
+    "total_social_impact": "model",
+    "validate": "model",
+    "validate_allocation": "model",
+    "Notion": "fairness",
+    "Verdict": "fairness",
+    "Witness": "fairness",
+    "check": "fairness",
+    "is_sa_empty": "fairness",
+    "is_sim": "fairness",
+    "sa_efl_allocate": "allocators",
+    "sa_weighted_picking": "allocators",
+    "two_agent_mixed_fast_path": "allocators",
+    "UnsupportedNotionError": "search",
+    "brute_force_count": "search",
+    "brute_force_solve": "search",
+    "enumerate_sim_allocations": "search",
+    "exact_solve": "search",
+    "solve_sa_empty": "sa_empty",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # an unknown name raises AttributeError, so ``from fdsi import search``
+    # falls back to importing the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -1,31 +1,27 @@
 """Polynomial-time allocators with impact-maximization and awareness guarantees.
 
-All three allocators only ever hand an item to one of its impact maximizers,
-so their outputs maximize total social impact by construction.  Tie-breaking
-is lexicographic everywhere (agent index, then item index), which makes every
-run reproducible.
+There are three: the weighted picking sequence (``sa_weighted_picking``), the
+envy-graph allocator for the one-less-preferred notion (``sa_efl_allocate``),
+whose envy graph is read from the value and impact matrices of
+``fairness.matrices``, and the two-agent mixed-awareness special case
+(``two_agent_mixed_fast_path``).  Each only ever hands an item to one of its
+impact maximizers, so its output maximizes total social impact by
+construction.  Tie-breaking is lexicographic everywhere (agent index, then
+item index), which makes every run reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import fairness
+from .fairness import Matrix
 from .model import (
     Allocation,
     Instance,
     InternalError,
     ValidationError,
     all_maximizers,
-    bundle_impact,
-    bundle_value,
     require_goods,
 )
-
-
-def greedy_sim(inst: Instance) -> Allocation:
-    """Give every item to its lowest-index impact maximizer."""
-    owners = [min(impact_set) for impact_set in all_maximizers(inst)]
-    return Allocation.from_assignment(inst.n, owners)
 
 
 def sa_weighted_picking(
@@ -70,46 +66,35 @@ def sa_weighted_picking(
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
-@dataclass(frozen=True)
-class SAEnvyGraph:
-    """Directed graph of awareness-filtered envy among the active agents.
-
-    There is an arc (i, j) exactly when i values A_j above A_i while i's
-    impact for A_j is at least j's own.
-    """
-
-    vertices: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
-
-    def successors(self, v: int) -> list[int]:
-        return [b for (a, b) in self.arcs if a == v]
-
-    def has_incoming(self, v: int) -> bool:
-        return any(b == v for (_, b) in self.arcs)
+def _envy_successors(V: Matrix, S: Matrix, vertices: list[int]) -> dict[int, list[int]]:
+    """Adjacency of the awareness-filtered envy graph among ``vertices``
+    (ascending), from ``V`` and ``S`` of ``fairness.matrices``: j follows i
+    exactly when i values A_j above A_i while i's impact for A_j is at least
+    j's own."""
+    return {
+        i: [
+            j
+            for j in vertices
+            if j != i and V[i][i] < V[i][j] and S[i][j] >= S[j][j]
+        ]
+        for i in vertices
+    }
 
 
 def build_sa_envy_graph(
     inst: Instance, alloc: Allocation, active: tuple[int, ...] | list[int]
-) -> SAEnvyGraph:
-    """Arcs of the awareness-filtered envy predicate among the active agents."""
-    vertices = tuple(sorted(active))
-    arcs = []
-    for i in vertices:
-        own = bundle_value(inst, i, alloc.bundles[i])
-        for j in vertices:
-            if i == j:
-                continue
-            if own < bundle_value(inst, i, alloc.bundles[j]) and bundle_impact(
-                inst, i, alloc.bundles[j]
-            ) >= bundle_impact(inst, j, alloc.bundles[j]):
-                arcs.append((i, j))
-    return SAEnvyGraph(vertices=vertices, arcs=tuple(arcs))
+) -> tuple[tuple[int, int], ...]:
+    """Arcs (i, j) of the awareness-filtered envy graph among the active
+    agents, in ascending order."""
+    V, S = fairness.matrices(inst, fairness.valid_owners(inst, alloc))
+    succ = _envy_successors(V, S, sorted(active))
+    return tuple((i, j) for i, heads in succ.items() for j in heads)
 
 
-def _find_cycle(graph: SAEnvyGraph) -> list[int] | None:
-    """Deterministic DFS cycle search: lowest start vertex, neighbors ascending."""
-    color: dict[int, int] = {v: 0 for v in graph.vertices}  # 0 new, 1 on path, 2 done
-    succ = {v: sorted(graph.successors(v)) for v in graph.vertices}
+def _find_cycle(succ: dict[int, list[int]]) -> list[int] | None:
+    """Deterministic DFS cycle search over an adjacency dict: lowest start
+    vertex, neighbors ascending."""
+    color = dict.fromkeys(succ, 0)  # 0 new, 1 on path, 2 done
 
     def visit(v: int, path: list[int]) -> list[int] | None:
         color[v] = 1
@@ -125,12 +110,34 @@ def _find_cycle(graph: SAEnvyGraph) -> list[int] | None:
         color[v] = 2
         return None
 
-    for start in graph.vertices:
+    for start in succ:
         if color[start] == 0:
             cycle = visit(start, [])
             if cycle is not None:
                 return cycle
     return None
+
+
+def _rotate_cycles(
+    alloc: Allocation, V: Matrix, S: Matrix, vertices: list[int]
+) -> Allocation:
+    """Rotate bundles along envy cycles among ``vertices`` until the graph is
+    acyclic.  The columns of ``V`` and ``S`` move with their bundles, in
+    place, so they stay the matrices of the returned allocation."""
+    while True:
+        cycle = _find_cycle(_envy_successors(V, S, vertices))
+        if cycle is None:
+            return alloc
+        # every agent on the cycle takes the bundle of the agent it envies
+        donors = cycle[1:] + cycle[:1]
+        bundles = list(alloc.bundles)
+        for i, d in zip(cycle, donors):
+            bundles[i] = alloc.bundles[d]
+        for row in V + S:
+            moved = [row[d] for d in donors]
+            for i, value in zip(cycle, moved):
+                row[i] = value
+        alloc = Allocation(bundles=tuple(bundles))
 
 
 def eliminate_cycles(
@@ -142,25 +149,19 @@ def eliminate_cycles(
     agent's own-bundle value strictly increases and the arc count strictly
     drops each round, which guarantees termination.
     """
-    while True:
-        graph = build_sa_envy_graph(inst, alloc, active)
-        cycle = _find_cycle(graph)
-        if cycle is None:
-            return alloc
-        new_bundles = list(alloc.bundles)
-        k = len(cycle)
-        for pos, i in enumerate(cycle):
-            new_bundles[i] = alloc.bundles[cycle[(pos + 1) % k]]
-        alloc = Allocation(bundles=tuple(new_bundles))
+    V, S = fairness.matrices(inst, fairness.valid_owners(inst, alloc))
+    return _rotate_cycles(alloc, V, S, sorted(active))
 
 
 def sa_efl_partials(inst: Instance):
     """Yield the partial allocation after every assignment round of the
     envy-graph allocator (used to check that each prefix already satisfies
-    its guarantees)."""
+    its guarantees).  Each round reads its envy graph from one
+    ``fairness.matrices`` call."""
     require_goods(inst)
     maxsets = all_maximizers(inst)
     alloc = Allocation.empty(inst.n)
+    V, S = fairness.matrices(inst, [None] * inst.m)
     vertices = list(range(inst.n))
     remaining = set(range(inst.m))
     while remaining:
@@ -168,8 +169,9 @@ def sa_efl_partials(inst: Instance):
             raise InternalError(
                 "maximizer sets are never empty, so a vertex must remain"
             )
-        graph = build_sa_envy_graph(inst, alloc, vertices)
-        source = min(v for v in vertices if not graph.has_incoming(v))
+        succ = _envy_successors(V, S, vertices)
+        envied = {j for heads in succ.values() for j in heads}
+        source = min(v for v in vertices if v not in envied)
         candidates = sorted(g for g in remaining if source in maxsets[g])
         if not candidates:
             vertices.remove(source)
@@ -180,7 +182,8 @@ def sa_efl_partials(inst: Instance):
                 best = g
         alloc = alloc.give(source, best)
         remaining.discard(best)
-        alloc = eliminate_cycles(inst, alloc, vertices)
+        V, S = fairness.matrices(inst, alloc.owners(inst.m))
+        alloc = _rotate_cycles(alloc, V, S, vertices)
         yield alloc
 
 

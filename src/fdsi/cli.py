@@ -15,7 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import allocators, sa_empty, search, serialize
+from . import search, serialize
 from .fairness import SA_EMPTY, Notion, Verdict, check as check_notion, is_sim
 from .model import (
     Allocation,
@@ -114,6 +114,13 @@ def _satisfies(inst: Instance, alloc: Allocation, notion: Notion) -> bool:
     return is_sim(inst, alloc).fair and check_notion(inst, alloc, notion).fair
 
 
+def _solve_sa_empty(inst: Instance, args) -> Allocation | None:
+    from . import sa_empty  # only sa-empty solves need it
+
+    budget = args.node_budget or sa_empty.DEFAULT_NODE_BUDGET
+    return sa_empty.solve_sa_empty(inst, node_budget=budget)
+
+
 def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
     """Route to the cheapest solver that decides the notion.
 
@@ -123,10 +130,12 @@ def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
     candidate is verified against the requested notion before being trusted.
     """
     if notion.base == SA_EMPTY:
-        return sa_empty.solve_sa_empty(inst, node_budget=args.node_budget)
+        return _solve_sa_empty(inst, args)
     if notion.awareness in ("alpha", "wsa"):
         return search.brute_force_solve(inst, notion, cap=args.brute_cap)
     if notion.awareness == "sa":
+        from . import allocators  # only the polynomial routes need it
+
         candidate = None
         if all(inst.aware):
             if notion.base == "efl":
@@ -152,6 +161,8 @@ def _cmd_solve(args) -> int:
     if method == "auto":
         alloc = _solve_auto(inst, notion, args)
     elif method in ("picking", "efl"):
+        from . import allocators
+
         alloc = (
             allocators.sa_weighted_picking(inst)
             if method == "picking"
@@ -171,7 +182,7 @@ def _cmd_solve(args) -> int:
     elif method == "sa-empty":
         if notion.base != SA_EMPTY:
             raise ValidationError("method sa-empty only solves the sa-empty notion")
-        alloc = sa_empty.solve_sa_empty(inst, node_budget=args.node_budget)
+        alloc = _solve_sa_empty(inst, args)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown method {method!r}")
     if alloc is None:
@@ -311,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--state-budget", type=_positive_int, default=None)
     p_solve.add_argument("--brute-cap", type=_positive_int, default=search.DEFAULT_BRUTE_CAP)
-    p_solve.add_argument(
-        "--node-budget", type=_positive_int, default=sa_empty.DEFAULT_NODE_BUDGET
-    )
+    p_solve.add_argument("--node-budget", type=_positive_int, default=None)
     p_solve.add_argument(
         "--no-require-sim",
         dest="require_sim",

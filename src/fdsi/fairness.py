@@ -55,7 +55,6 @@ from .model import (
 
 BASES = ("ef", "ef1", "sef1", "wef1", "swef1", "efl", "tef1")
 TARGET_BASES = ("sef1", "swef1")
-PAIR_BASES = ("ef", "ef1", "wef1", "efl", "tef1")
 SA_EMPTY = "sa-empty"
 AWARENESS_MODES = (None, "sa", "alpha", "wsa")
 
@@ -168,17 +167,13 @@ def matrices(inst: Instance, owners: Owners) -> tuple[Matrix, Matrix]:
     return V, S
 
 
-def _owners(inst: Instance, alloc: Allocation) -> list[int | None]:
+def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
+    """The item -> owner map of ``alloc`` (None when unallocated), after
+    checking bundle count, item indices and disjointness."""
     errors = validate_allocation(inst, alloc)
     if errors:
         raise ValidationError("; ".join(errors))
     return alloc.owners(inst.m)
-
-
-def _require_agents(inst: Instance, *agents: int) -> None:
-    for i in agents:
-        if not (0 <= i < inst.n):
-            raise ValidationError(f"unknown agent index {i}")
 
 
 # -- per-notion formulas -------------------------------------------------------
@@ -222,7 +217,7 @@ def _pair_weights(inst: Instance, base: str) -> tuple[int, ...]:
     return inst.weights if base in ("wef1", "swef1") else (1,) * inst.n
 
 
-def _excuse(inst: Instance, notion: Notion, *, strict: bool = True):
+def _excuse(inst: Instance, notion: Notion):
     """``excused(i, j, V, S)`` for the awareness mode, or None when no
     observer can ever be excused."""
     if notion.awareness is None or not any(inst.aware):
@@ -235,10 +230,8 @@ def _excuse(inst: Instance, notion: Notion, *, strict: bool = True):
         p, q = notion.alpha.numerator, notion.alpha.denominator
     else:  # "sa" is alpha = 1
         p, q = 1, 1
-    # s_i(A_j) < alpha * s_j(A_j), or <= when not strict
-    if strict:
-        return lambda i, j, V, S: aware[i] and S[i][j] * q < p * S[j][j]
-    return lambda i, j, V, S: aware[i] and S[i][j] * q <= p * S[j][j]
+    # s_i(A_j) < alpha * s_j(A_j)
+    return lambda i, j, V, S: aware[i] and S[i][j] * q < p * S[j][j]
 
 
 def _target_rule(inst: Instance, base: str, excused):
@@ -331,59 +324,6 @@ def decider(inst: Instance, notion: Notion) -> Decider:
     return fails
 
 
-def pair_fair(inst: Instance, alloc: Allocation, i: int, j: int, base: str) -> bool:
-    """Evaluate the base condition for ordered pair (i, j); goods only."""
-    if base not in PAIR_BASES:
-        raise ValidationError(f"{base!r} is not a pairwise base notion")
-    require_goods(inst)
-    _require_agents(inst, i, j)
-    owners = _owners(inst, alloc)
-    V, _ = matrices(inst, owners)
-    wt = _pair_weights(inst, base)
-    own, other = V[i][i], V[i][j]
-    if own * wt[j] >= other * wt[i]:
-        return True
-    values = [v for v, o in zip(inst.valuations[i], owners) if o == j]
-    return _ENVIOUS_PAIR_OK[base](own, other, wt[i], wt[j], values)
-
-
-def target_fair(inst: Instance, alloc: Allocation, j: int, base: str) -> bool:
-    """Is there one universal removal item for target j that satisfies every observer?"""
-    if base not in TARGET_BASES:
-        raise ValidationError(f"{base!r} is not a target-based notion")
-    require_goods(inst)
-    _require_agents(inst, j)
-    owners = _owners(inst, alloc)
-    V, S = matrices(inst, owners)
-    return _target_rule(inst, base, None)(j, V, S, owners)
-
-
-def sa_override(
-    inst: Instance,
-    alloc: Allocation,
-    i: int,
-    j: int,
-    notion: Notion,
-    *,
-    strict: bool = True,
-) -> bool:
-    """Does awareness excuse observer i from the base condition toward j?
-
-    Always false for agents whose ``aware`` flag is off and for notions
-    without an awareness mode.  ``strict=False`` relaxes the strict impact
-    comparison of the ``sa`` and ``alpha`` modes to non-strict (under which
-    every impact-maximizing allocation passes trivially); ``wsa`` is
-    non-strict by definition and is unaffected.
-    """
-    _require_agents(inst, i, j)
-    owners = _owners(inst, alloc)
-    excused = _excuse(inst, notion, strict=strict)
-    if excused is None:
-        return False
-    V, S = matrices(inst, owners)
-    return bool(excused(i, j, V, S))
-
-
 def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
     """Full verdict for any notion and awareness mode.
 
@@ -396,7 +336,7 @@ def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
     """
     if notion.base != SA_EMPTY:
         require_goods(inst)
-    owners = _owners(inst, alloc)
+    owners = valid_owners(inst, alloc)
     V, S = matrices(inst, owners)
     failing = decider(inst, notion)(V, S, owners)
     if failing is None:

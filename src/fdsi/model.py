@@ -8,7 +8,7 @@ multiplication elsewhere, so no floating point appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class ValidationError(ValueError):
@@ -45,11 +45,11 @@ class Instance:
 
     ``valuations[i][g]`` is agent i's value for item g.  Negative entries are
     storable (so chore data can be represented) but every checker and
-    allocator except raw bundle arithmetic rejects them with
-    :class:`GoodsOnlyError`.  ``impacts[i][g]`` is the non-negative
-    contribution agent i generates for the group when holding g.  ``weights``
-    are positive entitlements used by the weighted notions, and ``aware``
-    marks which agents apply the social-awareness override.
+    allocator rejects them with :class:`GoodsOnlyError`.  ``impacts[i][g]``
+    is the non-negative contribution agent i generates for the group when
+    holding g.  ``weights`` are positive entitlements used by the weighted
+    notions, and ``aware`` marks which agents apply the social-awareness
+    override.
 
     Instances are immutable values; every operation on them is a pure
     function, so they are safe to share across threads.
@@ -165,6 +165,12 @@ def require_goods(inst: Instance) -> None:
         )
 
 
+def require_budget(budget: int, what: str) -> None:
+    """A budget or cap below 1 is invalid input, not a budget that runs out."""
+    if budget < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {budget!r}")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """One bundle of item indices per agent; bundles are pairwise disjoint.
@@ -242,34 +248,15 @@ def require_complete(inst: Instance, alloc: Allocation) -> None:
         raise IncompleteAllocationError("allocation does not cover every item")
 
 
-def _check_bundle(inst: Instance, i: int, item_set: Iterable[int]) -> list[int]:
-    if not (0 <= i < inst.n):
-        raise ValidationError(f"unknown agent index {i}")
-    members = list(item_set)
-    for g in members:
-        if not (0 <= g < inst.m):
-            raise ValidationError(f"unknown item index {g}")
-    return members
-
-def bundle_value(inst: Instance, i: int, item_set: Iterable[int]) -> int:
-    """Additive value of a bundle for agent i; the empty bundle is worth 0."""
-    row = inst.valuations[i] if 0 <= i < inst.n else ()
-    return sum(row[g] for g in _check_bundle(inst, i, item_set))
-
-
-def bundle_impact(inst: Instance, i: int, item_set: Iterable[int]) -> int:
-    """Additive social impact agent i generates with a bundle; empty bundle gives 0."""
-    row = inst.impacts[i] if 0 <= i < inst.n else ()
-    return sum(row[g] for g in _check_bundle(inst, i, item_set))
-
-
 def total_social_impact(inst: Instance, alloc: Allocation) -> int:
     """Sum over agents of the impact they generate with their own bundle.
 
     Requires a complete allocation.
     """
     require_complete(inst, alloc)
-    return sum(bundle_impact(inst, i, alloc.bundles[i]) for i in range(inst.n))
+    return sum(
+        row[g] for row, bundle in zip(inst.impacts, alloc.bundles) for g in bundle
+    )
 
 
 def impact_maximizers(inst: Instance, g: int) -> frozenset[int]:

@@ -24,7 +24,6 @@ against the raw-instance checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import fairness
@@ -35,24 +34,10 @@ from .model import (
     InternalError,
     TypePartition,
     compute_types,
+    require_budget,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class SAEmptyProgram:
-    """Count variables for one guess of non-empty unique-type agents.
-
-    ``eligible[t]`` lists the guessed agents allowed to hold type-t items
-    (those maximizing that type); ``rival_types[j]`` lists the type indices
-    agent j maximizes, the other side of the domination constraint.
-    """
-
-    guess: tuple[int, ...]
-    type_sizes: tuple[int, ...]
-    eligible: tuple[tuple[int, ...], ...]
-    rival_types: tuple[tuple[int, ...], ...]
 
 
 def unique_type_agents(types: TypePartition) -> frozenset[int]:
@@ -60,53 +45,48 @@ def unique_type_agents(types: TypePartition) -> frozenset[int]:
     return frozenset(cls[0] for cls in types.agent_types if len(cls) == 1)
 
 
-def _build_program(
-    inst: Instance, types: TypePartition, guess: tuple[int, ...]
-) -> SAEmptyProgram | None:
-    """Assemble the variables for one guess; None when some type has no taker."""
-    k = len(types.item_types)
-    sizes = tuple(len(members) for members in types.item_types)
-    eligible: list[tuple[int, ...]] = []
-    for t in range(k):
-        takers = tuple(i for i in guess if i in types.maximizer_sets[t])
-        if not takers and sizes[t] > 0:
+def _eligible(
+    types: TypePartition, guess: tuple[int, ...]
+) -> list[tuple[int, ...]] | None:
+    """Per item type, the guessed agents allowed to hold it (those maximizing
+    it); None when some type has no taker."""
+    eligible = []
+    for maxset in types.maximizer_sets:
+        takers = tuple(i for i in guess if i in maxset)
+        if not takers:
             return None
         eligible.append(takers)
-    rival_types = tuple(
-        tuple(t for t in range(k) if j in types.maximizer_sets[t])
-        for j in range(inst.n)
-    )
-    return SAEmptyProgram(
-        guess=guess,
-        type_sizes=sizes,
-        eligible=tuple(eligible),
-        rival_types=rival_types,
-    )
+    return eligible
 
 
 def _search_counts(
-    prog: SAEmptyProgram,
+    types: TypePartition,
+    sizes: tuple[int, ...],
+    guess: tuple[int, ...],
+    eligible: list[tuple[int, ...]],
     rival_reps: tuple[int, ...],
     budget: list[int],
 ) -> dict[tuple[int, int], int] | None:
     """Bounded DFS over the counts; returns (agent, type) -> count or None.
 
-    ``rival_reps`` holds one representative agent per agent-type class
-    (same-type rivals impose identical constraints).  ``budget`` is the
-    remaining node allowance, decremented in place.
+    ``sizes[t]`` is the number of type-t items and ``eligible[t]`` the
+    guessed agents that may take them.  ``rival_reps`` holds one
+    representative agent per agent-type class (same-type rivals impose
+    identical constraints); a rival j shares in the type-t items of a bundle
+    when j maximizes type t.  ``budget`` is the remaining node allowance,
+    decremented in place.
     """
-    k = len(prog.type_sizes)
-    guess = prog.guess
+    k = len(sizes)
+    maxsets = types.maximizer_sets
     own = {i: 0 for i in guess}
     rivals_of = {i: [j for j in rival_reps if j != i] for i in guess}
     rival_share = {i: {j: 0 for j in rivals_of[i]} for i in guess}
-    maximizes = [set(ts) for ts in prog.rival_types]
     # future[i][t] = items of types t.. that agent i could still receive
     future: dict[int, list[int]] = {}
     for i in guess:
         suffix = [0] * (k + 1)
         for t in range(k - 1, -1, -1):
-            gain = prog.type_sizes[t] if i in prog.eligible[t] else 0
+            gain = sizes[t] if i in eligible[t] else 0
             suffix[t] = suffix[t + 1] + gain
         future[i] = suffix
     counts: dict[tuple[int, int], int] = {}
@@ -124,7 +104,7 @@ def _search_counts(
     def place(i: int, t: int, c: int, sign: int) -> None:
         own[i] += sign * c
         for j in rivals_of[i]:
-            if t in maximizes[j]:
+            if j in maxsets[t]:
                 rival_share[i][j] += sign * c
 
     def assign_type(t: int) -> bool:
@@ -137,8 +117,7 @@ def _search_counts(
                 and all(own[i] > rival_share[i][j] for j in rivals_of[i])
                 for i in guess
             )
-        takers = prog.eligible[t]
-        size = prog.type_sizes[t]
+        takers = eligible[t]
 
         def distribute(pos: int, left: int) -> bool:
             if pos == len(takers):
@@ -156,15 +135,15 @@ def _search_counts(
                 del counts[(i, t)]
             return False
 
-        if not takers:
-            return size == 0 and assign_type(t + 1)
-        return distribute(0, size)
+        return distribute(0, sizes[t])
 
     return counts if assign_type(0) else None
 
 
 def _materialize(
-    inst: Instance, types: TypePartition, prog: SAEmptyProgram,
+    inst: Instance,
+    types: TypePartition,
+    guess: tuple[int, ...],
     counts: dict[tuple[int, int], int],
 ) -> Allocation:
     """Turn type counts into concrete items, lexicographic within each type."""
@@ -172,7 +151,7 @@ def _materialize(
     for t, members in enumerate(types.item_types):
         pool = sorted(members)
         at = 0
-        for i in prog.guess:
+        for i in guess:
             c = counts.get((i, t), 0)
             bundles[i].update(pool[at : at + c])
             at += c
@@ -192,22 +171,24 @@ def solve_sa_empty(
     :class:`BudgetExceededError` when the node budget runs out (never a
     wrong answer).
     """
+    require_budget(node_budget, "node budget")
     types = compute_types(inst)
     uniques = sorted(unique_type_agents(types))
     rival_reps = tuple(cls[0] for cls in types.agent_types)
+    sizes = tuple(map(len, types.item_types))
     budget = [node_budget]
     for size in range(len(uniques) + 1):
         for guess in combinations(uniques, size):
             budget[0] -= 1
             if budget[0] < 0:
                 raise BudgetExceededError("node budget exhausted enumerating guesses")
-            prog = _build_program(inst, types, guess)
-            if prog is None:
+            eligible = _eligible(types, guess)
+            if eligible is None:
                 continue
-            counts = _search_counts(prog, rival_reps, budget)
+            counts = _search_counts(types, sizes, guess, eligible, rival_reps, budget)
             if counts is None:
                 continue
-            alloc = _materialize(inst, types, prog, counts)
+            alloc = _materialize(inst, types, guess, counts)
             if not fairness.is_sim(inst, alloc).fair:
                 raise InternalError("sa-empty solver built a non-maximizing allocation")
             if not fairness.is_sa_empty(inst, alloc).fair:

@@ -59,6 +59,7 @@ from .model import (
     InternalError,
     ValidationError,
     all_maximizers,
+    require_budget,
     require_goods,
 )
 
@@ -289,6 +290,7 @@ def exact_solve(
         )
     aware = _aware_flags(inst, notion)
     budget = default_state_budget() if state_budget is None else state_budget
+    require_budget(budget, "state budget")
     n, m = inst.n, inst.m
     base = notion.base
     step = _ENCODING[base][1]
@@ -359,12 +361,8 @@ def enumerate_sim_allocations(inst: Instance):
         yield Allocation.from_assignment(inst.n, owners)
 
 
-def sim_allocation_count(inst: Instance) -> int:
-    """Number of impact-maximizing complete allocations."""
-    return math.prod(len(s) for s in all_maximizers(inst))
-
-
 def _capped_columns(inst: Instance, require_sim: bool, cap: int):
+    require_budget(cap, "cap")
     columns = candidate_columns(inst, require_sim)
     count = math.prod(len(c) for c in columns)
     if count > cap:

@@ -148,22 +148,24 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_instance(path: str | Path) -> Instance:
+def _read_json(path: str | Path):
+    """Parse a UTF-8 JSON file.  Every way the text can be malformed raises
+    :class:`ValidationError`: bad JSON, bytes that are not UTF-8 (both
+    ``ValueError``), an integer too long to convert (``ValueError``) or
+    nesting too deep to parse (``RecursionError``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    return instance_from_obj(obj)
+
+
+def load_instance(path: str | Path) -> Instance:
+    return instance_from_obj(_read_json(path))
 
 
 def load_allocation(inst: Instance, path: str | Path) -> Allocation:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    return allocation_from_obj(inst, obj)
+    return allocation_from_obj(inst, _read_json(path))
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

@@ -27,10 +27,10 @@ from fdsi.generators import (
 from fdsi.model import Allocation, compute_types, make_instance, normalize_impacts
 from fdsi.sa_empty import solve_sa_empty
 from fdsi.search import (
+    brute_force_count,
     brute_force_solve,
     enumerate_sim_allocations,
     exact_solve,
-    sim_allocation_count,
 )
 
 from helpers import random_instances, random_sim_allocation
@@ -364,7 +364,7 @@ def test_criterion_9_sa_empty_solver():
             if brute is not None:
                 for i in clones:
                     assert brute.bundles[i] == frozenset()
-            if clones and sim_allocation_count(inst) <= 2000:
+            if clones and brute_force_count(inst, None) <= 2000:
                 for alloc in enumerate_sim_allocations(inst):
                     if is_sa_empty(inst, alloc).fair:
                         for i in clones:

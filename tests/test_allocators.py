@@ -3,9 +3,9 @@ import random
 import pytest
 
 from fdsi.allocators import (
+    _find_cycle,
     build_sa_envy_graph,
     eliminate_cycles,
-    greedy_sim,
     sa_efl_allocate,
     sa_efl_partials,
     sa_weighted_picking,
@@ -13,23 +13,30 @@ from fdsi.allocators import (
 )
 from fdsi.fairness import Notion, check, is_sim
 from fdsi.generators import canned, gen_random
-from fdsi.model import Allocation, GoodsOnlyError, bundle_value, make_instance
+from fdsi.model import Allocation, GoodsOnlyError, make_instance
+from fdsi.search import enumerate_sim_allocations
 
-from helpers import literal_picking, random_instances
+from helpers import literal_picking, random_instances, random_sim_allocation, value_of
+
+
+def _greedy_sim(inst):
+    """Every item with its lowest-index impact maximizer: the first
+    candidate of the oracle's scan order."""
+    return next(enumerate_sim_allocations(inst))
 
 
 class TestGreedySim:
     def test_bill_joe(self):
         ex = canned("bill-joe")
-        assert greedy_sim(ex.instance) == ex.allocation
+        assert _greedy_sim(ex.instance) == ex.allocation
 
     def test_unique_maximizers_forced(self):
         inst = make_instance(((1, 1), (1, 1)), ((2, 0), (0, 2)))
-        assert greedy_sim(inst).bundles == (frozenset({0}), frozenset({1}))
+        assert _greedy_sim(inst).bundles == (frozenset({0}), frozenset({1}))
 
     def test_all_equal_impacts_lowest_index(self):
         inst = make_instance(((1, 1), (1, 1)), ((1, 1), (1, 1)))
-        assert greedy_sim(inst).bundles == (frozenset({0, 1}), frozenset())
+        assert _greedy_sim(inst).bundles == (frozenset({0, 1}), frozenset())
 
 
 class TestPicking:
@@ -84,20 +91,18 @@ class TestPicking:
 class TestEnvyGraph:
     def test_empty_allocation_no_arcs(self):
         inst = make_instance(((1, 1), (1, 1)), ((1, 1), (1, 1)))
-        graph = build_sa_envy_graph(inst, Allocation.empty(2), (0, 1))
-        assert graph.arcs == ()
+        assert build_sa_envy_graph(inst, Allocation.empty(2), (0, 1)) == ()
 
     def test_wsa_example_arc_absent(self):
         ex = canned("wsa-nonexistence")
-        graph = build_sa_envy_graph(ex.instance, ex.allocation, (0, 1))
+        arcs = build_sa_envy_graph(ex.instance, ex.allocation, (0, 1))
         # observer 0 envies by value but has strictly less impact for the bundle
-        assert (0, 1) not in graph.arcs
+        assert (0, 1) not in arcs
 
     def test_envy_arc_present(self):
         inst = make_instance(((0, 5), (5, 0)), ((1, 1), (1, 1)))
         alloc = Allocation((frozenset({0}), frozenset({1})))
-        graph = build_sa_envy_graph(inst, alloc, (0, 1))
-        assert set(graph.arcs) == {(0, 1), (1, 0)}
+        assert build_sa_envy_graph(inst, alloc, (0, 1)) == ((0, 1), (1, 0))
 
     def test_two_cycle_swap(self):
         inst = make_instance(((0, 5), (5, 0)), ((1, 1), (1, 1)))
@@ -115,33 +120,38 @@ class TestEnvyGraph:
             ((1, 1, 1), (1, 1, 1), (1, 1, 1)),
         )
         alloc = Allocation.from_assignment(3, [0, 1, 2])
-        before = [bundle_value(inst, i, alloc.bundles[i]) for i in range(3)]
+        before = [value_of(inst, i, alloc.bundles[i]) for i in range(3)]
         rotated = eliminate_cycles(inst, alloc, (0, 1, 2))
-        after = [bundle_value(inst, i, rotated.bundles[i]) for i in range(3)]
+        after = [value_of(inst, i, rotated.bundles[i]) for i in range(3)]
         assert all(a > b for a, b in zip(after, before))
-        graph = build_sa_envy_graph(inst, rotated, (0, 1, 2))
-        assert graph.arcs == ()
+        assert build_sa_envy_graph(inst, rotated, (0, 1, 2)) == ()
 
     def test_random_elimination_never_hurts(self):
-        from fdsi.allocators import _find_cycle
-        from helpers import random_sim_allocation
-
         rng = random.Random(41)
         for inst in random_instances(60, 42, 2, 4, 1, 6, 5, 5):
             alloc = random_sim_allocation(inst, rng)
             active = tuple(range(inst.n))
             result = eliminate_cycles(inst, alloc, active)
             for i in range(inst.n):
-                assert bundle_value(inst, i, result.bundles[i]) >= bundle_value(
+                assert value_of(inst, i, result.bundles[i]) >= value_of(
                     inst, i, alloc.bundles[i]
                 )
-            assert _find_cycle(build_sa_envy_graph(inst, result, active)) is None
+            succ = {i: [] for i in active}
+            for i, j in build_sa_envy_graph(inst, result, active):
+                succ[i].append(j)
+            assert _find_cycle(succ) is None
 
 
 class TestSaEflAllocate:
     def test_single_agent(self):
         inst = make_instance(((3, 1),), ((1, 2),))
         assert sa_efl_allocate(inst).bundles == (frozenset({0, 1}),)
+
+    def test_hand_trace(self):
+        # the lowest unenvied agent picks: 0 takes g1 and is envied by 1,
+        # so 1 takes g3 and then g2
+        inst = make_instance(((5, 3, 2), (5, 1, 4)), ((1, 1, 1), (1, 1, 1)))
+        assert sa_efl_allocate(inst).bundles == (frozenset({0}), frozenset({1, 2}))
 
     def test_bill_joe_composition(self):
         ex = canned("bill-joe")

@@ -311,13 +311,65 @@ class TestCommands:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_cli_import_leaves_generators_out(self):
+    # each case prints a list that must come out empty in a fresh interpreter
+    _IMPORT_CASES = {
+        # the package imports no submodule of its own
+        "import": "import sys, fdsi\n"
+        "print([m for m in sys.modules if m.startswith('fdsi.')])",
+        # every public name resolves and is listed by dir()
+        "public-names": "import fdsi\n"
+        "print([n for n in fdsi.__all__ if getattr(fdsi, n) is None or n not in dir(fdsi)])",
+    }
+    _COMMANDS = {
+        "solve-exact": ["solve", "{inst}", "ef1", "--method", "exact"],
+        "brute-count": ["brute", "{inst}", "ef1", "--count"],
+        "check": ["check", "{inst}", "{alloc}", "sa-ef1"],
+    }
+
+    @pytest.mark.parametrize("case", [*_IMPORT_CASES, *_COMMANDS])
+    def test_import_surface(self, tmp_path, case):
+        if case in self._IMPORT_CASES:
+            code = self._IMPORT_CASES[case]
+        else:
+            # the exact, brute and check routes leave the polynomial
+            # allocators, the sa-empty solver and the generators unloaded
+            inst, alloc = self._gen(tmp_path, "wsa-nonexistence", alloc=True)
+            argv = [a.format(inst=inst, alloc=alloc) for a in self._COMMANDS[case]]
+            code = (
+                "import contextlib, io, sys\n"
+                "from fdsi.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    main({argv!r})\n"
+                "print([m for m in ('fdsi.allocators', 'fdsi.sa_empty', 'fdsi.generators')"
+                " if m in sys.modules])"
+            )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        code = "import sys, fdsi.cli; print('fdsi.generators' in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b'{"agents": ' + b"9" * 5000 + b"}", b"[" * 100_000],
+        ids=["not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_malformed_file_exit_2(self, tmp_path, capsys, command, content):
+        # a file that is not JSON fdsi can read is invalid input (exit 2),
+        # never a traceback and exit 1 ("provably none")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if command == "solve":
+            argv = ["solve", str(bad), "ef1"]
+        else:
+            inst, _ = self._gen(tmp_path, "wsa-nonexistence")
+            argv = ["check", str(inst), str(bad), "ef1"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: malformed JSON in ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -11,9 +11,7 @@ from fdsi.fairness import (
     check,
     is_sa_empty,
     is_sim,
-    pair_fair,
-    sa_override,
-    target_fair,
+    matrices,
 )
 from fdsi.generators import canned
 from fdsi.model import (
@@ -63,8 +61,8 @@ class TestPairwise:
     def test_tef1_weaker_than_ef1(self):
         ex = canned("tef1-vs-ef1")
         inst, alloc = ex.instance, ex.allocation
-        assert pair_fair(inst, alloc, 0, 1, "tef1")
-        assert not pair_fair(inst, alloc, 0, 1, "ef1")
+        assert naive_base(inst, alloc, 0, 1, "tef1")
+        assert not naive_base(inst, alloc, 0, 1, "ef1")
         assert check(inst, alloc, Notion("tef1")).fair
         assert not check(inst, alloc, Notion("ef1")).fair
 
@@ -74,35 +72,31 @@ class TestPairwise:
             ((1, 1, 1), (1, 1, 1)),
         )
         alloc = Allocation((frozenset({0}), frozenset({1, 2})))
-        assert pair_fair(inst, alloc, 0, 1, "ef1")
-        assert not pair_fair(inst, alloc, 0, 1, "efl")
+        assert naive_base(inst, alloc, 0, 1, "ef1")
+        assert not naive_base(inst, alloc, 0, 1, "efl")
+        assert check(inst, alloc, Notion("ef1")).fair
+        assert not check(inst, alloc, Notion("efl")).fair
 
     def test_trivial_cases(self):
-        inst = make_instance(((1, 1), (1, 1)), ((1, 1), (1, 1)))
+        # agent 0 sees an empty target bundle, agent 1 values nothing
+        inst = make_instance(((1, 1), (0, 0)), ((1, 1), (1, 1)))
         alloc = Allocation((frozenset({0, 1}), frozenset()))
-        for base in ("ef", "ef1", "wef1", "efl", "tef1"):
-            assert pair_fair(inst, alloc, 0, 0, base)
-            assert pair_fair(inst, alloc, 0, 1, base)  # empty target bundle
+        for base in BASES:
+            assert check(inst, alloc, Notion(base)).fair, base
 
     def test_goods_only(self):
         chores = canned("chores-roundrobin")
         with pytest.raises(GoodsOnlyError):
-            pair_fair(chores.instance, chores.allocation, 0, 1, "ef1")
-        with pytest.raises(GoodsOnlyError):
             check(chores.instance, chores.allocation, Notion("ef1"))
-
-    def test_target_base_rejected(self):
-        inst = make_instance(((1,), (1,)), ((1,), (1,)))
-        with pytest.raises(ValidationError):
-            pair_fair(inst, Allocation.empty(2), 0, 1, "sef1")
 
 
 class TestTargetFair:
     def test_single_item_bundle(self):
         inst = make_instance(((3, 1), (1, 3)), ((1, 1), (1, 1)))
         alloc = Allocation((frozenset({0}), frozenset({1})))
-        assert target_fair(inst, alloc, 0, "sef1")
-        assert target_fair(inst, alloc, 1, "sef1")
+        assert naive_target(inst, alloc, 0, "sef1", set())
+        assert naive_target(inst, alloc, 1, "sef1", set())
+        assert check(inst, alloc, Notion("sef1")).fair
 
     def test_observers_need_different_removals(self):
         # observers 0 and 1 each tolerate a different removal from agent 2's
@@ -112,9 +106,9 @@ class TestTargetFair:
             ((0, 1, 1), (0, 1, 1), (1, 1, 1)),
         )
         alloc = Allocation((frozenset({0}), frozenset(), frozenset({1, 2})))
-        assert pair_fair(inst, alloc, 0, 2, "ef1")
-        assert pair_fair(inst, alloc, 1, 2, "ef1")
-        assert not target_fair(inst, alloc, 2, "sef1")
+        assert naive_base(inst, alloc, 0, 2, "ef1")
+        assert naive_base(inst, alloc, 1, 2, "ef1")
+        assert not naive_target(inst, alloc, 2, "sef1", set())
         assert check(inst, alloc, Notion("ef1")).fair
         assert not check(inst, alloc, Notion("sef1")).fair
 
@@ -128,7 +122,8 @@ class TestTargetFair:
         )
         alloc = Allocation((frozenset(), frozenset(), frozenset({0, 1, 2})))
         assert is_sim(inst, alloc).fair
-        assert not target_fair(inst, alloc, 2, "sef1")
+        assert not naive_target(inst, alloc, 2, "sef1", set())
+        assert naive_target(inst, alloc, 2, "sef1", {1})
         assert not check(inst, alloc, Notion("sef1")).fair
         assert check(inst, alloc, Notion("sef1", "sa")).fair
 
@@ -139,45 +134,52 @@ class TestTargetFair:
         # envy-free split of standard items plus the pinned specials
         alloc = Allocation((frozenset({0, 2}), frozenset({1, 3})))
         assert check(inst, alloc, Notion("sef1")).fair
-        assert target_fair(inst, alloc, 0, "sef1")
-        assert target_fair(inst, alloc, 1, "sef1")
+        assert naive_target(inst, alloc, 0, "sef1", set())
+        assert naive_target(inst, alloc, 1, "sef1", set())
 
 
 class TestOverrides:
     def test_alpha_zero_never_overrides(self):
+        # no observer is excused, so every verdict is the plain base's
         for inst in random_instances(10, 11, 2, 3, 1, 4, 3, 3):
             rng = random.Random(11)
             alloc = random_allocation(inst, rng)
-            notion = Notion("ef1", "alpha", Fraction(0))
-            for i in range(inst.n):
-                for j in range(inst.n):
-                    if i != j:
-                        assert not sa_override(inst, alloc, i, j, notion)
+            for base in BASES:
+                got = check(inst, alloc, Notion(base, "alpha", Fraction(0)))
+                want = check(inst, alloc, Notion(base))
+                assert got.fair == want.fair
+                if not got.fair:
+                    w, v = got.witness, want.witness
+                    assert (w.observer, w.target) == (v.observer, v.target)
 
     def test_wsa_example_numbers(self):
         inst, alloc = WSA_EX.instance, WSA_EX.allocation
+        V, S = matrices(inst, alloc.owners(inst.m))
         # 10 * 1 <= 1 * 2 is false: no proportional override for observer 1
-        assert not sa_override(inst, alloc, 0, 1, Notion("ef1", "wsa"))
+        assert (V[0][1], S[0][1], V[0][0], S[1][1]) == (10, 1, 1, 2)
+        assert not naive_override(inst, alloc, 0, 1, "wsa")
+        assert not check(inst, alloc, Notion("ef1", "wsa")).fair
         # 1 < 2: the plain awareness override does fire
-        assert sa_override(inst, alloc, 0, 1, Notion("ef1", "sa"))
+        assert naive_override(inst, alloc, 0, 1, "sa")
+        assert check(inst, alloc, Notion("ef1", "sa")).fair
 
     def test_unaware_agent_never_overridden(self):
         ex = canned("unaware-nonexistence")
         notion = Notion("ef1", "sa")
-        assert not sa_override(ex.instance, ex.allocation, 0, 1, notion)
+        assert not naive_override(ex.instance, ex.allocation, 0, 1, "sa")
         assert not check(ex.instance, ex.allocation, notion).fair
 
     def test_non_strict_accepts_every_maximizing_allocation(self):
-        # replacing the strict comparison by <= makes the override fire on
-        # every impact-maximizing allocation, for every ordered pair
+        # s_i(A_j) <= s_j(A_j) holds for every ordered pair of every
+        # impact-maximizing allocation, so a non-strict override would
+        # excuse everyone: the strict comparison is what gives sa content
         rng = random.Random(21)
         for inst in random_instances(25, 22, 2, 4, 1, 6, 4, 4):
             alloc = random_sim_allocation(inst, rng)
-            notion = Notion("ef1", "sa")
+            _, S = matrices(inst, alloc.owners(inst.m))
             for i in range(inst.n):
                 for j in range(inst.n):
-                    if i != j:
-                        assert sa_override(inst, alloc, i, j, notion, strict=False)
+                    assert S[i][j] <= S[j][j]
 
 
 class TestCheckGoldens:
@@ -346,8 +348,9 @@ class TestAgainstNaive:
                         continue
                     seen += 1
                     w = verdict.witness
-                    assert not pair_fair(inst, alloc, w.observer, w.target, base)
-                    assert not sa_override(inst, alloc, w.observer, w.target, notion)
+                    i, j = w.observer, w.target
+                    assert not naive_base(inst, alloc, i, j, base)
+                    assert not naive_override(inst, alloc, i, j, notion.awareness)
         assert seen > 100
 
     def test_notion_validation(self):
@@ -446,12 +449,6 @@ class TestWitnessParity:
                 check(inst, alloc, notion)
         with pytest.raises(ValidationError):
             is_sa_empty(inst, alloc)
-        with pytest.raises(ValidationError):
-            pair_fair(inst, alloc, 0, 1, "ef1")
-        with pytest.raises(ValidationError):
-            target_fair(inst, alloc, 1, "sef1")
-        with pytest.raises(ValidationError):
-            sa_override(inst, alloc, 0, 1, Notion("ef1", "sa"))
 
     def test_malformed_allocations_rejected(self):
         inst = make_instance(((1, 2), (3, 4)), ((1, 1), (1, 1)))
@@ -460,8 +457,6 @@ class TestWitnessParity:
         for alloc in (wrong_count, shared):
             with pytest.raises(ValidationError):
                 check(inst, alloc, Notion("ef1"))
-        with pytest.raises(ValidationError):
-            pair_fair(inst, Allocation.empty(2), 0, 2, "ef1")
 
     def test_negative_valuation_rejected(self):
         chores = canned("chores-roundrobin")
@@ -469,7 +464,7 @@ class TestWitnessParity:
             with pytest.raises(GoodsOnlyError):
                 check(chores.instance, chores.allocation, Notion(base, "wsa"))
         with pytest.raises(GoodsOnlyError):
-            target_fair(chores.instance, chores.allocation, 0, "swef1")
+            check(chores.instance, chores.allocation, Notion("swef1"))
         # sa-empty reads only impacts, so chores are decided, not rejected
         assert is_sa_empty(chores.instance, chores.allocation).fair == naive_check(
             chores.instance, chores.allocation, Notion("sa-empty")

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi.fairness import Notion
+from fdsi.fairness import Notion, check, matrices
 from fdsi.generators import canned, gen_random
 from fdsi.model import (
     Allocation,
     IncompleteAllocationError,
     ValidationError,
-    bundle_impact,
-    bundle_value,
     compute_types,
     impact_maximizers,
     is_goods,
@@ -23,7 +21,7 @@ from fdsi.model import (
 )
 from fdsi.search import brute_force_solve
 
-from helpers import random_instances
+from helpers import impact_of, random_instances
 
 
 WSA = canned("wsa-nonexistence").instance
@@ -31,28 +29,35 @@ BILL_JOE = canned("bill-joe")
 
 
 class TestBundleArithmetic:
+    # bundle sums are V[i][j] = v_i(A_j) and S[i][j] = s_i(A_j) of
+    # fairness.matrices over an item -> owner map
+
     def test_empty_bundle_is_zero(self):
-        assert bundle_value(WSA, 0, frozenset()) == 0
-        assert bundle_impact(WSA, 1, frozenset()) == 0
+        V, S = matrices(WSA, [None] * WSA.m)
+        assert V == S == [[0, 0], [0, 0]]
 
     def test_wsa_example_values(self):
         # items are (g1, g2, g3); agent 1 sees bundle {g3, g2} as 5 + 5
-        assert bundle_value(WSA, 0, {2, 1}) == 10
-        assert bundle_value(WSA, 0, {0}) == 1
+        V, _ = matrices(WSA, [0, 1, 1])
+        assert V[0][1] == 10
+        assert V[0][0] == 1
 
     def test_wsa_example_impacts(self):
-        assert bundle_impact(WSA, 1, {2, 1}) == 2
-        assert bundle_impact(WSA, 0, {2, 1}) == 1
+        _, S = matrices(WSA, [0, 1, 1])
+        assert S[1][1] == 2
+        assert S[0][1] == 1
 
     def test_unknown_item_rejected(self):
         with pytest.raises(ValidationError):
-            bundle_value(WSA, 0, {99})
+            check(WSA, Allocation((frozenset({99}), frozenset())), Notion("ef"))
         with pytest.raises(ValidationError):
-            bundle_impact(WSA, 0, {-1})
+            total_social_impact(WSA, Allocation((frozenset({-1, 0, 1, 2}), frozenset())))
 
     def test_unknown_agent_rejected(self):
+        six = Allocation.from_assignment(6, [5, 5, 5])
+        assert validate_allocation(WSA, six) != []
         with pytest.raises(ValidationError):
-            bundle_value(WSA, 5, {0})
+            check(WSA, six, Notion("ef"))
 
 
 class TestTotalImpact:
@@ -132,8 +137,8 @@ class TestNormalization:
         # strict impact domination agrees raw vs normalized whenever every
         # item sits with a maximizer
         from fdsi.search import enumerate_sim_allocations
-        from fdsi.model import bundle_impact as bi
 
+        bi = impact_of
         for inst in random_instances(20, 4, 2, 3, 1, 4, 3, 3):
             norm = normalize_impacts(inst)
             for alloc in enumerate_sim_allocations(inst):

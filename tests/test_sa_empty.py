@@ -40,10 +40,12 @@ def ag_plane_instance():
 class TestGadgetStructure:
     def test_candidate_count(self):
         # elements can go to 3 set agents + 2 guards, dummies to all 6 set agents
-        from fdsi.search import sim_allocation_count
+        import math
+
+        from fdsi.model import all_maximizers
 
         inst = gen_x3c_sa_empty(RX3CInput(universe_size=6, triples=RELAXED_L2))
-        assert sim_allocation_count(inst) == 5**6 * 6**2
+        assert math.prod(map(len, all_maximizers(inst))) == 5**6 * 6**2
 
     def test_degenerate_single_triple_shape(self):
         # smallest well-formed input: one triple, one dummy, two guards

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdsi.fairness import BASES, TARGET_BASES, Notion, check, is_sim, target_fair
+from fdsi.fairness import BASES, TARGET_BASES, Notion, check, is_sim
 from fdsi.generators import canned, gen_partition_ef1, gen_random
 from fdsi.model import (
     Allocation,
     BudgetExceededError,
     InternalError,
+    ValidationError,
     all_maximizers,
     make_instance,
 )
+from fdsi.sa_empty import solve_sa_empty
 from fdsi.search import (
     _ENCODING,
     UnsupportedNotionError,
@@ -29,10 +31,9 @@ from fdsi.search import (
     candidate_columns,
     enumerate_sim_allocations,
     exact_solve,
-    sim_allocation_count,
 )
 
-from helpers import naive_check, random_instances
+from helpers import naive_check, naive_target, random_instances
 
 
 def _successors(inst, key, g, base):
@@ -187,6 +188,25 @@ class TestExactSolve:
         with pytest.raises(BudgetExceededError):
             exact_solve(inst, Notion("efl"), state_budget=5)
 
+    # a budget or cap below 1 is invalid input, never a budget overrun (and
+    # never an answer, even where no state would be created)
+    _BAD_BUDGETS = {
+        "exact-negative": lambda inst: exact_solve(inst, Notion("ef1"), state_budget=-3),
+        "exact-zero-no-items": lambda inst: exact_solve(
+            make_instance(((),), ((),)), Notion("ef1"), state_budget=0
+        ),
+        "brute-solve": lambda inst: brute_force_solve(inst, Notion("ef1"), cap=0),
+        "brute-count": lambda inst: brute_force_count(inst, Notion("ef1"), cap=0),
+        "brute-count-any": lambda inst: brute_force_count(inst, None, cap=0),
+        "sa-empty": lambda inst: solve_sa_empty(inst, node_budget=0),
+    }
+
+    @pytest.mark.parametrize("call", list(_BAD_BUDGETS))
+    def test_budget_below_one_is_invalid(self, call):
+        inst = gen_partition_ef1((1, 1, 4))
+        with pytest.raises(ValidationError, match="must be a positive integer"):
+            self._BAD_BUDGETS[call](inst)
+
     def test_state_count_bound(self):
         for seed in range(10):
             inst = gen_random(2, 3, 2, 2, 1, seed=seed)
@@ -248,7 +268,7 @@ class TestExactSolve:
                 continue
             hits += 1
             for j in range(inst.n):
-                assert target_fair(inst, alloc, j, "sef1")
+                assert naive_target(inst, alloc, j, "sef1", set())
         assert hits > 20
 
 
@@ -401,7 +421,7 @@ class TestOracles:
 
     def test_co_maximized_count(self):
         inst = make_instance(((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1)))
-        assert sim_allocation_count(inst) == 8
+        assert brute_force_count(inst, None) == 8
         assert len(list(enumerate_sim_allocations(inst))) == 8
 
     def test_enumeration_is_exactly_the_maximizing_set(self):
@@ -523,7 +543,7 @@ class TestOracleScanDifferential:
 
     def test_count_any_needs_no_scan(self):
         inst = make_instance(((1, 1, 1), (1, 1, 1)), ((2, 1, 1), (1, 1, 1)))
-        assert brute_force_count(inst, None) == 4 == sim_allocation_count(inst)
+        assert brute_force_count(inst, None) == 4
         assert brute_force_count(inst, None, require_sim=False) == 8
         with pytest.raises(BudgetExceededError):
             brute_force_count(inst, None, require_sim=False, cap=7)
