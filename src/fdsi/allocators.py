@@ -81,16 +81,6 @@ def _envy_successors(V: Matrix, S: Matrix, vertices: list[int]) -> dict[int, lis
     }
 
 
-def build_sa_envy_graph(
-    inst: Instance, alloc: Allocation, active: tuple[int, ...] | list[int]
-) -> tuple[tuple[int, int], ...]:
-    """Arcs (i, j) of the awareness-filtered envy graph among the active
-    agents, in ascending order."""
-    V, S = fairness.matrices(inst, fairness.valid_owners(inst, alloc))
-    succ = _envy_successors(V, S, sorted(active))
-    return tuple((i, j) for i, heads in succ.items() for j in heads)
-
-
 def _find_cycle(succ: dict[int, list[int]]) -> list[int] | None:
     """Deterministic DFS cycle search over an adjacency dict: lowest start
     vertex, neighbors ascending."""
@@ -123,7 +113,11 @@ def _rotate_cycles(
 ) -> Allocation:
     """Rotate bundles along envy cycles among ``vertices`` until the graph is
     acyclic.  The columns of ``V`` and ``S`` move with their bundles, in
-    place, so they stay the matrices of the returned allocation."""
+    place, so they stay the matrices of the returned allocation.
+
+    Along a cycle every agent receives the bundle it envied, so each
+    affected agent's own-bundle value strictly increases, which guarantees
+    termination."""
     while True:
         cycle = _find_cycle(_envy_successors(V, S, vertices))
         if cycle is None:
@@ -138,19 +132,6 @@ def _rotate_cycles(
             for i, value in zip(cycle, moved):
                 row[i] = value
         alloc = Allocation(bundles=tuple(bundles))
-
-
-def eliminate_cycles(
-    inst: Instance, alloc: Allocation, active: tuple[int, ...] | list[int]
-) -> Allocation:
-    """Rotate bundles along detected envy cycles until the graph is acyclic.
-
-    Along a cycle every agent receives the bundle it envied, so each affected
-    agent's own-bundle value strictly increases and the arc count strictly
-    drops each round, which guarantees termination.
-    """
-    V, S = fairness.matrices(inst, fairness.valid_owners(inst, alloc))
-    return _rotate_cycles(alloc, V, S, sorted(active))
 
 
 def sa_efl_partials(inst: Instance):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import search, serialize
 from .fairness import SA_EMPTY, Notion, Verdict, check as check_notion, is_sim
@@ -61,7 +60,8 @@ def _witness_obj(inst: Instance, verdict: Verdict):
 
 
 def _notion_from_args(args) -> Notion:
-    alpha = serialize.parse_rational(args.alpha) if args.alpha else None
+    # an empty --alpha is a bad rational, not a missing one
+    alpha = None if args.alpha is None else serialize.parse_rational(args.alpha)
     return serialize.parse_notion_spec(
         args.notion, sa=args.sa, alpha=alpha, wsa=args.wsa
     )
@@ -244,9 +244,7 @@ def _cmd_gen(args) -> int:
             _parse_matrix(args.valuations), tef1=args.tef1
         )
     elif args.generator == "example":
-        alpha = (
-            serialize.parse_rational(args.alpha) if args.alpha else Fraction(1, 2)
-        )
+        alpha = serialize.parse_rational("1/2" if args.alpha is None else args.alpha)
         example = generators.canned(args.name, alpha=alpha)
         inst, allocation = example.instance, example.allocation
     elif args.generator == "random":

@@ -39,19 +39,23 @@ applied by cross multiplication).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .model import (
     Allocation,
+    Frozen,
     Instance,
     ValidationError,
+    _set,
     all_maximizers,
+    exact_rational,
     require_complete,
     require_goods,
     validate_allocation,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BASES = ("ef", "ef1", "sef1", "wef1", "swef1", "efl", "tef1")
 TARGET_BASES = ("sef1", "swef1")
@@ -59,32 +63,36 @@ SA_EMPTY = "sa-empty"
 AWARENESS_MODES = (None, "sa", "alpha", "wsa")
 
 
-@dataclass(frozen=True)
-class Notion:
+class Notion(Frozen):
     """A base fairness notion plus an optional awareness mode.
 
     ``alpha`` must be given exactly when ``awareness == "alpha"`` and must lie
-    in [0, 1].  The standalone notion ``sa-empty`` takes no awareness mode.
+    in [0, 1].  It is stored as a ``Fraction`` and given as anything
+    :func:`~fdsi.model.exact_rational` accepts, so not as a ``float``.  The
+    standalone notion ``sa-empty`` takes no awareness mode.
     """
 
+    __slots__ = ("base", "awareness", "alpha")
     base: str
-    awareness: str | None = None
-    alpha: Fraction | None = None
+    awareness: str | None
+    alpha: Fraction | None
 
-    def __post_init__(self) -> None:
-        if self.base not in BASES + (SA_EMPTY,):
-            raise ValidationError(f"unknown notion base {self.base!r}")
-        if self.awareness not in AWARENESS_MODES:
-            raise ValidationError(f"unknown awareness mode {self.awareness!r}")
-        if self.base == SA_EMPTY and self.awareness is not None:
+    def __init__(self, base: str, awareness: str | None = None, alpha=None) -> None:
+        if base not in BASES + (SA_EMPTY,):
+            raise ValidationError(f"unknown notion base {base!r}")
+        if awareness not in AWARENESS_MODES:
+            raise ValidationError(f"unknown awareness mode {awareness!r}")
+        if base == SA_EMPTY and awareness is not None:
             raise ValidationError("sa-empty takes no awareness modifier")
-        if (self.alpha is not None) != (self.awareness == "alpha"):
+        if (alpha is not None) != (awareness == "alpha"):
             raise ValidationError("alpha must be given exactly for alpha awareness")
-        if self.alpha is not None:
-            alpha = Fraction(self.alpha)
-            object.__setattr__(self, "alpha", alpha)
+        if alpha is not None:
+            alpha = exact_rational(alpha, "alpha")
             if not (0 <= alpha <= 1):
                 raise ValidationError("alpha must lie in [0, 1]")
+        _set(self, "base", base)
+        _set(self, "awareness", awareness)
+        _set(self, "alpha", alpha)
 
     def label(self) -> str:
         if self.base == SA_EMPTY or self.awareness is None:
@@ -95,23 +103,39 @@ class Notion:
         return f"{self.awareness}-{self.base}"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """Minimal evidence for an unfair verdict, re-checkable from the inputs.
 
     ``item`` is the strongest single-removal candidate examined (or the
     misplaced item for SIM violations)."""
 
+    __slots__ = ("reason", "observer", "target", "item")
     reason: str
-    observer: int | None = None
-    target: int | None = None
-    item: int | None = None
+    observer: int | None
+    target: int | None
+    item: int | None
+
+    def __init__(
+        self,
+        reason: str,
+        observer: int | None = None,
+        target: int | None = None,
+        item: int | None = None,
+    ) -> None:
+        _set(self, "reason", reason)
+        _set(self, "observer", observer)
+        _set(self, "target", target)
+        _set(self, "item", item)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
+    __slots__ = ("fair", "witness")
     fair: bool
-    witness: Witness | None = None
+    witness: Witness | None
+
+    def __init__(self, fair: bool, witness: Witness | None = None) -> None:
+        _set(self, "fair", fair)
+        _set(self, "witness", witness)
 
 
 def is_sim(inst: Instance, alloc: Allocation) -> Verdict:

@@ -10,12 +10,19 @@ verified end to end at desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .cli import CANNED_NAMES  # noqa: F401  (the parser lists the same names)
-from .model import Allocation, Instance, ValidationError, make_instance
+from .model import (
+    Allocation,
+    Frozen,
+    Instance,
+    ValidationError,
+    _set,
+    exact_rational,
+    make_instance,
+)
 
 ORACLE_WEIGHT_CAP = 10  # source-problem oracles stay exhaustive below this size
 
@@ -98,7 +105,7 @@ def gen_alpha_sa(weights, alpha: Fraction) -> Instance:
     """
     weights = tuple(weights)
     t = _check_weights(weights)
-    alpha = Fraction(alpha)
+    alpha = exact_rational(alpha, "alpha")
     if not (0 < alpha < 1):
         raise ValidationError("alpha gadget needs 0 < alpha < 1")
     p, q = alpha.numerator, alpha.denominator
@@ -149,8 +156,7 @@ def gen_wsa(weights) -> Instance:
     return make_instance(valuations, impacts, items=items)
 
 
-@dataclass(frozen=True)
-class RX3CInput:
+class RX3CInput(Frozen):
     """A cover-by-3-sets source: universe 0..3L-1 and a family of triples.
 
     The regular form additionally has exactly 3L triples, every element in
@@ -159,13 +165,13 @@ class RX3CInput:
     triples over a universe of size 3L.
     """
 
+    __slots__ = ("universe_size", "triples")
     universe_size: int
     triples: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "triples", tuple(frozenset(tr) for tr in self.triples)
-        )
+    def __init__(self, universe_size: int, triples) -> None:
+        _set(self, "universe_size", universe_size)
+        _set(self, "triples", tuple(frozenset(tr) for tr in triples))
 
 
 def validate_rx3c(src: RX3CInput, *, strict: bool = True) -> list[str]:
@@ -269,11 +275,16 @@ def gen_ef_embedding(valuations, *, tef1: bool = False) -> Instance:
     return make_instance(tuple(out_vals), tuple(out_imps), items=items)
 
 
-@dataclass(frozen=True)
-class CannedExample:
+class CannedExample(Frozen):
+    __slots__ = ("name", "instance", "allocation")
     name: str
     instance: Instance
     allocation: Allocation | None
+
+    def __init__(self, name: str, instance: Instance, allocation: Allocation | None) -> None:
+        _set(self, "name", name)
+        _set(self, "instance", instance)
+        _set(self, "allocation", allocation)
 
 
 def canned(name: str, *, alpha: Fraction = Fraction(1, 2)) -> CannedExample:
@@ -294,7 +305,7 @@ def canned(name: str, *, alpha: Fraction = Fraction(1, 2)) -> CannedExample:
         )
         return CannedExample(name, inst, Allocation((frozenset(), frozenset({0, 1}))))
     if name == "alpha-nonexistence":
-        alpha = Fraction(alpha)
+        alpha = exact_rational(alpha, "alpha")
         if not (0 <= alpha < 1):
             raise ValidationError("alpha must lie in [0, 1)")
         p, q = alpha.numerator, alpha.denominator

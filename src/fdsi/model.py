@@ -7,8 +7,11 @@ multiplication elsewhere, so no floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ValidationError(ValueError):
@@ -39,8 +42,58 @@ class InternalError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Instance:
+# sets a field of a Frozen value from its own __init__
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    sets them from its own ``__init__`` with ``_set``.  The base adds what a
+    value needs: ``==`` within the same class and ``hash`` by field values, a
+    ``Class(field=value, ...)`` repr, ``AttributeError`` on assignment and
+    deletion, pickle and ``copy`` support, and :meth:`replace`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # the field values as a tuple, also for a single field
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable; use replace()")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed; ``__init__`` normalises and
+        validates it as it does any new value."""
+        return self.__class__(**dict(zip(self.__slots__, self._values(self)), **changes))
+
+
+class Instance(Frozen):
     """Agents, items, and the two integer matrices that drive everything.
 
     ``valuations[i][g]`` is agent i's value for item g.  Negative entries are
@@ -55,6 +108,7 @@ class Instance:
     function, so they are safe to share across threads.
     """
 
+    __slots__ = ("agents", "items", "valuations", "impacts", "weights", "aware")
     agents: tuple[str, ...]
     items: tuple[str, ...]
     valuations: tuple[tuple[int, ...], ...]
@@ -62,17 +116,13 @@ class Instance:
     weights: tuple[int, ...]
     aware: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(
-            self, "valuations", tuple(tuple(row) for row in self.valuations)
-        )
-        object.__setattr__(
-            self, "impacts", tuple(tuple(row) for row in self.impacts)
-        )
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "aware", tuple(bool(a) for a in self.aware))
+    def __init__(self, agents, items, valuations, impacts, weights, aware) -> None:
+        _set(self, "agents", tuple(agents))
+        _set(self, "items", tuple(items))
+        _set(self, "valuations", tuple(tuple(row) for row in valuations))
+        _set(self, "impacts", tuple(tuple(row) for row in impacts))
+        _set(self, "weights", tuple(weights))
+        _set(self, "aware", tuple(bool(a) for a in aware))
 
     @property
     def n(self) -> int:
@@ -165,24 +215,41 @@ def require_goods(inst: Instance) -> None:
         )
 
 
+def exact_rational(value, what: str) -> Fraction:
+    """``value`` as an exact ``Fraction``: an ``int``, a ``Fraction`` or a
+    ``"p/q"`` string.  A ``float`` or ``bool`` raises :class:`ValidationError`,
+    because its binary value is rarely the rational meant (0.1 would be
+    3602879701896397/36028797018963968)."""
+    if isinstance(value, (bool, float)):
+        raise ValidationError(
+            f"{what} must be exact (an int, a Fraction or 'p/q'), got {value!r}"
+        )
+    from fractions import Fraction  # only callers with a rational need it
+
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad {what} {value!r}") from exc
+
+
 def require_budget(budget: int, what: str) -> None:
     """A budget or cap below 1 is invalid input, not a budget that runs out."""
     if budget < 1:
         raise ValidationError(f"{what} must be a positive integer, got {budget!r}")
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Frozen):
     """One bundle of item indices per agent; bundles are pairwise disjoint.
 
     The allocation is *complete* when the bundles cover every item.  Partial
     allocations are first-class (the allocators grow them item by item).
     """
 
+    __slots__ = ("bundles",)
     bundles: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
+    def __init__(self, bundles) -> None:
+        _set(self, "bundles", tuple(frozenset(b) for b in bundles))
 
     @classmethod
     def empty(cls, n: int) -> "Allocation":
@@ -285,27 +352,25 @@ def normalize_impacts(inst: Instance) -> Instance:
         tuple(1 if i in maxsets[g] else 0 for g in range(inst.m))
         for i in range(inst.n)
     )
-    return Instance(
-        agents=inst.agents,
-        items=inst.items,
-        valuations=inst.valuations,
-        impacts=new_impacts,
-        weights=inst.weights,
-        aware=inst.aware,
-    )
+    return inst.replace(impacts=new_impacts)
 
 
-@dataclass(frozen=True)
-class TypePartition:
+class TypePartition(Frozen):
     """Items grouped by identical maximizer sets, agents by identical maximized item sets.
 
     ``maximizer_sets[t]`` is the agent set shared by every item in
     ``item_types[t]``.
     """
 
+    __slots__ = ("item_types", "agent_types", "maximizer_sets")
     item_types: tuple[tuple[int, ...], ...]
     agent_types: tuple[tuple[int, ...], ...]
     maximizer_sets: tuple[frozenset[int], ...]
+
+    def __init__(self, item_types, agent_types, maximizer_sets) -> None:
+        _set(self, "item_types", item_types)
+        _set(self, "agent_types", agent_types)
+        _set(self, "maximizer_sets", maximizer_sets)
 
 
 def compute_types(inst: Instance) -> TypePartition:

@@ -17,7 +17,8 @@ Allocation file::
 
     {"bundles": {"a1": ["g1"], ...}}
 
-Agents may be omitted (empty bundle); bundles must be disjoint.
+Agents may be omitted (empty bundle); bundles must be disjoint and hold item
+ids, which are strings.
 
 A notion spec is a base name from {ef, ef1, sef1, wef1, swef1, efl, tef1,
 sa-empty}, optionally prefixed with ``sa-`` or ``wsa-`` (so ``sa-ef1``); the
@@ -27,11 +28,14 @@ alpha mode is selected via an explicit rational like ``1/2``.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .fairness import BASES, SA_EMPTY, Notion
 from .model import Allocation, Instance, ValidationError, make_instance
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _AGENT_KEYS = {"id", "weight", "aware"}
 _INSTANCE_KEYS = {"agents", "items", "valuations", "impacts"}
@@ -134,6 +138,8 @@ def allocation_from_obj(inst: Instance, obj) -> Allocation:
         if not isinstance(member_list, list):
             raise ValidationError(f"bundle of {agent_id!r} must be a list")
         for item_id in member_list:
+            if not isinstance(item_id, str):
+                raise ValidationError(f"bundle of {agent_id!r} holds a non-string item id")
             if item_id not in item_index:
                 raise ValidationError(f"unknown item id {item_id!r}")
             g = item_index[item_id]
@@ -174,6 +180,8 @@ def save_instance(inst: Instance, path: str | Path) -> None:
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` exactly; floats are rejected."""
+    from fractions import Fraction  # only a command with a rational needs it
+
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -215,5 +223,5 @@ def parse_notion_spec(
         return Notion(base)
     mode = modifiers[0]
     if mode == "alpha":
-        return Notion(base, "alpha", Fraction(alpha))
+        return Notion(base, "alpha", alpha)
     return Notion(base, mode)

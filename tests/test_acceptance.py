@@ -4,7 +4,7 @@ PASS/FAIL line per criterion."""
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -136,7 +136,7 @@ def test_criterion_4_oracle_equivalence():
             w = [rng.randint(1, 3) for _ in range(n)]
             inst = make_instance(vals, imps, weights=w)
             profile = tuple(rng.random() < 0.5 for _ in range(n))
-            mixed = replace(inst, aware=profile)
+            mixed = inst.replace(aware=profile)
             for base in BASES:
                 a = exact_solve(inst, Notion(base))
                 b = brute_force_solve(inst, Notion(base))

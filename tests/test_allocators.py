@@ -3,15 +3,15 @@ import random
 import pytest
 
 from fdsi.allocators import (
+    _envy_successors,
     _find_cycle,
-    build_sa_envy_graph,
-    eliminate_cycles,
+    _rotate_cycles,
     sa_efl_allocate,
     sa_efl_partials,
     sa_weighted_picking,
     two_agent_mixed_fast_path,
 )
-from fdsi.fairness import Notion, check, is_sim
+from fdsi.fairness import Notion, check, is_sim, matrices, valid_owners
 from fdsi.generators import canned, gen_random
 from fdsi.model import Allocation, GoodsOnlyError, make_instance
 from fdsi.search import enumerate_sim_allocations
@@ -88,31 +88,49 @@ class TestPicking:
                 assert check(inst, alloc, Notion(base)).fair, base
 
 
+def _envy_matrices(inst, alloc):
+    return matrices(inst, valid_owners(inst, alloc))
+
+
+def _arcs(inst, alloc, vertices):
+    """Arcs (i, j) of the awareness-filtered envy graph, ascending."""
+    succ = _envy_successors(*_envy_matrices(inst, alloc), list(vertices))
+    return tuple((i, j) for i, heads in succ.items() for j in heads)
+
+
+def _rotated(inst, alloc, vertices):
+    V, S = _envy_matrices(inst, alloc)
+    result = _rotate_cycles(alloc, V, S, list(vertices))
+    # the columns moved in place are the matrices of the result
+    assert (V, S) == _envy_matrices(inst, result)
+    return result
+
+
 class TestEnvyGraph:
     def test_empty_allocation_no_arcs(self):
         inst = make_instance(((1, 1), (1, 1)), ((1, 1), (1, 1)))
-        assert build_sa_envy_graph(inst, Allocation.empty(2), (0, 1)) == ()
+        assert _arcs(inst, Allocation.empty(2), (0, 1)) == ()
 
     def test_wsa_example_arc_absent(self):
         ex = canned("wsa-nonexistence")
-        arcs = build_sa_envy_graph(ex.instance, ex.allocation, (0, 1))
+        arcs = _arcs(ex.instance, ex.allocation, (0, 1))
         # observer 0 envies by value but has strictly less impact for the bundle
         assert (0, 1) not in arcs
 
     def test_envy_arc_present(self):
         inst = make_instance(((0, 5), (5, 0)), ((1, 1), (1, 1)))
         alloc = Allocation((frozenset({0}), frozenset({1})))
-        assert build_sa_envy_graph(inst, alloc, (0, 1)) == ((0, 1), (1, 0))
+        assert _arcs(inst, alloc, (0, 1)) == ((0, 1), (1, 0))
 
     def test_two_cycle_swap(self):
         inst = make_instance(((0, 5), (5, 0)), ((1, 1), (1, 1)))
         alloc = Allocation((frozenset({0}), frozenset({1})))
-        swapped = eliminate_cycles(inst, alloc, (0, 1))
+        swapped = _rotated(inst, alloc, (0, 1))
         assert swapped.bundles == (frozenset({1}), frozenset({0}))
 
     def test_acyclic_unchanged(self):
         ex = canned("wsa-nonexistence")
-        assert eliminate_cycles(ex.instance, ex.allocation, (0, 1)) == ex.allocation
+        assert _rotated(ex.instance, ex.allocation, (0, 1)) == ex.allocation
 
     def test_three_cycle_every_agent_gains(self):
         inst = make_instance(
@@ -121,24 +139,22 @@ class TestEnvyGraph:
         )
         alloc = Allocation.from_assignment(3, [0, 1, 2])
         before = [value_of(inst, i, alloc.bundles[i]) for i in range(3)]
-        rotated = eliminate_cycles(inst, alloc, (0, 1, 2))
+        rotated = _rotated(inst, alloc, (0, 1, 2))
         after = [value_of(inst, i, rotated.bundles[i]) for i in range(3)]
         assert all(a > b for a, b in zip(after, before))
-        assert build_sa_envy_graph(inst, rotated, (0, 1, 2)) == ()
+        assert _arcs(inst, rotated, (0, 1, 2)) == ()
 
     def test_random_elimination_never_hurts(self):
         rng = random.Random(41)
         for inst in random_instances(60, 42, 2, 4, 1, 6, 5, 5):
             alloc = random_sim_allocation(inst, rng)
             active = tuple(range(inst.n))
-            result = eliminate_cycles(inst, alloc, active)
+            result = _rotated(inst, alloc, active)
             for i in range(inst.n):
                 assert value_of(inst, i, result.bundles[i]) >= value_of(
                     inst, i, alloc.bundles[i]
                 )
-            succ = {i: [] for i in active}
-            for i, j in build_sa_envy_graph(inst, result, active):
-                succ[i].append(j)
+            succ = _envy_successors(*_envy_matrices(inst, result), list(active))
             assert _find_cycle(succ) is None
 
 

@@ -187,6 +187,20 @@ class TestCommands:
         assert main(["solve", str(inst), "ef1", "--alpha", "1/2"]) == 1
         assert main(["solve", str(inst), "ef1", "--alpha", "1/2", "--method", "exact"]) == 2
 
+    def test_empty_alpha_exit_2(self, tmp_path, capsys):
+        # an empty --alpha is a bad rational, never a plain or sa verdict
+        inst, alloc = self._gen(tmp_path, "wsa-nonexistence", alloc=True)
+        capsys.readouterr()
+        for argv in (
+            ["check", str(inst), str(alloc), "ef1", "--alpha", ""],
+            ["check", str(inst), str(alloc), "ef1", "--alpha", "", "--sa"],
+            ["solve", str(inst), "ef1", "--alpha", ""],
+            ["gen", "example", "alpha-nonexistence", "--alpha", ""],
+        ):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: bad rational '': expected p or p/q\n"
+
     def test_solve_method_must_certify_notion(self, tmp_path, capsys):
         inst, _ = self._gen(tmp_path, "bill-joe")
         # the picking output cannot satisfy plain one-removal fairness here
@@ -320,10 +334,19 @@ class TestCommands:
         "public-names": "import fdsi\n"
         "print([n for n in fdsi.__all__ if getattr(fdsi, n) is None or n not in dir(fdsi)])",
     }
+    # the exact, brute and check routes leave the polynomial allocators, the
+    # sa-empty solver and the generators unloaded
+    _LEAN = ("fdsi.allocators", "fdsi.sa_empty", "fdsi.generators")
+    # no command loads these (inspect comes with dataclasses), except that
+    # a rational alpha needs fractions
+    _STDLIB = ("dataclasses", "inspect", "fractions")
+    # argv, modules the call must not add, modules it must load
     _COMMANDS = {
-        "solve-exact": ["solve", "{inst}", "ef1", "--method", "exact"],
-        "brute-count": ["brute", "{inst}", "ef1", "--count"],
-        "check": ["check", "{inst}", "{alloc}", "sa-ef1"],
+        "solve-exact": (["solve", "{inst}", "ef1", "--method", "exact"], _LEAN + _STDLIB, ()),
+        "solve-sa": (["solve", "{inst}", "ef1", "--sa"], _STDLIB, ("fdsi.allocators",)),
+        "solve-alpha": (["solve", "{inst}", "ef1", "--alpha", "1/2"], (), ("fractions",)),
+        "brute-count": (["brute", "{inst}", "ef1", "--count"], _LEAN + _STDLIB, ()),
+        "check": (["check", "{inst}", "{alloc}", "sa-ef1"], _LEAN + _STDLIB, ()),
     }
 
     @pytest.mark.parametrize("case", [*_IMPORT_CASES, *_COMMANDS])
@@ -331,17 +354,19 @@ class TestCommands:
         if case in self._IMPORT_CASES:
             code = self._IMPORT_CASES[case]
         else:
-            # the exact, brute and check routes leave the polynomial
-            # allocators, the sa-empty solver and the generators unloaded
             inst, alloc = self._gen(tmp_path, "wsa-nonexistence", alloc=True)
-            argv = [a.format(inst=inst, alloc=alloc) for a in self._COMMANDS[case]]
+            argv, absent, present = self._COMMANDS[case]
+            argv = [a.format(inst=inst, alloc=alloc) for a in argv]
+            # what the interpreter loaded before fdsi.cli is not the command's
             code = (
                 "import contextlib, io, sys\n"
+                "before = set(sys.modules)\n"
                 "from fdsi.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    main({argv!r})\n"
-                "print([m for m in ('fdsi.allocators', 'fdsi.sa_empty', 'fdsi.generators')"
-                " if m in sys.modules])"
+                "new = set(sys.modules) - before\n"
+                f"print([m for m in {absent!r} if m in new]"
+                f" + [m for m in {present!r} if m not in sys.modules])"
             )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         done = subprocess.run(
@@ -370,6 +395,21 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: malformed JSON in ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "member", [["g1"], {"x": 1}, 1, None, True], ids=["list", "object", "int", "null", "bool"]
+    )
+    def test_non_string_item_id_exit_2(self, tmp_path, capsys, member):
+        # an item id must be a string: anything else is invalid input (exit 2),
+        # never a TypeError traceback and exit 1 ("unfair")
+        inst, _ = self._gen(tmp_path, "wsa-nonexistence")
+        bad = tmp_path / "bad-alloc.json"
+        bad.write_text(json.dumps({"bundles": {"a1": [member], "a2": ["g1", "g2", "g3"]}}))
+        capsys.readouterr()
+        assert main(["check", str(inst), str(bad), "ef1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bundle of 'a1' holds a non-string item id\n"
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -363,6 +363,17 @@ class TestAgainstNaive:
         with pytest.raises(ValidationError):
             Notion("sa-empty", "sa")
 
+    def test_alpha_must_be_exact(self):
+        # a float is rarely the rational meant (0.1 is 3602879701896397/2**55),
+        # and a bool is no rational at all
+        for bad in (0.1, 0.5, 1.0, True, False, "x", "1/0", [1]):
+            with pytest.raises(ValidationError):
+                Notion("ef1", "alpha", bad)
+        for good, expected in ((1, Fraction(1)), (0, Fraction(0)),
+                               (Fraction(1, 3), Fraction(1, 3)), ("1/3", Fraction(1, 3))):
+            alpha = Notion("ef1", "alpha", good).alpha
+            assert type(alpha) is Fraction and alpha == expected
+
 
 def _naive_witness(inst, alloc, notion):
     """(observer, target) of the first failing pair by the literal

@@ -71,6 +71,15 @@ class TestAlphaGadget:
         with pytest.raises(ValidationError):
             gen_alpha_sa((1, 1), Fraction(1))
 
+    def test_float_alpha_rejected(self):
+        # 0.1 would become 3602879701896397/2**55 and blow up the impacts
+        for bad in (0.1, 0.5, True):
+            with pytest.raises(ValidationError):
+                gen_alpha_sa((1, 1), bad)
+            with pytest.raises(ValidationError):
+                canned("alpha-nonexistence", alpha=bad)
+        assert gen_alpha_sa((1, 1), "1/2") == gen_alpha_sa((1, 1), Fraction(1, 2))
+
     @pytest.mark.parametrize(
         "alpha",
         [Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4), Fraction(2, 5)],

@@ -1,14 +1,20 @@
+import copy
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi.fairness import Notion, check, matrices
-from fdsi.generators import canned, gen_random
+from fdsi.fairness import Notion, Verdict, Witness, check, matrices
+from fdsi.generators import CannedExample, RX3CInput, canned, gen_random
 from fdsi.model import (
     Allocation,
+    Frozen,
     IncompleteAllocationError,
+    Instance,
+    TypePartition,
     ValidationError,
     compute_types,
     impact_maximizers,
@@ -221,3 +227,150 @@ class TestValidation:
     def test_goods_flag(self):
         assert not is_goods(canned("chores-roundrobin").instance)
         assert is_goods(WSA)
+
+
+# per value class: a builder (called twice for a field-equal twin), a field to
+# replace, the value given and the value __init__ stores for it
+_VALUE_CASES = {
+    "Instance": (
+        lambda: make_instance(((1, 2), (3, 4)), ((1, 0), (0, 1))),
+        "aware", [1, 0], (True, False),
+    ),
+    "Allocation": (
+        lambda: Allocation([{0}, set()]),
+        "bundles", [[1], {0}], (frozenset({1}), frozenset({0})),
+    ),
+    "TypePartition": (
+        lambda: compute_types(make_instance(((1, 1), (1, 1)), ((1, 0), (0, 1)))),
+        "agent_types", ((0, 1),), ((0, 1),),
+    ),
+    "Notion": (
+        lambda: Notion("ef1", "alpha", Fraction(1, 2)),
+        "alpha", "1/3", Fraction(1, 3),
+    ),
+    "Witness": (
+        lambda: Witness("ef1", observer=0, target=1, item=2),
+        "item", None, None,
+    ),
+    "Verdict": (
+        lambda: Verdict(False, Witness("sim", item=0)),
+        "fair", True, True,
+    ),
+    "RX3CInput": (
+        lambda: RX3CInput(universe_size=3, triples=[[0, 1, 2]]),
+        "triples", [(2, 1, 0), [3, 4, 5]], (frozenset({0, 1, 2}), frozenset({3, 4, 5})),
+    ),
+    "CannedExample": (
+        lambda: canned("bill-joe"),
+        "allocation", None, None,
+    ),
+}
+_REPR_NAMES = {
+    "Allocation": Allocation, "CannedExample": CannedExample, "Fraction": Fraction,
+    "Instance": Instance, "Notion": Notion, "RX3CInput": RX3CInput,
+    "TypePartition": TypePartition, "Verdict": Verdict, "Witness": Witness,
+}
+
+
+@pytest.mark.parametrize("name", _VALUE_CASES)
+class TestValueClasses:
+    def test_class_and_slots(self, name):
+        value = _VALUE_CASES[name][0]()
+        assert type(value).__name__ == name and isinstance(value, Frozen)
+        assert not hasattr(value, "__dict__")
+
+    def test_equality_and_hash_by_value(self, name):
+        build, field, new, _ = _VALUE_CASES[name]
+        a, b = build(), build()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != a.replace(**{field: new})
+
+    def test_equality_only_within_the_class(self, name):
+        a = _VALUE_CASES[name][0]()
+        cls = type(a)
+        # a class with the same fields and constructor, but another class
+        twin_cls = type("Twin", (Frozen,), {"__slots__": cls.__slots__, "__init__": cls.__init__})
+        twin = twin_cls(*(getattr(a, f) for f in cls.__slots__))
+        assert a != twin and twin != a
+        for other, (build, *_) in _VALUE_CASES.items():
+            if other != name:
+                assert a != build()
+        assert a != tuple(getattr(a, f) for f in cls.__slots__)
+
+    def test_assignment_and_deletion_raise(self, name):
+        a = _VALUE_CASES[name][0]()
+        before = repr(a)
+        for field in type(a).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(a, field, None)
+            with pytest.raises(AttributeError):
+                delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert repr(a) == before
+
+    def test_repr_by_field_values(self, name):
+        a = _VALUE_CASES[name][0]()
+        fields = type(a).__slots__
+        assert repr(a).startswith(f"{name}({fields[0]}=")
+        assert eval(repr(a), dict(_REPR_NAMES)) == a
+
+    def test_pickle_and_copy_round_trips(self, name):
+        a = _VALUE_CASES[name][0]()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            b = pickle.loads(pickle.dumps(a, protocol))
+            assert type(b) is type(a) and b == a
+        for b in (copy.copy(a), copy.deepcopy(a)):
+            assert type(b) is type(a) and b == a
+
+    def test_replace_reruns_init(self, name):
+        build, field, new, stored = _VALUE_CASES[name]
+        a = build()
+        b = a.replace(**{field: new})
+        assert type(b) is type(a) and getattr(b, field) == stored
+        for other in type(a).__slots__:
+            if other != field:
+                assert getattr(b, other) == getattr(a, other)
+        assert a == build()  # the original is untouched
+        assert a.replace() == a
+        with pytest.raises(TypeError):
+            a.replace(no_such_field=1)
+
+
+class TestValueClassContracts:
+    def test_positional_keyword_and_defaults(self):
+        assert Notion("ef1") == Notion(base="ef1", awareness=None, alpha=None)
+        assert Witness("r") == Witness(reason="r", observer=None, target=None, item=None)
+        assert Verdict(True) == Verdict(fair=True, witness=None)
+        assert Allocation([[0]]) == Allocation(bundles=[[0]])
+        assert RX3CInput(3, [[0, 1, 2]]) == RX3CInput(universe_size=3, triples=[[0, 1, 2]])
+
+    def test_reprs(self):
+        assert repr(Verdict(True)) == "Verdict(fair=True, witness=None)"
+        assert repr(Witness("sim", item=0)) == (
+            "Witness(reason='sim', observer=None, target=None, item=0)"
+        )
+        assert repr(Notion("ef1", "alpha", "1/2")) == (
+            "Notion(base='ef1', awareness='alpha', alpha=Fraction(1, 2))"
+        )
+
+    def test_instance_replace_normalises_awareness(self):
+        inst = make_instance(((1, 2), (3, 4)), ((1, 0), (0, 1)))
+        mixed = inst.replace(aware=[1, 0])
+        assert mixed.aware == (True, False)
+        assert all(type(flag) is bool for flag in mixed.aware)
+        assert mixed.valuations == inst.valuations and inst.aware == (True, True)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValidationError):
+            Notion("ef1", "alpha", 1).replace(awareness="sa")
+        assert Notion("ef1", "alpha", 1).replace(awareness="sa", alpha=None) == Notion("ef1", "sa")
+
+    def test_hash_matches_field_tuple(self):
+        # hash by the tuple of field values, as for a frozen dataclass, so
+        # sets and dicts of values keep their order
+        assert hash(Notion("ef1", "sa")) == hash(("ef1", "sa", None))
+        bundles = (frozenset({0}), frozenset())
+        assert hash(Allocation(bundles)) == hash((bundles,))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -472,7 +471,7 @@ class TestOracleEquivalenceSmoke:
         rng = random.Random(81)
         for k, inst in enumerate(random_instances(40, 82, 2, 3, 1, 6, 5, 5, 3)):
             profile = tuple(rng.random() < 0.5 for _ in range(inst.n))
-            mixed = replace(inst, aware=profile)
+            mixed = inst.replace(aware=profile)
             for base, (judged, mode) in product(BASES, ((inst, None), (mixed, "sa"))):
                 notion = Notion(base, mode)
                 exact = exact_solve(judged, notion)
@@ -522,7 +521,7 @@ class TestOracleScanDifferential:
     def test_count_and_first_answer_match_naive(self, case):
         inst, notion, profile, require_sim = case
         if profile is not None:
-            inst = replace(inst, aware=profile)
+            inst = inst.replace(aware=profile)
             if notion.base != "sa-empty":
                 notion = Notion(notion.base, "sa")
         if require_sim:
