@@ -5,8 +5,9 @@ verdict table.  No arguments; everything is deterministic."""
 from fractions import Fraction
 
 from fdsi.allocators import sa_efl_allocate, sa_weighted_picking
+from fdsi.cli import CANNED_NAMES
 from fdsi.fairness import Notion, check, is_sim
-from fdsi.generators import CANNED_NAMES, canned
+from fdsi.generators import canned
 from fdsi.model import is_goods
 from fdsi.search import brute_force_solve
 

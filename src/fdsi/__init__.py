@@ -24,13 +24,12 @@ _EXPORTS = {
     "make_instance": "model",
     "normalize_impacts": "model",
     "total_social_impact": "model",
-    "validate": "model",
     "validate_allocation": "model",
     "Notion": "fairness",
     "Verdict": "fairness",
     "Witness": "fairness",
+    "certify": "fairness",
     "check": "fairness",
-    "is_sa_empty": "fairness",
     "is_sim": "fairness",
     "sa_efl_allocate": "allocators",
     "sa_weighted_picking": "allocators",

@@ -15,15 +15,14 @@ import argparse
 import sys
 
 from . import search, serialize
-from .fairness import SA_EMPTY, Notion, Verdict, check as check_notion, is_sim
+from .fairness import SA_EMPTY, Notion, Verdict, certify, check as check_notion, is_sim
 from .model import (
     Allocation,
     BudgetExceededError,
     Instance,
     InternalError,
     ValidationError,
-    is_complete,
-    validate_allocation,
+    exact_rational,
 )
 
 EXIT_OK = 0
@@ -32,8 +31,8 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# the examples ``generators.canned`` builds; kept here, not in the generators,
-# so that building the parser does not import them
+# the examples ``generators.canned`` builds, in the order of its builders; kept
+# here, not in the generators, so that building the parser does not import them
 CANNED_NAMES = (
     "bill-joe",
     "unaware-nonexistence",
@@ -61,7 +60,7 @@ def _witness_obj(inst: Instance, verdict: Verdict):
 
 def _notion_from_args(args) -> Notion:
     # an empty --alpha is a bad rational, not a missing one
-    alpha = None if args.alpha is None else serialize.parse_rational(args.alpha)
+    alpha = None if args.alpha is None else exact_rational(args.alpha, "rational")
     return serialize.parse_notion_spec(
         args.notion, sa=args.sa, alpha=alpha, wsa=args.wsa
     )
@@ -88,13 +87,8 @@ def _add_notion_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_check(args) -> int:
     inst = serialize.load_instance(args.instance)
     alloc = serialize.load_allocation(inst, args.allocation)
-    errors = validate_allocation(inst, alloc)
-    if errors:
-        raise ValidationError("; ".join(errors))
-    if not is_complete(inst, alloc):
-        raise ValidationError("allocation does not cover every item")
+    sim = is_sim(inst, alloc)  # rejects an incomplete allocation first
     notion = _notion_from_args(args)
-    sim = is_sim(inst, alloc)
     verdict = check_notion(inst, alloc, notion)
     print(
         serialize.dumps(
@@ -108,10 +102,6 @@ def _cmd_check(args) -> int:
     )
     ok = verdict.fair and (sim.fair or not args.require_sim)
     return EXIT_OK if ok else EXIT_NEGATIVE
-
-
-def _satisfies(inst: Instance, alloc: Allocation, notion: Notion) -> bool:
-    return is_sim(inst, alloc).fair and check_notion(inst, alloc, notion).fair
 
 
 def _solve_sa_empty(inst: Instance, args) -> Allocation | None:
@@ -149,7 +139,7 @@ def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
             # base "ef" has no existence guarantee even with awareness
         elif notion.base == "ef1":
             candidate = allocators.two_agent_mixed_fast_path(inst)
-        if candidate is not None and _satisfies(inst, candidate, notion):
+        if candidate is not None and certify(inst, candidate, notion).fair:
             return candidate
     return search.exact_solve(inst, notion, state_budget=args.state_budget)
 
@@ -168,7 +158,7 @@ def _cmd_solve(args) -> int:
             if method == "picking"
             else allocators.sa_efl_allocate(inst)
         )
-        if not _satisfies(inst, alloc, notion):
+        if not certify(inst, alloc, notion).fair:
             raise ValidationError(
                 f"method {method} does not certify {notion.label()} on this "
                 "instance; use the exact or brute method"
@@ -176,9 +166,7 @@ def _cmd_solve(args) -> int:
     elif method == "exact":
         alloc = search.exact_solve(inst, notion, state_budget=args.state_budget)
     elif method == "brute":
-        alloc = search.brute_force_solve(
-            inst, notion, require_sim=args.require_sim, cap=args.brute_cap
-        )
+        alloc = search.brute_force_solve(inst, notion, cap=args.brute_cap)
     elif method == "sa-empty":
         if notion.base != SA_EMPTY:
             raise ValidationError("method sa-empty only solves the sa-empty notion")
@@ -230,7 +218,7 @@ def _cmd_gen(args) -> int:
         inst = generators.gen_mixed_awareness(_parse_weights(args.weights))
     elif args.generator == "alpha":
         inst = generators.gen_alpha_sa(
-            _parse_weights(args.weights), serialize.parse_rational(args.alpha)
+            _parse_weights(args.weights), exact_rational(args.alpha, "rational")
         )
     elif args.generator == "wsa":
         inst = generators.gen_wsa(_parse_weights(args.weights))
@@ -244,7 +232,7 @@ def _cmd_gen(args) -> int:
             _parse_matrix(args.valuations), tef1=args.tef1
         )
     elif args.generator == "example":
-        alpha = serialize.parse_rational("1/2" if args.alpha is None else args.alpha)
+        alpha = exact_rational("1/2" if args.alpha is None else args.alpha, "rational")
         example = generators.canned(args.name, alpha=alpha)
         inst, allocation = example.instance, example.allocation
     elif args.generator == "random":
@@ -269,21 +257,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_brute(args) -> int:
     inst = serialize.load_instance(args.instance)
-    # "any" accepts every candidate: its count needs no scan
+    # "any" accepts every candidate, so it needs no scan and takes no modifier
     notion = None if args.notion == "any" else _notion_from_args(args)
+    if notion is None and (args.sa or args.wsa or args.alpha is not None):
+        raise ValidationError("notion any takes no awareness modifier")
     if args.count:
         total = search.brute_force_count(
             inst, notion, require_sim=args.require_sim, cap=args.cap
         )
         print(serialize.dumps({"count": total}), end="")
         return EXIT_OK
-    if notion is None:
-        columns = search.candidate_columns(inst, args.require_sim)
-        alloc = Allocation.from_assignment(inst.n, [col[0] for col in columns])
-    else:
-        alloc = search.brute_force_solve(
-            inst, notion, require_sim=args.require_sim, cap=args.cap
-        )
+    alloc = search.brute_force_solve(inst, notion, require_sim=args.require_sim, cap=args.cap)
     if alloc is None:
         return EXIT_NEGATIVE
     print(serialize.dumps(serialize.allocation_to_obj(inst, alloc)), end="")
@@ -321,13 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--state-budget", type=_positive_int, default=None)
     p_solve.add_argument("--brute-cap", type=_positive_int, default=search.DEFAULT_BRUTE_CAP)
     p_solve.add_argument("--node-budget", type=_positive_int, default=None)
-    p_solve.add_argument(
-        "--no-require-sim",
-        dest="require_sim",
-        action="store_false",
-        help="brute method only: drop the impact-maximization restriction",
-    )
-    p_solve.set_defaults(func=_cmd_solve, require_sim=True)
+    p_solve.set_defaults(func=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)

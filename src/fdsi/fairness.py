@@ -19,7 +19,8 @@ s_i(A_j) < alpha * s_j(A_j) for a rational alpha in [0, 1]; ``wsa`` instead
 bounds proportional value gain by proportional impact gain,
 v_i(A_j) * s_i(A_j) <= v_i(A_i) * s_j(A_j).  Agents whose ``aware`` flag is
 off never get an override.  The standalone notion ``sa-empty`` demands that
-every non-empty bundle strictly impact-dominates all other agents.
+every non-empty bundle strictly impact-dominates all other agents: for each
+ordered pair (i, j) with i != j, A_j is empty or s_i(A_j) < s_j(A_j).
 
 Every notion is stated once, in matrix form.  For a complete or partial
 allocation, ``matrices`` builds ``V[i][j] = v_i(A_j)`` and
@@ -379,10 +380,12 @@ def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
     )
 
 
-def is_sa_empty(inst: Instance, alloc: Allocation) -> Verdict:
-    """Every non-empty bundle must strictly impact-dominate all other agents.
+def certify(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
+    """The full answer check: the :func:`is_sim` verdict when the allocation
+    does not maximize impact, else the :func:`check` verdict for ``notion``.
 
-    Fair iff for each ordered pair (i, j) with i != j either A_j is empty or
-    s_i(A_j) < s_j(A_j).
+    Every solver re-checks its answer here; a failing verdict's witness
+    reason is ``sim`` or the notion's label.
     """
-    return check(inst, alloc, Notion(SA_EMPTY))
+    sim = is_sim(inst, alloc)
+    return check(inst, alloc, notion) if sim.fair else sim

@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from .cli import CANNED_NAMES  # noqa: F401  (the parser lists the same names)
 from .model import (
     Allocation,
     Frozen,
@@ -287,61 +286,56 @@ class CannedExample(Frozen):
         _set(self, "allocation", allocation)
 
 
+def _alpha_nonexistence(alpha) -> tuple:
+    alpha = exact_rational(alpha, "alpha")
+    if not (0 <= alpha < 1):
+        raise ValidationError("alpha must lie in [0, 1)")
+    p, q = alpha.numerator, alpha.denominator
+    return make_instance(((1, 1), (1, 1)), ((q, q), (p, p))), ({0, 1}, ())
+
+
+# name -> builder of (instance, reference bundles) from the alpha argument,
+# in the order of ``cli.CANNED_NAMES``
+CANNED = {
+    "bill-joe": lambda alpha: (
+        make_instance(((1, 1), (1, 1)), ((10, 10), (1, 1)), agents=("bill", "joe")),
+        ({0, 1}, ()),
+    ),
+    "unaware-nonexistence": lambda alpha: (
+        make_instance(((10, 10), (10, 10)), ((0, 0), (1, 1)), aware=(False, True)),
+        ((), {0, 1}),
+    ),
+    "alpha-nonexistence": _alpha_nonexistence,
+    "wsa-nonexistence": lambda alpha: (
+        make_instance(((1, 5, 5), (5, 5, 1)), ((1, 1, 0), (0, 1, 1))),
+        ({0}, {1, 2}),
+    ),
+    "tef1-vs-ef1": lambda alpha: (
+        make_instance(((1, 1), (1, 1)), ((0, 0), (1, 1))),
+        ((), {0, 1}),
+    ),
+    "sim-unfair": lambda alpha: (
+        make_instance(((1, 1), (1, 1)), ((1, 1), (1, 1))),
+        ({0, 1}, ()),
+    ),
+    # data-only: chores are storable but every checker/allocator rejects them
+    "chores-roundrobin": lambda alpha: (
+        make_instance(
+            ((-100, -100, -1, -1, -1), (-100, -100, -1, -1, -1)),
+            ((1, 1, 0, 0, 0), (1, 1, 1, 1, 1)),
+        ),
+        ({0, 1}, {2, 3, 4}),
+    ),
+}
+
+
 def canned(name: str, *, alpha: Fraction = Fraction(1, 2)) -> CannedExample:
     """Bit-exact fixture instances, with a reference allocation when one is
     pinned down by the construction."""
-    if name == "bill-joe":
-        inst = make_instance(
-            valuations=((1, 1), (1, 1)),
-            impacts=((10, 10), (1, 1)),
-            agents=("bill", "joe"),
-        )
-        return CannedExample(name, inst, Allocation((frozenset({0, 1}), frozenset())))
-    if name == "unaware-nonexistence":
-        inst = make_instance(
-            valuations=((10, 10), (10, 10)),
-            impacts=((0, 0), (1, 1)),
-            aware=(False, True),
-        )
-        return CannedExample(name, inst, Allocation((frozenset(), frozenset({0, 1}))))
-    if name == "alpha-nonexistence":
-        alpha = exact_rational(alpha, "alpha")
-        if not (0 <= alpha < 1):
-            raise ValidationError("alpha must lie in [0, 1)")
-        p, q = alpha.numerator, alpha.denominator
-        inst = make_instance(
-            valuations=((1, 1), (1, 1)),
-            impacts=((q, q), (p, p)),
-        )
-        return CannedExample(name, inst, Allocation((frozenset({0, 1}), frozenset())))
-    if name == "wsa-nonexistence":
-        inst = make_instance(
-            valuations=((1, 5, 5), (5, 5, 1)),
-            impacts=((1, 1, 0), (0, 1, 1)),
-        )
-        return CannedExample(name, inst, Allocation((frozenset({0}), frozenset({1, 2}))))
-    if name == "tef1-vs-ef1":
-        inst = make_instance(
-            valuations=((1, 1), (1, 1)),
-            impacts=((0, 0), (1, 1)),
-        )
-        return CannedExample(name, inst, Allocation((frozenset(), frozenset({0, 1}))))
-    if name == "sim-unfair":
-        inst = make_instance(
-            valuations=((1, 1), (1, 1)),
-            impacts=((1, 1), (1, 1)),
-        )
-        return CannedExample(name, inst, Allocation((frozenset({0, 1}), frozenset())))
-    if name == "chores-roundrobin":
-        # data-only: chores are storable but every checker/allocator rejects them
-        inst = make_instance(
-            valuations=((-100, -100, -1, -1, -1), (-100, -100, -1, -1, -1)),
-            impacts=((1, 1, 0, 0, 0), (1, 1, 1, 1, 1)),
-        )
-        return CannedExample(
-            name, inst, Allocation((frozenset({0, 1}), frozenset({2, 3, 4})))
-        )
-    raise ValidationError(f"unknown canned instance {name!r}")
+    if name not in CANNED:
+        raise ValidationError(f"unknown canned instance {name!r}")
+    inst, bundles = CANNED[name](alpha)
+    return CannedExample(name, inst, Allocation(bundles))
 
 
 def gen_random(

@@ -104,6 +104,9 @@ class Instance(Frozen):
     notions, and ``aware`` marks which agents apply the social-awareness
     override.
 
+    The constructor checks every invariant and raises :class:`ValidationError`
+    naming each violated one, so every instance is valid, however it was
+    built: directly, by :func:`make_instance`, ``replace``, pickle or copy.
     Instances are immutable values; every operation on them is a pure
     function, so they are safe to share across threads.
     """
@@ -123,6 +126,9 @@ class Instance(Frozen):
         _set(self, "impacts", tuple(tuple(row) for row in impacts))
         _set(self, "weights", tuple(weights))
         _set(self, "aware", tuple(bool(a) for a in aware))
+        errors = _validate(self)
+        if errors:
+            raise ValidationError("; ".join(errors))
 
     @property
     def n(self) -> int:
@@ -142,10 +148,8 @@ def make_instance(
     agents: Sequence[str] | None = None,
     items: Sequence[str] | None = None,
 ) -> Instance:
-    """Build a validated :class:`Instance`, filling in default names/weights.
-
-    Raises :class:`ValidationError` listing every violated invariant.
-    """
+    """Build an :class:`Instance`, filling in default names, unit weights and
+    full awareness."""
     n = len(valuations)
     m = len(valuations[0]) if n else 0
     if agents is None:
@@ -156,24 +160,20 @@ def make_instance(
         weights = (1,) * n
     if aware is None:
         aware = (True,) * n
-    inst = Instance(
-        agents=tuple(agents),
-        items=tuple(items),
-        valuations=valuations,
-        impacts=impacts,
-        weights=weights,
-        aware=aware,
-    )
-    errors = validate(inst)
-    if errors:
-        raise ValidationError("; ".join(errors))
-    return inst
+    return Instance(agents, items, valuations, impacts, weights, aware)
 
 
-def validate(inst: Instance) -> list[str]:
-    """Check every instance invariant; return the list of violations (empty if ok)."""
+def _ints(values) -> bool:
+    """Is every value an ``int`` and none a ``bool``?  Decided once per
+    distinct type, so a long row of ints costs one C-level pass."""
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
+
+
+def _validate(inst: Instance) -> list[str]:
+    """Every violated instance invariant (empty if none).  Reads the fields
+    only, so it holds for any class with the fields of :class:`Instance`."""
     errors: list[str] = []
-    n, m = inst.n, inst.m
+    n, m = len(inst.agents), len(inst.items)
     if n < 1:
         errors.append("instance needs at least one agent")
     if len(set(inst.agents)) != n:
@@ -187,16 +187,13 @@ def validate(inst: Instance) -> list[str]:
         for i, row in enumerate(matrix):
             if len(row) != m:
                 errors.append(f"{name} row {i} has {len(row)} entries, expected {m}")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    errors.append(f"{name} row {i} contains a non-integer entry")
-                    break
-    for i, row in enumerate(inst.impacts):
-        if len(row) == m and any(x < 0 for x in row):
-            errors.append(f"impacts row {i} has a negative entry")
+            if not _ints(row):
+                errors.append(f"{name} row {i} contains a non-integer entry")
+            elif name == "impacts" and min(row, default=0) < 0:
+                errors.append(f"impacts row {i} has a negative entry")
     if len(inst.weights) != n:
         errors.append(f"weights has {len(inst.weights)} entries, expected {n}")
-    elif any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in inst.weights):
+    elif not (_ints(inst.weights) and min(inst.weights, default=1) >= 1):
         errors.append("weights must be integers >= 1")
     if len(inst.aware) != n:
         errors.append(f"aware has {len(inst.aware)} entries, expected {n}")
@@ -217,9 +214,10 @@ def require_goods(inst: Instance) -> None:
 
 def exact_rational(value, what: str) -> Fraction:
     """``value`` as an exact ``Fraction``: an ``int``, a ``Fraction`` or a
-    ``"p/q"`` string.  A ``float`` or ``bool`` raises :class:`ValidationError`,
-    because its binary value is rarely the rational meant (0.1 would be
-    3602879701896397/36028797018963968)."""
+    string ``p`` or ``p/q`` of integers.  A ``float`` or ``bool`` raises
+    :class:`ValidationError`, because its binary value is rarely the rational
+    meant (0.1 would be 3602879701896397/36028797018963968), and so does a
+    string in any other form, such as ``"0.5"`` or ``"1e-1"``."""
     if isinstance(value, (bool, float)):
         raise ValidationError(
             f"{what} must be exact (an int, a Fraction or 'p/q'), got {value!r}"
@@ -227,9 +225,11 @@ def exact_rational(value, what: str) -> Fraction:
     from fractions import Fraction  # only callers with a rational need it
 
     try:
+        if isinstance(value, str):
+            return Fraction(*map(int, value.split("/", 1)))
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad {what} {value!r}") from exc
+        raise ValidationError(f"bad {what} {value!r}: expected p or p/q") from exc
 
 
 def require_budget(budget: int, what: str) -> None:
@@ -288,6 +288,9 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
         return errors
     seen: dict[int, int] = {}
     for i, bundle in enumerate(alloc.bundles):
+        if not _ints(bundle):
+            errors.append(f"bundle of agent {i} holds a non-integer item")
+            continue
         for g in bundle:
             if not (0 <= g < inst.m):
                 errors.append(f"bundle of agent {i} references unknown item {g}")

@@ -189,9 +189,10 @@ def solve_sa_empty(
             if counts is None:
                 continue
             alloc = _materialize(inst, types, guess, counts)
-            if not fairness.is_sim(inst, alloc).fair:
-                raise InternalError("sa-empty solver built a non-maximizing allocation")
-            if not fairness.is_sa_empty(inst, alloc).fair:
-                raise InternalError("sa-empty solver built a failing allocation")
+            verdict = fairness.certify(inst, alloc, fairness.Notion(fairness.SA_EMPTY))
+            if not verdict.fair:
+                raise InternalError(
+                    f"sa-empty solver built an allocation that fails {verdict.witness.reason}"
+                )
             return alloc
     return None

@@ -39,7 +39,7 @@ only for the answer it returns.  ``brute_force_solve`` and
 The walk keeps one set of created states per layer and never enters a state
 twice, and it tries successors in a fixed order, so the allocation it returns
 (the first accepting path in that order) is reproducible.  That allocation is
-always re-checked against the reference checkers, and a failed re-check
+always re-checked by ``fairness.certify``, and a failed re-check
 raises :class:`InternalError` (not an assert, so it also holds under
 ``python -O``); a negative answer means no accepting path exists.
 """
@@ -332,18 +332,10 @@ def exact_solve(
     if len(owners) < m:
         return None
     alloc = Allocation.from_assignment(n, owners)
-    _verify(inst, notion, alloc)
+    verdict = fairness.certify(inst, alloc, notion)
+    if not verdict.fair:
+        raise InternalError(f"search accepted an allocation that fails {verdict.witness.reason}")
     return alloc
-
-
-def _verify(inst: Instance, notion: Notion, alloc: Allocation) -> None:
-    """Re-check a reconstructed allocation against the reference checkers."""
-    if not fairness.is_sim(inst, alloc).fair:
-        raise InternalError("search produced a non-maximizing allocation")
-    if not fairness.check(inst, alloc, notion).fair:
-        raise InternalError(
-            f"search accepted a state whose allocation fails {notion.label()}"
-        )
 
 
 def candidate_columns(inst: Instance, require_sim: bool = True) -> list[tuple[int, ...]]:
@@ -418,7 +410,7 @@ def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int):
 
 def brute_force_solve(
     inst: Instance,
-    notion: Notion,
+    notion: Notion | None,
     *,
     require_sim: bool = True,
     cap: int = DEFAULT_BRUTE_CAP,
@@ -429,10 +421,14 @@ def brute_force_solve(
     With ``require_sim`` (the default) only impact-maximizing allocations are
     scanned, so the result is impact maximizing by construction; otherwise
     all n**m complete allocations are scanned and only the fairness check is
-    applied.  Raises :class:`BudgetExceededError` when the candidate count
-    exceeds ``cap``.
+    applied.  ``notion=None`` accepts every candidate, so the first one is
+    returned without a scan.  Raises :class:`BudgetExceededError` when the
+    candidate count of a scan exceeds ``cap``.
     """
-    owners = next(_scan(inst, notion, require_sim, cap), None)
+    if notion is None:
+        owners = [col[0] for col in candidate_columns(inst, require_sim)]
+    else:
+        owners = next(_scan(inst, notion, require_sim, cap), None)
     return None if owners is None else Allocation.from_assignment(inst.n, owners)
 
 

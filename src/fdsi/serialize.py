@@ -31,8 +31,8 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fairness import BASES, SA_EMPTY, Notion
-from .model import Allocation, Instance, ValidationError, make_instance
+from .fairness import SA_EMPTY, Notion
+from .model import Allocation, Instance, ValidationError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,12 +40,6 @@ if TYPE_CHECKING:
 _AGENT_KEYS = {"id", "weight", "aware"}
 _INSTANCE_KEYS = {"agents", "items", "valuations", "impacts"}
 _ALLOCATION_KEYS = {"bundles"}
-
-
-def _require_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be an integer")
-    return value
 
 
 def instance_to_obj(inst: Instance) -> dict:
@@ -83,7 +77,7 @@ def instance_from_obj(obj) -> Instance:
         if "id" not in entry or not isinstance(entry["id"], str):
             raise ValidationError("each agent needs a string id")
         ids.append(entry["id"])
-        weights.append(_require_int(entry.get("weight", 1), "agent weight"))
+        weights.append(entry.get("weight", 1))
         flag = entry.get("aware", True)
         if not isinstance(flag, bool):
             raise ValidationError("agent aware flag must be a boolean")
@@ -98,17 +92,8 @@ def instance_from_obj(obj) -> Instance:
             not isinstance(row, list) for row in matrix
         ):
             raise ValidationError(f"{key} must be a list of rows")
-        for row in matrix:
-            for x in row:
-                _require_int(x, f"{key} entry")
-    return make_instance(
-        tuple(tuple(row) for row in obj["valuations"]),
-        tuple(tuple(row) for row in obj["impacts"]),
-        weights=tuple(weights),
-        aware=tuple(aware),
-        agents=tuple(ids),
-        items=tuple(obj["items"]),
-    )
+    # the constructor checks the shapes and entries
+    return Instance(ids, obj["items"], obj["valuations"], obj["impacts"], weights, aware)
 
 
 def allocation_to_obj(inst: Instance, alloc: Allocation) -> dict:
@@ -178,19 +163,6 @@ def save_instance(inst: Instance, path: str | Path) -> None:
     Path(path).write_text(dumps(instance_to_obj(inst)), encoding="utf-8")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` exactly; floats are rejected."""
-    from fractions import Fraction  # only a command with a rational needs it
-
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational {text!r}: expected p or p/q") from exc
-
-
 def parse_notion_spec(
     text: str,
     *,
@@ -217,8 +189,6 @@ def parse_notion_spec(
         modifiers.append(prefix)
     if len(modifiers) > 1:
         raise ValidationError("awareness modifiers are mutually exclusive")
-    if base not in BASES + (SA_EMPTY,):
-        raise ValidationError(f"unknown notion base {base!r}")
     if not modifiers:
         return Notion(base)
     mode = modifiers[0]

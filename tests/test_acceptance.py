@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from fdsi.allocators import sa_efl_allocate, sa_weighted_picking
-from fdsi.fairness import BASES, Notion, check, is_sa_empty, is_sim
+from fdsi.fairness import BASES, Notion, certify, check, is_sim
 from fdsi.generators import (
     RX3CInput,
     canned,
@@ -357,7 +357,7 @@ def test_criterion_9_sa_empty_solver():
             brute = brute_force_solve(inst, Notion("sa-empty"))
             assert (fpt is None) == (brute is None)
             if fpt is not None:
-                assert is_sim(inst, fpt).fair and is_sa_empty(inst, fpt).fair
+                assert certify(inst, fpt, Notion("sa-empty")).fair
             clones = {
                 i for cls in types.agent_types if len(cls) > 1 for i in cls
             }
@@ -366,7 +366,7 @@ def test_criterion_9_sa_empty_solver():
                     assert brute.bundles[i] == frozenset()
             if clones and brute_force_count(inst, None) <= 2000:
                 for alloc in enumerate_sim_allocations(inst):
-                    if is_sa_empty(inst, alloc).fair:
+                    if check(inst, alloc, Notion("sa-empty")).fair:
                         for i in clones:
                             assert alloc.bundles[i] == frozenset()
             if kept == CFG.sa_empty_instances:

@@ -5,24 +5,22 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi import fairness
-from fdsi.cli import main
-from fdsi.fairness import Notion, check, is_sim
-from fdsi.generators import CANNED_NAMES, canned, gen_partition_ef1, gen_random
-from fdsi.model import Allocation, ValidationError, make_instance
+from fdsi import fairness, generators
+from fdsi.cli import CANNED_NAMES, main
+from fdsi.fairness import Notion, Verdict, Witness, check, is_sim
+from fdsi.generators import canned, gen_partition_ef1, gen_random
+from fdsi.model import Allocation, ValidationError, exact_rational, make_instance
 from fdsi.serialize import (
     allocation_from_obj,
     allocation_to_obj,
     instance_from_obj,
     instance_to_obj,
     parse_notion_spec,
-    parse_rational,
     save_instance,
 )
 
@@ -94,9 +92,8 @@ class TestNotionSpecs:
 
     def test_flags(self):
         assert parse_notion_spec("ef1", sa=True) == Notion("ef1", "sa")
-        assert parse_notion_spec("swef1", alpha=parse_rational("1/2")) == Notion(
-            "swef1", "alpha", parse_rational("1/2")
-        )
+        half = exact_rational("1/2", "rational")
+        assert parse_notion_spec("swef1", alpha=half) == Notion("swef1", "alpha", half)
 
     def test_mutually_exclusive(self):
         with pytest.raises(ValidationError):
@@ -109,10 +106,22 @@ class TestNotionSpecs:
             parse_notion_spec("efx")
 
     def test_rationals(self):
-        assert parse_rational("1/2") == parse_rational("2/4")
-        assert parse_rational("1") == 1
+        assert exact_rational("1/2", "rational") == exact_rational("2/4", "rational")
+        assert exact_rational("1", "rational") == 1
         with pytest.raises(ValidationError):
-            parse_rational("0.5")
+            exact_rational("0.5", "rational")
+
+    @pytest.mark.parametrize("text", ["0.5", "1e-1", "1/2/3", "1/0", "", "x"])
+    def test_one_rational_grammar(self, tmp_path, capsys, text):
+        # the library and the command line accept the same strings: p or p/q
+        message = f"bad alpha {text!r}: expected p or p/q"
+        with pytest.raises(ValidationError) as exc:
+            Notion("ef1", "alpha", text)
+        assert str(exc.value) == message
+        inst = tmp_path / "p.json"
+        save_instance(gen_partition_ef1((1, 1, 2)), inst)
+        assert main(["solve", str(inst), "ef1", "--alpha", text]) == 2
+        assert capsys.readouterr().err == f"error: bad rational {text!r}: expected p or p/q\n"
 
 
 class TestCommands:
@@ -285,6 +294,30 @@ class TestCommands:
         assert main(["brute", str(path), "any", "--no-require-sim"]) == 0
         assert json.loads(capsys.readouterr().out)["bundles"] == {"a": ["x", "y"], "b": []}
 
+    def test_brute_any_takes_no_modifier(self, tmp_path, capsys):
+        inst, _ = self._gen(tmp_path, "wsa-nonexistence")
+        capsys.readouterr()
+        for flags in (["--alpha", "1/2"], ["--alpha", "x"], ["--sa"], ["--sa", "--wsa"]):
+            for count in ([], ["--count"]):
+                assert main(["brute", str(inst), "any", *flags, *count]) == 2
+                assert capsys.readouterr() == (
+                    "", "error: notion any takes no awareness modifier\n"
+                )
+
+    def test_solve_has_no_require_sim_flag(self, tmp_path, capsys):
+        # the flag belongs to brute; solve used to accept it and read it only
+        # under --method brute
+        inst, _ = self._gen(tmp_path, "unaware-nonexistence")
+        capsys.readouterr()
+        for method in ("auto", "brute"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", str(inst), "ef", "--method", method, "--no-require-sim"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --no-require-sim" in capsys.readouterr().err
+        assert main(["brute", str(inst), "ef", "--no-require-sim"]) == 0
+        assert main(["solve", str(inst), "ef"]) == 1
+        capsys.readouterr()
+
     def test_gen_writes_table_faithful_file(self, tmp_path):
         out = tmp_path / "p.json"
         assert main(["gen", "partition-ef1", "--weights", "1,2,3", "-o", str(out)]) == 0
@@ -305,6 +338,9 @@ class TestCommands:
     def test_gen_bad_params_exit_2(self, tmp_path):
         assert main(["gen", "partition-ef1", "--weights", "1,2"]) == 2
         assert main(["gen", "wsa", "--weights", "1,1"]) == 2
+
+    def test_canned_names_match_the_builders(self):
+        assert CANNED_NAMES == tuple(generators.CANNED)
 
     def test_every_canned_example_generates(self, tmp_path, capsys):
         for name in CANNED_NAMES:
@@ -333,6 +369,9 @@ class TestCommands:
         # every public name resolves and is listed by dir()
         "public-names": "import fdsi\n"
         "print([n for n in fdsi.__all__ if getattr(fdsi, n) is None or n not in dir(fdsi)])",
+        # the generators do not pull in the command line
+        "generators": "import sys, fdsi.generators\n"
+        "print([m for m in ('fdsi.cli', 'fdsi.search', 'fdsi.serialize') if m in sys.modules])",
     }
     # the exact, brute and check routes leave the polynomial allocators, the
     # sa-empty solver and the generators unloaded
@@ -446,13 +485,14 @@ class TestCommands:
         # a reference checker that rejects everything makes the final
         # re-check of the search's answer fail
         monkeypatch.setattr(
-            fairness, "check", lambda *args, **kwargs: SimpleNamespace(fair=False)
+            fairness, "check", lambda *args, **kwargs: Verdict(False, Witness("ef1"))
         )
         assert main(["solve", str(inst), "ef1", "--method", "exact"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("internal error: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == (
+            "internal error: search accepted an allocation that fails ef1\n"
+        )
 
     def test_out_of_memory_exit_3(self, tmp_path):
         # identical values 1, 2, 4, ...: every subset sum differs, so each

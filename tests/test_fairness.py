@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fdsi.fairness import (
     BASES,
     Notion,
+    certify,
     check,
-    is_sa_empty,
     is_sim,
     matrices,
 )
@@ -214,13 +214,13 @@ class TestCheckGoldens:
 class TestSaEmpty:
     def test_no_items_fair(self):
         inst = make_instance(((), ()), ((), ()))
-        assert is_sa_empty(inst, Allocation.empty(2)).fair
+        assert check(inst, Allocation.empty(2), Notion("sa-empty")).fair
 
     def test_identical_agents_one_item(self):
         inst = make_instance(((1,), (1,)), ((1,), (1,)))
         for owner in (0, 1):
             alloc = Allocation.from_assignment(2, [owner])
-            assert not is_sa_empty(inst, alloc).fair
+            assert not check(inst, alloc, Notion("sa-empty")).fair
 
     def test_cover_allocation_is_fair(self):
         from fdsi.generators import RX3CInput, gen_x3c_sa_empty
@@ -233,7 +233,7 @@ class TestSaEmpty:
         bundles[1] = frozenset({3, 4, 5, 7})
         alloc = Allocation(tuple(bundles))
         assert is_sim(inst, alloc).fair
-        assert is_sa_empty(inst, alloc).fair
+        assert check(inst, alloc, Notion("sa-empty")).fair
 
 
 class TestLatticeAndCollapse:
@@ -459,7 +459,7 @@ class TestWitnessParity:
             with pytest.raises(ValidationError):
                 check(inst, alloc, notion)
         with pytest.raises(ValidationError):
-            is_sa_empty(inst, alloc)
+            certify(inst, alloc, Notion("ef"))
 
     def test_malformed_allocations_rejected(self):
         inst = make_instance(((1, 2), (3, 4)), ((1, 1), (1, 1)))
@@ -477,6 +477,7 @@ class TestWitnessParity:
         with pytest.raises(GoodsOnlyError):
             check(chores.instance, chores.allocation, Notion("swef1"))
         # sa-empty reads only impacts, so chores are decided, not rejected
-        assert is_sa_empty(chores.instance, chores.allocation).fair == naive_check(
-            chores.instance, chores.allocation, Notion("sa-empty")
+        sa_empty = Notion("sa-empty")
+        assert check(chores.instance, chores.allocation, sa_empty).fair == naive_check(
+            chores.instance, chores.allocation, sa_empty
         )

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from fdsi.cli import CANNED_NAMES
 from fdsi.generators import (
-    CANNED_NAMES,
     RX3CInput,
     canned,
     ef_allocation_exists,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi.fairness import Notion, Verdict, Witness, check, matrices
+from fdsi.fairness import Notion, Verdict, Witness, check, is_sim, matrices
 from fdsi.generators import CannedExample, RX3CInput, canned, gen_random
 from fdsi.model import (
     Allocation,
@@ -22,10 +22,9 @@ from fdsi.model import (
     make_instance,
     normalize_impacts,
     total_social_impact,
-    validate,
     validate_allocation,
 )
-from fdsi.search import brute_force_solve
+from fdsi.search import brute_force_solve, exact_solve
 
 from helpers import impact_of, random_instances
 
@@ -201,9 +200,20 @@ class TestTypes:
                     assert same == (maximized[i] == maximized[j])
 
 
+class _PickledInstance:
+    """Pickles as the :class:`Instance` of the given fields, as a hand-made
+    pickle would."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def __reduce__(self):
+        return Instance, tuple(self.fields.values())
+
+
 class TestValidation:
     def test_well_formed(self):
-        assert validate(WSA) == []
+        assert Instance(*(getattr(WSA, f) for f in Instance.__slots__)) == WSA
         assert validate_allocation(WSA, canned("wsa-nonexistence").allocation) == []
 
     def test_item_in_two_bundles(self):
@@ -223,6 +233,48 @@ class TestValidation:
             make_instance(((1,),), ((-1,),))
         with pytest.raises(ValidationError):
             make_instance(((1,),), ((1,),), weights=(0,))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("weights", (0, -1), "weights must be integers >= 1"),
+            ("weights", (1, True), "weights must be integers >= 1"),
+            ("aware", (True,), "aware has 1 entries, expected 2"),
+            ("agents", ("a", "a"), "duplicate agent ids"),
+            ("items", ("g1",), "valuations row 0 has 2 entries, expected 1"),
+            ("valuations", ((1, 2), (3, 4.0)), "valuations row 1 contains a non-integer entry"),
+            ("impacts", ((1, 0), (0, -1)), "impacts row 1 has a negative entry"),
+            ("impacts", ((1, 0),), "impacts has 1 rows, expected 2"),
+        ],
+    )
+    def test_every_construction_validates(self, field, value, message):
+        # the constructor owns the invariants, so replace, direct construction
+        # and unpickling cannot build an invalid instance
+        inst = make_instance(((1, 2), (3, 4)), ((1, 0), (0, 1)))
+        fields = {f: getattr(inst, f) for f in Instance.__slots__}
+        fields[field] = value
+        with pytest.raises(ValidationError, match=message):
+            inst.replace(**{field: value})
+        with pytest.raises(ValidationError, match=message):
+            Instance(**fields)
+        with pytest.raises(ValidationError, match=message):
+            pickle.loads(pickle.dumps(_PickledInstance(fields)))
+
+    def test_invalid_instance_never_reaches_a_solver(self):
+        inst = make_instance(((1, 2), (3, 4)), ((1, 0), (0, 1)))
+        with pytest.raises(ValidationError):
+            exact_solve(inst.replace(weights=(0, -1)), Notion("wef1"))
+        with pytest.raises(ValidationError):
+            check(inst.replace(aware=(True,)), Allocation([{0}, {1}]), Notion("ef1", "sa"))
+
+    @pytest.mark.parametrize("item", ["g1", 1.0, True, None, (0,)])
+    def test_non_integer_item_rejected(self, item):
+        alloc = Allocation(({item}, {0, 1, 2} - {item}))
+        errors = validate_allocation(WSA, alloc)
+        assert errors == ["bundle of agent 0 holds a non-integer item"]
+        for decide in (lambda: is_sim(WSA, alloc), lambda: check(WSA, alloc, Notion("ef1"))):
+            with pytest.raises(ValidationError, match="non-integer item"):
+                decide()
 
     def test_goods_flag(self):
         assert not is_goods(canned("chores-roundrobin").instance)

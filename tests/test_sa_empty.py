@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from fdsi.fairness import Notion, is_sa_empty, is_sim
+from fdsi.fairness import Notion, certify, check
 from fdsi.generators import RX3CInput, exact_cover_solvable, gen_x3c_sa_empty
 from fdsi.model import (
     Allocation,
@@ -90,7 +90,7 @@ class TestSolve:
         inst = gen_x3c_sa_empty(RX3CInput(universe_size=6, triples=RELAXED_L2))
         alloc = solve_sa_empty(inst)
         assert alloc is not None
-        assert is_sim(inst, alloc).fair and is_sa_empty(inst, alloc).fair
+        assert certify(inst, alloc, Notion("sa-empty")).fair
         # chosen set agents hold three elements plus exactly one dummy
         for bundle in alloc.bundles:
             if bundle:
@@ -105,7 +105,7 @@ class TestSolve:
         inst = gen_x3c_sa_empty(src, strict=True)
         alloc = solve_sa_empty(inst)
         assert alloc is not None
-        assert is_sim(inst, alloc).fair and is_sa_empty(inst, alloc).fair
+        assert certify(inst, alloc, Notion("sa-empty")).fair
 
     def test_budget(self):
         src = ag_plane_instance()
@@ -130,7 +130,7 @@ class TestOracleEquivalence:
             brute = brute_force_solve(inst, Notion("sa-empty"))
             assert (fpt is None) == (brute is None), k
             if fpt is not None:
-                assert is_sim(inst, fpt).fair and is_sa_empty(inst, fpt).fair
+                assert certify(inst, fpt, Notion("sa-empty")).fair
 
     def test_clone_agents_always_empty_in_solutions(self):
         # in every strictly-dominating maximizing allocation, agents that share
@@ -144,7 +144,7 @@ class TestOracleEquivalence:
                 for i in cls
             }
             for alloc in enumerate_sim_allocations(inst):
-                if is_sa_empty(inst, alloc).fair:
+                if check(inst, alloc, Notion("sa-empty")).fair:
                     for i in clones:
                         assert alloc.bundles[i] == frozenset()
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdsi.fairness import BASES, TARGET_BASES, Notion, check, is_sim
+from fdsi import fairness
+from fdsi.fairness import BASES, TARGET_BASES, Notion, Verdict, Witness, certify, check, is_sim
 from fdsi.generators import canned, gen_partition_ef1, gen_random
 from fdsi.model import (
     Allocation,
@@ -23,7 +24,6 @@ from fdsi.search import (
     _expand_key,
     _item_params,
     _root_key,
-    _verify,
     accepting_state,
     brute_force_count,
     brute_force_solve,
@@ -238,16 +238,23 @@ class TestExactSolve:
         assert alloc is not None
         assert stats["visited"] <= 1000
 
-    def test_verify_raises_on_a_failing_allocation(self):
+    def test_verify_raises_on_a_failing_allocation(self, monkeypatch):
+        # certify, the re-check every solver runs, names what failed
         inst = make_instance(((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1)))
         hoarded = Allocation.from_assignment(2, [0, 0, 0])
-        with pytest.raises(InternalError, match="efl"):
-            _verify(inst, Notion("efl"), hoarded)
+        assert certify(inst, hoarded, Notion("efl")).witness.reason == "efl"
         fair = Allocation.from_assignment(2, [0, 1, 1])
-        _verify(inst, Notion("efl"), fair)
+        assert certify(inst, fair, Notion("efl")).fair
         dominated = make_instance(((1,), (1,)), ((2,), (1,)))
-        with pytest.raises(InternalError, match="non-maximizing"):
-            _verify(dominated, Notion("efl"), Allocation.from_assignment(2, [1]))
+        verdict = certify(dominated, Allocation.from_assignment(2, [1]), Notion("efl"))
+        assert verdict == is_sim(dominated, Allocation.from_assignment(2, [1]))
+        assert verdict.witness.reason == "sim"
+        # a certify that rejects every answer makes both solvers raise
+        monkeypatch.setattr(fairness, "is_sim", lambda *args: Verdict(False, Witness("sim")))
+        with pytest.raises(InternalError, match="search accepted an allocation that fails sim"):
+            exact_solve(inst, Notion("efl"))
+        with pytest.raises(InternalError, match="solver built an allocation that fails sim"):
+            solve_sa_empty(dominated)
 
     def test_deep_instance(self):
         # unique impact maximizers: one state per layer on a path 3000 items
@@ -486,6 +493,26 @@ class TestOracleEquivalenceSmoke:
                     assert is_sim(inst, exact).fair
                     assert check(judged, exact, notion).fair, (k, notion)
 
+    def test_eight_items_all_notions(self):
+        # wider than the ensembles above: 3 agents, 8 items, every item
+        # co-maximized by all (s_max 0) or by a random subset (s_max 1)
+        pairs = 0
+        for seed, s_max in product(range(22), (0, 1)):
+            inst = gen_random(3, 8, 6, s_max, 2, seed)
+            rng = random.Random(seed)
+            mixed = inst.replace(aware=[rng.random() < 0.5 for _ in range(3)])
+            for base, (judged, mode) in product(BASES, ((inst, None), (mixed, "sa"))):
+                notion = Notion(base, mode)
+                exact = exact_solve(judged, notion)
+                brute = brute_force_solve(judged, notion)
+                assert (exact is None) == (brute is None), (seed, s_max, notion)
+                if base not in TARGET_BASES:
+                    assert exact == brute, (seed, s_max, notion)
+                elif exact is not None:
+                    assert certify(judged, exact, notion).fair
+                pairs += 1
+        assert pairs == 616
+
 
 _ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
 
@@ -556,6 +583,15 @@ class TestOracleScanDifferential:
             brute_force_count(inst, Notion("ef"), require_sim=False, cap=7)
         with pytest.raises(BudgetExceededError):
             brute_force_solve(inst, Notion("ef"), require_sim=False, cap=7)
+
+    def test_solve_any_returns_the_first_candidate(self):
+        inst = make_instance(((1, 1), (1, 1), (1, 1)), ((2, 1), (0, 1), (2, 0)))
+        assert brute_force_solve(inst, None) == Allocation.from_assignment(3, [0, 0])
+        everyone = make_instance(((1, 1), (1, 1)), ((0, 0), (1, 1)))
+        assert brute_force_solve(everyone, None) == Allocation.from_assignment(2, [1, 1])
+        assert brute_force_solve(everyone, None, require_sim=False) == (
+            Allocation.from_assignment(2, [0, 0])
+        )
 
     def test_candidate_columns(self):
         inst = make_instance(((1, 1), (1, 1), (1, 1)), ((2, 1), (0, 1), (2, 0)))
