@@ -31,8 +31,12 @@ decided from V, S and, only then, the values in i's eyes of the items of A_j:
 the largest removal, the positive values for ``efl``, or the per-item test of
 the universal-item bases.  ``decider`` compiles a notion once per instance
 into a function of (V, S, owners) that returns the first failing
-(observer, target) pair; ``check`` and the brute-force oracle both call it,
-the oracle while updating V and S by one item column per step.
+(observer, target) pair.  The compiled form lists the ordered pairs i != j
+once, each with what it reads of the instance: the pair's weights and the
+observer's items ranked by value, largest first, so the best removal from
+A_j is the first ranked item j holds.  ``check`` and the brute-force oracle
+both call it, the oracle while moving the entries of V and S that change
+from one candidate to the next.
 
 All comparisons are exact integer arithmetic (rational thresholds are
 applied by cross multiplication).
@@ -204,33 +208,52 @@ def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
 # -- per-notion formulas -------------------------------------------------------
 #
 # Base condition of an envious ordered pair (i, j): ``own = v_i(A_i)``,
-# ``other = v_i(A_j)``, the pair's weights, and ``values``, the values in i's
-# eyes of the items of A_j (never empty: envy needs a positive item).
+# ``other = v_i(A_j)`` and the pair's weights.  A_j's values in i's eyes are
+# read from ``ranked``, the items i values positively as (item, value) pairs,
+# largest value first and ties by index (``_ranked``), and from ``owners``:
+# item g lies in A_j when ``owners[g] == j``.  Envy needs a positive item, so
+# A_j holds at least one ranked item.  A base whose condition no envious pair
+# meets (``ef``) has no formula: the decider fails such a pair outright.
 
 
-def _ef(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
-    return False
+def _ranked(row: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(((g, v) for g, v in enumerate(row) if v > 0), key=lambda gv: -gv[1]))
 
 
-def _one_removal(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
+def _largest(ranked, owners: Owners, j: int) -> int:
+    # the first ranked item that j holds is A_j's most valuable one
+    for g, v in ranked:
+        if owners[g] == j:
+            return v
+    return 0  # not reached for an envious pair
+
+
+def _one_removal(own: int, other: int, wi: int, wj: int, ranked, owners: Owners, j: int) -> bool:
     # ef1 (unit weights) and wef1: v_i(A_i) / w_i >= (v_i(A_j) - max) / w_j
-    return own * wj >= (other - max(values)) * wi
+    return own * wj >= (other - _largest(ranked, owners, j)) * wi
 
 
-def _efl(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
+def _efl(own: int, other: int, wi: int, wj: int, ranked, owners: Owners, j: int) -> bool:
     # at most one positive item, or a removal that kills the envy and is not
-    # itself worth more than A_i
-    positive = [v for v in values if v > 0]
-    return len(positive) <= 1 or any(other - own <= v <= own for v in positive)
+    # itself worth more than A_i.  The first value v <= own of A_j decides:
+    # no later one is larger, and if v is too small A_j holds a second
+    # positive item (with v alone, other = v <= own and i would not envy j).
+    held = 0
+    for g, v in ranked:
+        if owners[g] == j:
+            if v <= own:
+                return v >= other - own
+            held += 1
+    return held <= 1
 
 
-def _tef1(own: int, other: int, wi: int, wj: int, values: list[int]) -> bool:
+def _tef1(own: int, other: int, wi: int, wj: int, ranked, owners: Owners, j: int) -> bool:
     # moving the best item from A_j to A_i kills the envy
-    return own + 2 * max(values) >= other
+    return own + 2 * _largest(ranked, owners, j) >= other
 
 
 _ENVIOUS_PAIR_OK = {
-    "ef": _ef,
+    "ef": None,
     "ef1": _one_removal,
     "wef1": _one_removal,
     "efl": _efl,
@@ -242,10 +265,23 @@ def _pair_weights(inst: Instance, base: str) -> tuple[int, ...]:
     return inst.weights if base in ("wef1", "swef1") else (1,) * inst.n
 
 
+def _can_excuse(inst: Instance, notion: Notion) -> bool:
+    return notion.awareness is not None and any(inst.aware)
+
+
+def reads(inst: Instance, notion: Notion) -> tuple[bool, bool]:
+    """Which of V and S the compiled :func:`decider` reads: V for every base
+    but ``sa-empty``, S for ``sa-empty`` and whenever some observer can be
+    excused.  A caller that updates the matrices need keep only these."""
+    if notion.base == SA_EMPTY:
+        return False, True
+    return True, _can_excuse(inst, notion)
+
+
 def _excuse(inst: Instance, notion: Notion):
     """``excused(i, j, V, S)`` for the awareness mode, or None when no
     observer can ever be excused."""
-    if notion.awareness is None or not any(inst.aware):
+    if not _can_excuse(inst, notion):
         return None
     aware = inst.aware
     if notion.awareness == "wsa":
@@ -259,66 +295,71 @@ def _excuse(inst: Instance, notion: Notion):
     return lambda i, j, V, S: aware[i] and S[i][j] * q < p * S[j][j]
 
 
-def _target_rule(inst: Instance, base: str, excused):
-    """``target_ok(j, V, S, owners)``: one removed item of A_j must satisfy
-    every envious observer of j that is not excused."""
-    rng = range(inst.n)
-    vals = inst.valuations
-    wt = _pair_weights(inst, base)
-
-    def target_ok(j: int, V: Matrix, S: Matrix, owners: Owners) -> bool:
-        # item g serves envious observer i iff v_i(g) * w_i >= need_i, where
-        # need_i = v_i(A_j) * w_i - v_i(A_i) * w_j is positive exactly when i envies j
-        wj = wt[j]
-        needs = []
-        for i in rng:
-            need = V[i][j] * wt[i] - V[i][i] * wj
-            if need > 0 and not (excused is not None and excused(i, j, V, S)):
-                needs.append((vals[i], wt[i], need))
-        if not needs:
-            return True
-        items = [g for g, o in enumerate(owners) if o == j]
-        for row, wi, need in needs:  # keep the items that serve every observer so far
-            items = [g for g in items if row[g] * wi >= need]
-        return bool(items)
-
-    return target_ok
-
-
 def decider(inst: Instance, notion: Notion) -> Decider:
     """Compile ``notion`` on ``inst`` into ``fails(V, S, owners)``.
 
     The result is the first failing (observer, target) pair in lexicographic
     order, or None when the allocation is fair.  For the universal-item bases
     a failing target j contributes (its least non-excused observer, j).
-    Nothing is validated here: callers pass matrices of a valid allocation of
-    a goods instance (any instance for ``sa-empty``).
+    The pair list, each ordered pair i != j with its weights and the
+    observer's ranked items, is compiled here once per instance, not per
+    call.  Nothing is validated here: callers pass matrices of a valid
+    allocation of a goods instance (any instance for ``sa-empty``); a matrix
+    that :func:`reads` says is not read may be stale.
     """
     rng = range(inst.n)
     if notion.base == SA_EMPTY:
+        pairs = [(i, j) for i in rng for j in rng if i != j]
 
         def fails(V: Matrix, S: Matrix, owners: Owners):
-            for i in rng:
-                Si = S[i]
-                for j in rng:
-                    if i != j and Si[j] >= S[j][j] and j in owners:
-                        return i, j
+            for i, j in pairs:
+                if S[i][j] >= S[j][j] and j in owners:
+                    return i, j
             return None
 
         return fails
     excused = _excuse(inst, notion)
+    wt = _pair_weights(inst, notion.base)
+    rankings = [_ranked(row) for row in inst.valuations]
     if notion.base in TARGET_BASES:
-        target_ok = _target_rule(inst, notion.base, excused)
+        # per target j: j, w_j and (i, i's value row and ranking, w_i) for
+        # each observer i != j
+        targets = [
+            (j, wt[j], [(i, inst.valuations[i], rankings[i], wt[i]) for i in rng if i != j])
+            for j in rng
+        ]
 
         def fails(V: Matrix, S: Matrix, owners: Owners):
+            # one removed item g of A_j must serve every envious observer i of j
+            # that is not excused: v_i(g) * w_i >= need_i, where
+            # need_i = v_i(A_j) * w_i - v_i(A_i) * w_j is positive exactly when i envies j
             first = None
-            for j in rng:
-                if target_ok(j, V, S, owners):
+            for j, wj, observers in targets:
+                needs = []
+                for i, row, ranked, wi in observers:
+                    Vi = V[i]
+                    need = Vi[j] * wi - Vi[i] * wj
+                    if need > 0 and not (excused is not None and excused(i, j, V, S)):
+                        needs.append((row, ranked, wi, need))
+                if not needs:
+                    continue
+                # the items serving the first observer are a prefix of its
+                # ranking; each later observer filters the items kept so far
+                _, ranked, wi, need = needs[0]
+                left = []
+                for g, v in ranked:
+                    if v * wi < need:
+                        break
+                    if owners[g] == j:
+                        left.append(g)
+                for row, _, wi, need in needs[1:]:
+                    left = [g for g in left if row[g] * wi >= need]
+                if left:
                     continue
                 i = next(
                     i
-                    for i in rng
-                    if i != j and not (excused is not None and excused(i, j, V, S))
+                    for i, _, _, _ in observers
+                    if not (excused is not None and excused(i, j, V, S))
                 )
                 if first is None or i < first[0]:
                     first = (i, j)
@@ -328,22 +369,19 @@ def decider(inst: Instance, notion: Notion) -> Decider:
 
         return fails
     ok = _ENVIOUS_PAIR_OK[notion.base]
-    vals = inst.valuations
-    wt = _pair_weights(inst, notion.base)
+    pairs = [(i, j, rankings[i], wt[i], wt[j]) for i in rng for j in rng if i != j]
 
     def fails(V: Matrix, S: Matrix, owners: Owners):
-        for i in rng:
-            Vi, wi, row = V[i], wt[i], vals[i]
-            own = Vi[i]
-            for j in rng:
-                other, wj = Vi[j], wt[j]
-                if own * wj >= other * wi:  # not envious (always so for j == i)
-                    continue
-                if excused is not None and excused(i, j, V, S):
-                    continue
-                if ok(own, other, wi, wj, [v for v, o in zip(row, owners) if o == j]):
-                    continue
-                return i, j
+        for i, j, ranked, wi, wj in pairs:
+            Vi = V[i]
+            own, other = Vi[i], Vi[j]
+            if own * wj >= other * wi:  # not envious
+                continue
+            if excused is not None and excused(i, j, V, S):
+                continue
+            if ok is not None and ok(own, other, wi, wj, ranked, owners, j):
+                continue
+            return i, j
         return None
 
     return fails

@@ -30,11 +30,14 @@ when every unflagged pair passes the base's closed-form test on (x, y).
 The brute-force oracle is independent of that encoding.  It scans candidate
 owner tuples as an odometer in ``itertools.product`` order (per item, the
 impact maximizers ascending, or every agent without the impact restriction).
-It keeps the value and impact matrices of ``fairness.matrices`` up to date by
-one item column per owner change.  It decides each candidate with the same
+It keeps up to date those of the value and impact matrices of
+``fairness.matrices`` that the decider reads: when an item changes owner,
+only the nonzero entries of that item's columns move, from the old owner's
+column of the matrix to the new one's.  It decides each candidate with the same
 ``fairness.decider`` that ``check`` uses, and builds an :class:`Allocation`
 only for the answer it returns.  ``brute_force_solve`` and
-``brute_force_count`` share that one scan.
+``brute_force_count`` share that one scan, and the candidate cap bounds the
+candidate set on every path, ``notion=None`` included.
 
 The walk keeps one set of created states per layer and never enters a state
 twice, and it tries successors in a fixed order, so the allocation it returns
@@ -364,12 +367,17 @@ def _capped_columns(inst: Instance, require_sim: bool, cap: int):
 
 
 def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int):
-    """Yield the owner tuple of every candidate passing the notion, in
-    ``itertools.product`` order over the candidate columns.
+    """Yield the owner list of every candidate passing the notion, in
+    ``itertools.product`` order over the candidate columns.  The list is the
+    scan's own and changes when the scan resumes; a caller that keeps one
+    copies it.
 
-    An odometer over the items with more than one choice: when an item
-    changes owner, V and S move by that item's column in O(n), and every
-    candidate is decided by the same ``fairness.decider`` as ``check``.
+    An odometer over the items with more than one choice.  Each such item
+    carries its moves, computed once: the nonzero entries of its value and
+    impact columns, for the matrices the decider reads (``fairness.reads``).
+    When the item changes owner, each move shifts one entry of V or S from
+    the old owner's column to the new one's, and every candidate is decided
+    by the same ``fairness.decider`` as ``check``.
     """
     if notion.base != SA_EMPTY:
         require_goods(inst)
@@ -377,9 +385,17 @@ def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int):
     fails = fairness.decider(inst, notion)
     owners = [col[0] for col in columns]
     V, S = fairness.matrices(inst, owners)
+    # each matrix the decider reads, with the instance matrix it sums
+    tracked = [
+        (matrix, source)
+        for matrix, source, read in zip(
+            (V, S), (inst.valuations, inst.impacts), fairness.reads(inst, notion)
+        )
+        if read
+    ]
     # the items with a choice, last item first (it varies fastest): index,
-    # next owner after each owner (cyclic), first owner, and the item's
-    # value and impact columns
+    # next owner after each owner (cyclic), first owner, and the item's moves,
+    # (matrix row, entry) for each nonzero entry the decider reads
     free = []
     for g in reversed(range(len(columns))):
         col = columns[g]
@@ -387,21 +403,22 @@ def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int):
             nxt = [0] * inst.n
             for a, b in zip(col, col[1:] + col[:1]):
                 nxt[a] = b
-            vcol = [row[g] for row in inst.valuations]
-            scol = [row[g] for row in inst.impacts]
-            free.append((g, nxt, col[0], vcol, scol))
-    rows = list(zip(V, S))
+            moves = [
+                (row, source_row[g])
+                for matrix, source in tracked
+                for row, source_row in zip(matrix, source)
+                if source_row[g]
+            ]
+            free.append((g, nxt, col[0], moves))
     while True:
         if fails(V, S, owners) is None:
-            yield tuple(owners)
-        for g, nxt, first, vcol, scol in free:
+            yield owners
+        for g, nxt, first, moves in free:
             old = owners[g]
             new = owners[g] = nxt[old]
-            for (Vi, Si), v, s in zip(rows, vcol, scol):
-                Vi[old] -= v
-                Vi[new] += v
-                Si[old] -= s
-                Si[new] += s
+            for row, v in moves:
+                row[old] -= v
+                row[new] += v
             if new != first:
                 break
         else:
@@ -423,10 +440,10 @@ def brute_force_solve(
     all n**m complete allocations are scanned and only the fairness check is
     applied.  ``notion=None`` accepts every candidate, so the first one is
     returned without a scan.  Raises :class:`BudgetExceededError` when the
-    candidate count of a scan exceeds ``cap``.
+    candidate count exceeds ``cap``, with or without a notion.
     """
     if notion is None:
-        owners = [col[0] for col in candidate_columns(inst, require_sim)]
+        owners = [col[0] for col in _capped_columns(inst, require_sim, cap)[0]]
     else:
         owners = next(_scan(inst, notion, require_sim, cap), None)
     return None if owners is None else Allocation.from_assignment(inst.n, owners)

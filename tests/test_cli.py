@@ -279,6 +279,20 @@ class TestCommands:
         assert main(["brute", str(q), "any", "--count", "--no-require-sim", "--cap", "15"]) == 3
         capsys.readouterr()
 
+    def test_brute_cap_bounds_any(self, tmp_path, capsys):
+        # 3**6 = 729 impact-maximizing allocations (every impact is 0)
+        q = tmp_path / "q.json"
+        assert main(["gen", "random", "--agents", "3", "--items", "6", "--v-max", "5",
+                     "--s-max", "0", "--seed", "1", "-o", str(q)]) == 0
+        capsys.readouterr()
+        for extra in ([], ["--count"]):
+            assert main(["brute", str(q), "any", *extra, "--cap", "1"]) == 3
+            assert capsys.readouterr() == (
+                "", "error: 729 impact-maximizing allocations exceed the cap of 1\n"
+            )
+            assert main(["brute", str(q), "any", *extra, "--cap", "729"]) == 0
+            capsys.readouterr()
+
     def test_brute_any_honours_no_require_sim(self, tmp_path, capsys):
         # agent b maximizes every item, so the first of all n**m allocations
         # (everything to agent a) is not impact maximizing

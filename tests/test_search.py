@@ -521,11 +521,23 @@ _ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction
 def _oracle_cases(draw):
     """An instance, a notion, an optional awareness profile (to become the
     instance's ``aware`` flags under ``sa``) and require_sim."""
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 4))
+    # at most 4**5 candidates without the impact restriction
+    m = draw(st.integers(0, 6 if n < 4 else 5))
     # small ranges give zero values and impact ties (several maximizers)
     valuations = [[draw(st.integers(0, 4)) for _ in range(m)] for _ in range(n)]
-    impacts = [[draw(st.integers(0, 2)) for _ in range(m)] for _ in range(n)]
+    shape = draw(st.sampled_from(("random", "zero impacts", "equal impacts")))
+    if shape == "random":
+        impacts = [[draw(st.integers(0, 2)) for _ in range(m)] for _ in range(n)]
+    else:
+        # every agent maximizes every item, with equal (maybe all zero)
+        # impacts, and some value columns are all zero: the shapes where the
+        # scan skips entries
+        column = [0 if shape == "zero impacts" else draw(st.integers(1, 2)) for _ in range(m)]
+        impacts = [column] * n
+        for g in draw(st.sets(st.integers(0, m - 1))) if m else ():
+            for row in valuations:
+                row[g] = 0
     weights = [draw(st.integers(1, 3)) for _ in range(n)]
     aware = [draw(st.booleans()) for _ in range(n)]
     inst = make_instance(valuations, impacts, weights=weights, aware=aware)
@@ -567,6 +579,19 @@ class TestOracleScanDifferential:
         else:
             assert found is None
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_agents_ten_co_maximized_items(self, seed):
+        # every item has both agents as maximizers, so the odometer moves
+        # all ten items; under sa with one aware agent it tracks S as well
+        # (all zero here)
+        plain = gen_random(2, 10, 9, 0, 1, seed)
+        mixed = plain.replace(aware=(True, False))
+        allocs = [Allocation.from_assignment(2, o) for o in product(range(2), repeat=10)]
+        for base in BASES:
+            for inst, notion in ((plain, Notion(base)), (mixed, Notion(base, "sa"))):
+                naive = sum(naive_check(inst, a, notion) for a in allocs)
+                assert brute_force_count(inst, notion) == naive, (base, notion.awareness)
+
     def test_count_any_needs_no_scan(self):
         inst = make_instance(((1, 1, 1), (1, 1, 1)), ((2, 1, 1), (1, 1, 1)))
         assert brute_force_count(inst, None) == 4
@@ -583,6 +608,16 @@ class TestOracleScanDifferential:
             brute_force_count(inst, Notion("ef"), require_sim=False, cap=7)
         with pytest.raises(BudgetExceededError):
             brute_force_solve(inst, Notion("ef"), require_sim=False, cap=7)
+
+    def test_cap_bounds_the_candidates_of_any(self):
+        # "any" needs no scan, but the cap still bounds its candidate set
+        inst = gen_random(3, 6, 5, 0, 1, 1)  # 729 impact-maximizing allocations
+        for solve in (brute_force_solve, brute_force_count):
+            with pytest.raises(BudgetExceededError, match="729 impact-maximizing"):
+                solve(inst, None, cap=728)
+            assert solve(inst, None, cap=729) is not None
+            with pytest.raises(BudgetExceededError, match="729 allocations exceed"):
+                solve(inst, None, require_sim=False, cap=728)
 
     def test_solve_any_returns_the_first_candidate(self):
         inst = make_instance(((1, 1), (1, 1), (1, 1)), ((2, 1), (0, 1), (2, 0)))
