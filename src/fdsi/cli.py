@@ -4,9 +4,10 @@ Subcommands: ``check`` (verdict for an allocation), ``solve`` (find an
 allocation), ``gen`` (write gadget/canned/random instances), ``brute``
 (oracle scan).  Exit codes: 0 fair/found, 1 unfair/none, 2 validation error,
 3 resource budget exceeded or memory exhausted, 4 internal error (an answer
-failed its own re-check).  All randomness is seeded explicitly and output
-is deterministic; the FDSI_STATE_BUDGET environment variable overrides the
-default state budget of the exact solver.
+failed its own re-check, or any other crash: a crash never exits 1).  All
+randomness is seeded explicitly and output is deterministic; the
+FDSI_STATE_BUDGET environment variable overrides the default state budget of
+the exact solver.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import search, serialize
-from .fairness import SA_EMPTY, Notion, Verdict, certify, check as check_notion, is_sim
+from . import serialize
+from .fairness import SA_EMPTY, WEIGHTED_BASES, Notion, Verdict, certify, is_sim
+from .fairness import check as check_notion
 from .model import (
     Allocation,
     BudgetExceededError,
@@ -107,8 +109,7 @@ def _cmd_check(args) -> int:
 def _solve_sa_empty(inst: Instance, args) -> Allocation | None:
     from . import sa_empty  # only sa-empty solves need it
 
-    budget = args.node_budget or sa_empty.DEFAULT_NODE_BUDGET
-    return sa_empty.solve_sa_empty(inst, node_budget=budget)
+    return sa_empty.solve_sa_empty(inst, node_budget=args.node_budget)
 
 
 def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
@@ -121,8 +122,6 @@ def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
     """
     if notion.base == SA_EMPTY:
         return _solve_sa_empty(inst, args)
-    if notion.awareness in ("alpha", "wsa"):
-        return search.brute_force_solve(inst, notion, cap=args.brute_cap)
     if notion.awareness == "sa":
         from . import allocators  # only the polynomial routes need it
 
@@ -130,7 +129,7 @@ def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
         if all(inst.aware):
             if notion.base == "efl":
                 candidate = allocators.sa_efl_allocate(inst)
-            elif notion.base in ("wef1", "swef1"):
+            elif notion.base in WEIGHTED_BASES:
                 candidate = allocators.sa_weighted_picking(inst)
             elif notion.base in ("ef1", "sef1", "tef1"):
                 candidate = allocators.sa_weighted_picking(
@@ -141,6 +140,10 @@ def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
             candidate = allocators.two_agent_mixed_fast_path(inst)
         if candidate is not None and certify(inst, candidate, notion).fair:
             return candidate
+    from . import search  # a certified polynomial answer needs no search
+
+    if notion.awareness in ("alpha", "wsa"):
+        return search.brute_force_solve(inst, notion, cap=args.brute_cap)
     return search.exact_solve(inst, notion, state_budget=args.state_budget)
 
 
@@ -163,10 +166,14 @@ def _cmd_solve(args) -> int:
                 f"method {method} does not certify {notion.label()} on this "
                 "instance; use the exact or brute method"
             )
-    elif method == "exact":
-        alloc = search.exact_solve(inst, notion, state_budget=args.state_budget)
-    elif method == "brute":
-        alloc = search.brute_force_solve(inst, notion, cap=args.brute_cap)
+    elif method in ("exact", "brute"):
+        from . import search
+
+        alloc = (
+            search.exact_solve(inst, notion, state_budget=args.state_budget)
+            if method == "exact"
+            else search.brute_force_solve(inst, notion, cap=args.brute_cap)
+        )
     elif method == "sa-empty":
         if notion.base != SA_EMPTY:
             raise ValidationError("method sa-empty only solves the sa-empty notion")
@@ -256,6 +263,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    from . import search
+
     inst = serialize.load_instance(args.instance)
     # "any" accepts every candidate, so it needs no scan and takes no modifier
     notion = None if args.notion == "any" else _notion_from_args(args)
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p_solve.add_argument("--state-budget", type=_positive_int, default=None)
-    p_solve.add_argument("--brute-cap", type=_positive_int, default=search.DEFAULT_BRUTE_CAP)
+    p_solve.add_argument("--brute-cap", type=_positive_int, default=None)
     p_solve.add_argument("--node-budget", type=_positive_int, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -351,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_brute.add_argument("notion", help='a notion spec or "any"')
     _add_notion_flags(p_brute)
     p_brute.add_argument("--count", action="store_true")
-    p_brute.add_argument("--cap", type=_positive_int, default=search.DEFAULT_BRUTE_CAP)
+    p_brute.add_argument("--cap", type=_positive_int, default=None)
     p_brute.add_argument(
         "--no-require-sim", dest="require_sim", action="store_false"
     )
@@ -376,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except MemoryError:
         pass  # reported after the handler, whose traceback holds the call's memory
+    except Exception as exc:  # a crash is no verdict: exit 1 would read "none"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print("error: out of memory", file=sys.stderr)
     return EXIT_BUDGET
 

@@ -64,6 +64,7 @@ if TYPE_CHECKING:
 
 BASES = ("ef", "ef1", "sef1", "wef1", "swef1", "efl", "tef1")
 TARGET_BASES = ("sef1", "swef1")
+WEIGHTED_BASES = ("wef1", "swef1")
 SA_EMPTY = "sa-empty"
 AWARENESS_MODES = (None, "sa", "alpha", "wsa")
 
@@ -262,7 +263,7 @@ _ENVIOUS_PAIR_OK = {
 
 
 def _pair_weights(inst: Instance, base: str) -> tuple[int, ...]:
-    return inst.weights if base in ("wef1", "swef1") else (1,) * inst.n
+    return inst.weights if base in WEIGHTED_BASES else (1,) * inst.n
 
 
 def _can_excuse(inst: Instance, notion: Notion) -> bool:

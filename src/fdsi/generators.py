@@ -26,13 +26,13 @@ from .model import (
 ORACLE_WEIGHT_CAP = 10  # source-problem oracles stay exhaustive below this size
 
 
-def _check_weights(weights: tuple[int, ...], *, even_sum: bool = True) -> int:
+def _check_weights(weights: tuple[int, ...]) -> int:
     if not weights:
         raise ValidationError("weight multiset must be non-empty")
     if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in weights):
         raise ValidationError("weights must be integers >= 1")
     total = sum(weights)
-    if even_sum and total % 2:
+    if total % 2:
         raise ValidationError("weight multiset must have an even sum")
     return total // 2
 

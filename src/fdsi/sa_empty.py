@@ -15,16 +15,19 @@ non-empty bundles (smallest guesses first) and searches integer counts
 x[i][t] (items of type t given to agent i) such that every type is fully
 distributed, every guessed agent holds at least one item, and every guessed
 agent's bundle count strictly exceeds each rival's share of it.  The count
-search is a bounded depth-first enumeration with reachability pruning; it
-replaces a fixed-dimension integer program at desk scale (same answers,
-weaker asymptotic guarantee).  Raw-scale impacts and maximizer units agree on
-impact-maximizing allocations, so returned allocations are verified directly
-against the raw-instance checkers.
+search is a bounded depth-first enumeration with reachability pruning, run
+as an explicit stack of split iterators, one layer per item type, so that no
+number of types meets the recursion limit.  It replaces a fixed-dimension
+integer program at desk scale (same answers, weaker asymptotic guarantee).
+Raw-scale impacts and maximizer units agree on impact-maximizing
+allocations, so returned allocations are verified directly against the
+raw-instance checkers.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations, combinations_with_replacement
+from operator import sub
 
 from . import fairness
 from .model import (
@@ -45,9 +48,7 @@ def unique_type_agents(types: TypePartition) -> frozenset[int]:
     return frozenset(cls[0] for cls in types.agent_types if len(cls) == 1)
 
 
-def _eligible(
-    types: TypePartition, guess: tuple[int, ...]
-) -> list[tuple[int, ...]] | None:
+def _eligible(types: TypePartition, guess: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     """Per item type, the guessed agents allowed to hold it (those maximizing
     it); None when some type has no taker."""
     eligible = []
@@ -59,124 +60,110 @@ def _eligible(
     return eligible
 
 
+def _splits(total: int, parts: int):
+    """Every split of ``total`` items among ``parts`` takers: the first
+    taker's count ascending, then the second's; the last takes the rest."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
+
+
 def _search_counts(
-    types: TypePartition,
-    sizes: tuple[int, ...],
-    guess: tuple[int, ...],
-    eligible: list[tuple[int, ...]],
-    rival_reps: tuple[int, ...],
-    budget: list[int],
-) -> dict[tuple[int, int], int] | None:
-    """Bounded DFS over the counts; returns (agent, type) -> count or None.
+    types: TypePartition, sizes: tuple[int, ...], guess: tuple[int, ...],
+    eligible: list[tuple[int, ...]], rival_reps: tuple[int, ...], budget: list[int],
+) -> list[tuple[int, ...]] | None:
+    """Bounded DFS over the counts; returns one split per type (the counts of
+    ``eligible[t]``, in order) or None.
 
     ``sizes[t]`` is the number of type-t items and ``eligible[t]`` the
     guessed agents that may take them.  ``rival_reps`` holds one
     representative agent per agent-type class (same-type rivals impose
     identical constraints); a rival j shares in the type-t items of a bundle
     when j maximizes type t.  ``budget`` is the remaining node allowance,
-    decremented in place.
+    decremented in place by one per type entered.
     """
     k = len(sizes)
-    maxsets = types.maximizer_sets
-    own = {i: 0 for i in guess}
-    rivals_of = {i: [j for j in rival_reps if j != i] for i in guess}
-    rival_share = {i: {j: 0 for j in rivals_of[i]} for i in guess}
-    # future[i][t] = items of types t.. that agent i could still receive
-    future: dict[int, list[int]] = {}
-    for i in guess:
-        suffix = [0] * (k + 1)
-        for t in range(k - 1, -1, -1):
-            gain = sizes[t] if i in eligible[t] else 0
-            suffix[t] = suffix[t + 1] + gain
-        future[i] = suffix
-    counts: dict[tuple[int, int], int] = {}
+    # share[s]: one rival's share of one guessed agent's bundle; the rivals
+    # of the agent at position a hold the slots spans[a]
+    rivals = [[j for j in rival_reps if j != i] for i in guess]
+    ends = list(accumulate(map(len, rivals)))
+    spans = list(zip([0, *ends], ends))
+    share = [0] * sum(map(len, rivals))
+    # ceiling[a]: the items the agent at position a holds or could still get
+    ceiling = [sum(c for c, takers in zip(sizes, eligible) if i in takers) for i in guess]
+    # per type, each taker's position and the slots of the rivals that share
+    moves = [
+        [(a, [spans[a][0] + r for r, j in enumerate(rivals[a]) if j in maxset])
+         for a in map(guess.index, takers)]
+        for takers, maxset in zip(eligible, types.maximizer_sets)
+    ]
 
-    def viable(t_next: int) -> bool:
-        for i in guess:
-            ceiling = own[i] + future[i][t_next]
-            if ceiling < 1:
+    def viable() -> bool:
+        """Every guessed agent can still end non-empty and above each rival;
+        once every type is split this is the domination condition itself."""
+        for a, (lo, hi) in enumerate(spans):
+            if ceiling[a] <= max(share[lo:hi], default=0):
                 return False
-            for j in rivals_of[i]:
-                if ceiling <= rival_share[i][j]:
-                    return False
         return True
 
-    def place(i: int, t: int, c: int, sign: int) -> None:
-        own[i] += sign * c
-        for j in rivals_of[i]:
-            if j in maxsets[t]:
-                rival_share[i][j] += sign * c
+    def shift(t: int, split: tuple[int, ...], sign: int) -> None:
+        for (a, slots), c in zip(moves[t], split):
+            ceiling[a] += sign * (c - sizes[t])
+            for s in slots:
+                share[s] += sign * c
 
-    def assign_type(t: int) -> bool:
+    path: list[tuple[int, ...]] = []  # the split of each type entered
+    stack = []  # per type entered, its untried splits
+    while True:
         budget[0] -= 1
         if budget[0] < 0:
             raise BudgetExceededError("node budget exhausted in the count search")
-        if t == k:
-            return all(
-                own[i] >= 1
-                and all(own[i] > rival_share[i][j] for j in rivals_of[i])
-                for i in guess
-            )
-        takers = eligible[t]
-
-        def distribute(pos: int, left: int) -> bool:
-            if pos == len(takers):
-                if left != 0:
-                    return False
-                return viable(t + 1) and assign_type(t + 1)
-            i = takers[pos]
-            lo = left if pos == len(takers) - 1 else 0
-            for c in range(lo, left + 1):
-                place(i, t, c, +1)
-                counts[(i, t)] = c
-                if distribute(pos + 1, left - c):
-                    return True
-                place(i, t, c, -1)
-                del counts[(i, t)]
-            return False
-
-        return distribute(0, sizes[t])
-
-    return counts if assign_type(0) else None
+        t = len(path)
+        if t == k:  # entered through viable(); with no types, only the empty guess
+            return path
+        stack.append(_splits(sizes[t], len(eligible[t])))
+        while stack:
+            t = len(stack) - 1
+            if len(path) > t:  # back from a split that failed
+                shift(t, path.pop(), -1)
+            split = next(stack[-1], None)
+            if split is None:
+                stack.pop()
+                continue
+            shift(t, split, 1)
+            path.append(split)
+            if viable():
+                break
+        else:
+            return None
 
 
-def _materialize(
-    inst: Instance,
-    types: TypePartition,
-    guess: tuple[int, ...],
-    counts: dict[tuple[int, int], int],
-) -> Allocation:
-    """Turn type counts into concrete items, lexicographic within each type."""
+def _materialize(inst: Instance, types: TypePartition, eligible, splits) -> Allocation:
+    """Turn type counts into concrete items, lowest indices first within each
+    type (``compute_types`` lists a type's items in increasing order)."""
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    for t, members in enumerate(types.item_types):
-        pool = sorted(members)
+    for pool, takers, split in zip(types.item_types, eligible, splits):
         at = 0
-        for i in guess:
-            c = counts.get((i, t), 0)
+        for i, c in zip(takers, split):
             bundles[i].update(pool[at : at + c])
             at += c
-        if at != len(pool):
-            raise InternalError("type not fully distributed")
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
-def solve_sa_empty(
-    inst: Instance, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Allocation | None:
+def solve_sa_empty(inst: Instance, *, node_budget: int | None = None) -> Allocation | None:
     """Find an impact-maximizing allocation where every non-empty bundle
     strictly impact-dominates all other agents, or decide none exists.
 
     Guesses are tried by increasing size with lexicographic tie-break, so the
     returned allocation is deterministic.  Raises
     :class:`BudgetExceededError` when the node budget runs out (never a
-    wrong answer).
+    wrong answer); a budget of None means ``DEFAULT_NODE_BUDGET``.
     """
-    require_budget(node_budget, "node budget")
+    budget = [DEFAULT_NODE_BUDGET if node_budget is None else node_budget]
+    require_budget(budget[0], "node budget")
     types = compute_types(inst)
     uniques = sorted(unique_type_agents(types))
     rival_reps = tuple(cls[0] for cls in types.agent_types)
     sizes = tuple(map(len, types.item_types))
-    budget = [node_budget]
     for size in range(len(uniques) + 1):
         for guess in combinations(uniques, size):
             budget[0] -= 1
@@ -185,10 +172,10 @@ def solve_sa_empty(
             eligible = _eligible(types, guess)
             if eligible is None:
                 continue
-            counts = _search_counts(types, sizes, guess, eligible, rival_reps, budget)
-            if counts is None:
+            splits = _search_counts(types, sizes, guess, eligible, rival_reps, budget)
+            if splits is None:
                 continue
-            alloc = _materialize(inst, types, guess, counts)
+            alloc = _materialize(inst, types, eligible, splits)
             verdict = fairness.certify(inst, alloc, fairness.Notion(fairness.SA_EMPTY))
             if not verdict.fair:
                 raise InternalError(

@@ -54,7 +54,7 @@ import os
 from itertools import product
 
 from . import fairness
-from .fairness import BASES, SA_EMPTY, Notion
+from .fairness import BASES, SA_EMPTY, WEIGHTED_BASES, Notion
 from .model import (
     Allocation,
     BudgetExceededError,
@@ -174,7 +174,6 @@ _ENCODING = {
     "swef1": (0, _keep_or_set, _weighted_removal),
     "efl": (frozenset(), _add_value, _less_preferred),
 }
-_WEIGHTED_BASES = ("wef1", "swef1")
 
 
 def _root_key(n: int, base: str, track: bool) -> tuple:
@@ -297,7 +296,7 @@ def exact_solve(
     n, m = inst.n, inst.m
     base = notion.base
     step = _ENCODING[base][1]
-    weights = inst.weights if base in _WEIGHTED_BASES else (1,) * n
+    weights = inst.weights if base in WEIGHTED_BASES else (1,) * n
     params = _item_params(inst)
     root = _root_key(n, base, aware is not None)
     seen: list[set] = [{root}] + [set() for _ in range(m)]
@@ -356,7 +355,8 @@ def enumerate_sim_allocations(inst: Instance):
         yield Allocation.from_assignment(inst.n, owners)
 
 
-def _capped_columns(inst: Instance, require_sim: bool, cap: int):
+def _capped_columns(inst: Instance, require_sim: bool, cap: int | None):
+    cap = DEFAULT_BRUTE_CAP if cap is None else cap
     require_budget(cap, "cap")
     columns = candidate_columns(inst, require_sim)
     count = math.prod(len(c) for c in columns)
@@ -366,7 +366,7 @@ def _capped_columns(inst: Instance, require_sim: bool, cap: int):
     return columns, count
 
 
-def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int):
+def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int | None):
     """Yield the owner list of every candidate passing the notion, in
     ``itertools.product`` order over the candidate columns.  The list is the
     scan's own and changes when the scan resumes; a caller that keeps one
@@ -430,7 +430,7 @@ def brute_force_solve(
     notion: Notion | None,
     *,
     require_sim: bool = True,
-    cap: int = DEFAULT_BRUTE_CAP,
+    cap: int | None = None,
 ) -> Allocation | None:
     """Ground-truth oracle: scan candidate allocations and return the first
     one passing the notion check.
@@ -440,7 +440,7 @@ def brute_force_solve(
     all n**m complete allocations are scanned and only the fairness check is
     applied.  ``notion=None`` accepts every candidate, so the first one is
     returned without a scan.  Raises :class:`BudgetExceededError` when the
-    candidate count exceeds ``cap``, with or without a notion.
+    candidate count exceeds ``cap`` (None: the default), with or without one.
     """
     if notion is None:
         owners = [col[0] for col in _capped_columns(inst, require_sim, cap)[0]]
@@ -454,12 +454,12 @@ def brute_force_count(
     notion: Notion | None,
     *,
     require_sim: bool = True,
-    cap: int = DEFAULT_BRUTE_CAP,
+    cap: int | None = None,
 ) -> int:
     """Number of candidate allocations passing the notion, over the same scan
     as :func:`brute_force_solve`; ``notion=None`` counts every candidate
     without a scan.  Raises :class:`BudgetExceededError` when the candidate
-    count exceeds ``cap``."""
+    count exceeds ``cap`` (None: ``DEFAULT_BRUTE_CAP``)."""
     if notion is None:
         return _capped_columns(inst, require_sim, cap)[1]
     return sum(1 for _ in _scan(inst, notion, require_sim, cap))

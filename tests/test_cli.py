@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi import fairness, generators
+from fdsi import fairness, generators, search
 from fdsi.cli import CANNED_NAMES, main
 from fdsi.fairness import Notion, Verdict, Witness, check, is_sim
 from fdsi.generators import canned, gen_partition_ef1, gen_random
@@ -388,18 +388,29 @@ class TestCommands:
         "print([m for m in ('fdsi.cli', 'fdsi.search', 'fdsi.serialize') if m in sys.modules])",
     }
     # the exact, brute and check routes leave the polynomial allocators, the
-    # sa-empty solver and the generators unloaded
+    # sa-empty solver and the generators unloaded; check and gen also leave
+    # the search unloaded
     _LEAN = ("fdsi.allocators", "fdsi.sa_empty", "fdsi.generators")
     # no command loads these (inspect comes with dataclasses), except that
     # a rational alpha needs fractions
     _STDLIB = ("dataclasses", "inspect", "fractions")
     # argv, modules the call must not add, modules it must load
     _COMMANDS = {
+        "gen": (
+            ["gen", "example", "bill-joe", "-o", "{inst}"],
+            ("fdsi.allocators", "fdsi.sa_empty", "fdsi.search"),
+            ("fdsi.generators",),
+        ),
         "solve-exact": (["solve", "{inst}", "ef1", "--method", "exact"], _LEAN + _STDLIB, ()),
-        "solve-sa": (["solve", "{inst}", "ef1", "--sa"], _STDLIB, ("fdsi.allocators",)),
+        # the picking allocator's answer is certified, so no search runs
+        "solve-sa": (
+            ["solve", "{inst}", "ef1", "--sa"], _STDLIB + ("fdsi.search",), ("fdsi.allocators",)
+        ),
         "solve-alpha": (["solve", "{inst}", "ef1", "--alpha", "1/2"], (), ("fractions",)),
         "brute-count": (["brute", "{inst}", "ef1", "--count"], _LEAN + _STDLIB, ()),
-        "check": (["check", "{inst}", "{alloc}", "sa-ef1"], _LEAN + _STDLIB, ()),
+        "check": (
+            ["check", "{inst}", "{alloc}", "sa-ef1"], _LEAN + _STDLIB + ("fdsi.search",), ()
+        ),
     }
 
     @pytest.mark.parametrize("case", [*_IMPORT_CASES, *_COMMANDS])
@@ -506,6 +517,24 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == (
             "internal error: search accepted an allocation that fails ef1\n"
+        )
+
+    def test_crash_exit_4(self, tmp_path, monkeypatch, capsys):
+        # an exception no handler names is a crash, not a verdict: exit 4 with
+        # one stderr line, never a traceback and exit 1 ("provably none")
+        inst = tmp_path / "p.json"
+        save_instance(gen_partition_ef1((1, 1, 2)), inst)
+
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(search, "exact_solve", crash)
+        capsys.readouterr()
+        assert main(["solve", str(inst), "ef1", "--method", "exact"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: RecursionError: maximum recursion depth exceeded\n"
         )
 
     def test_out_of_memory_exit_3(self, tmp_path):

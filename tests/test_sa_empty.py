@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from fdsi.fairness import Notion, certify, check
-from fdsi.generators import RX3CInput, exact_cover_solvable, gen_x3c_sa_empty
+from fdsi.generators import RX3CInput, exact_cover_solvable, gen_random, gen_x3c_sa_empty
 from fdsi.model import (
     Allocation,
     BudgetExceededError,
@@ -17,6 +17,66 @@ from helpers import random_instances
 
 
 RELAXED_L2 = ({0, 1, 2}, {3, 4, 5}, {0, 1, 3}, {2, 4, 5}, {1, 2, 4}, {0, 3, 5})
+
+# Answers of the recursive count search, pinned before it became an explicit
+# stack: the bundles (None: no allocation) and the smallest node budget that
+# does not raise.  Random instances are ``gen_random(*params)`` with tied
+# impacts; gadgets are ``(universe_size, triples, strict)`` cover sources.
+PINNED_RANDOM = (
+    ((2, 3, 0, 1, 1, 3), ((0,), (1, 2)), 8),
+    ((2, 3, 0, 1, 1, 7), ((0,), (1, 2)), 8),
+    ((2, 3, 0, 1, 1, 9), ((1,), (0, 2)), 8),
+    ((2, 3, 0, 1, 1, 10), ((0,), (1, 2)), 8),
+    ((3, 6, 0, 1, 1, 8), ((0, 5), (1, 2, 3, 4), ()), 19),
+    ((3, 7, 0, 1, 1, 6), ((1, 6), (), (0, 2, 3, 4, 5)), 17),
+    ((3, 7, 0, 2, 1, 6), ((3,), (1,), (0, 2, 4, 5, 6)), 15),
+    ((3, 8, 0, 2, 1, 1), ((1,), (2, 6), (0, 3, 4, 5, 7)), 15),
+    ((4, 4, 0, 2, 1, 4), None, 59),
+    ((4, 6, 0, 3, 1, 5), ((), (3, 4), (2,), (0, 1, 5)), 38),
+    ((4, 7, 0, 1, 1, 2), ((), (0, 1, 3), (2, 4, 5, 6), ()), 42),
+    ((4, 8, 0, 1, 1, 2), ((), (0, 4, 5), (), (1, 2, 3, 6, 7)), 112),
+    ((4, 8, 0, 1, 1, 5), ((0, 1), (), (4, 5, 7), (2, 3, 6)), 52),
+    ((4, 8, 0, 1, 1, 8), ((0, 3), (), (1, 6, 7), (2, 4, 5)), 38),
+    ((5, 3, 0, 1, 1, 1), None, 63),
+    ((5, 3, 0, 2, 1, 1), None, 64),
+    ((5, 3, 0, 2, 1, 7), None, 13),
+    ((5, 3, 0, 3, 1, 1), None, 63),
+    ((5, 4, 0, 1, 1, 3), None, 12),
+    ((5, 4, 0, 1, 1, 9), None, 13),
+    ((5, 5, 0, 1, 1, 3), None, 478),
+    ((5, 6, 0, 1, 1, 2), None, 108),
+    ((5, 6, 0, 2, 1, 1), ((), (), (0,), (3, 4, 5), (1, 2)), 45),
+    ((5, 7, 0, 1, 1, 2), None, 1514),
+    ((5, 7, 0, 1, 1, 9), ((5,), (), (1,), (0, 2), (3, 4, 6)), 38),
+    ((5, 7, 0, 2, 1, 7), ((1,), (), (), (2, 4, 5), (0, 3, 6)), 56),
+    ((5, 7, 0, 3, 1, 2), ((), (4, 5), (1, 2), (0, 3, 6), ()), 45),
+    ((5, 7, 0, 3, 1, 9), ((5,), (), (1,), (0, 2, 4), (3, 6)), 38),
+    ((5, 8, 0, 1, 1, 2), ((4, 5), (), (0, 1, 2, 3, 6, 7), (), ()), 61),
+    ((5, 8, 0, 1, 1, 8), ((3, 7), (), (5,), (), (0, 1, 2, 4, 6)), 68),
+    ((5, 8, 0, 1, 1, 9), ((), (), (0, 2), (3, 5), (1, 4, 6, 7)), 47),
+    ((5, 8, 0, 2, 1, 7), ((5,), (), (0, 2, 6), (), (1, 3, 4, 7)), 47),
+)
+PINNED_GADGETS = (
+    ((3, ((0, 1, 2),), False), ((0, 1, 2, 3), (), ()), 5),
+    (
+        (6, ((0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5), (1, 2, 4), (0, 3, 5)), False),
+        ((0, 1, 2, 6), (3, 4, 5, 7), (), (), (), (), (), ()),
+        16,
+    ),
+    (
+        (9, ((0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 8), (1, 5, 6), (2, 3, 7),
+             (0, 5, 7), (1, 3, 8), (2, 4, 6)), True),
+        ((0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11), (), (), (), (), (), (), (), ()),
+        58,
+    ),
+    (
+        (6, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)), False),
+        ((0, 1, 2, 6), (), (), (), (), (3, 4, 5, 7), (), ()),
+        19,
+    ),
+    ((6, ((0, 1, 2), (0, 1, 3), (0, 4, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5)), False), None, 5234),
+    ((6, ((0, 1, 2), (0, 1, 4), (0, 3, 5), (1, 3, 5), (2, 3, 4), (2, 4, 5)), False), None, 5211),
+)
 
 
 def ag_plane_instance():
@@ -187,3 +247,39 @@ class TestGadgetRoundTrip:
             want = exact_cover_solvable(6, fam)
             assert (solve_sa_empty(inst) is not None) == want
             assert (brute_force_solve(inst, Notion("sa-empty")) is not None) == want
+
+
+def _bundles(alloc):
+    return None if alloc is None else tuple(tuple(sorted(b)) for b in alloc.bundles)
+
+
+class TestPinnedAnswers:
+    """Same allocation and same node count as the recursive search."""
+
+    def _check(self, inst, bundles, nodes):
+        alloc = solve_sa_empty(inst, node_budget=nodes)
+        assert _bundles(alloc) == bundles
+        if alloc is not None:
+            assert certify(inst, alloc, Notion("sa-empty")).fair
+        with pytest.raises(BudgetExceededError):
+            solve_sa_empty(inst, node_budget=nodes - 1)
+
+    @pytest.mark.parametrize("params, bundles, nodes", PINNED_RANDOM)
+    def test_random(self, params, bundles, nodes):
+        self._check(gen_random(*params), bundles, nodes)
+
+    @pytest.mark.parametrize("source, bundles, nodes", PINNED_GADGETS)
+    def test_cover_gadget(self, source, bundles, nodes):
+        universe, triples, strict = source
+        src = RX3CInput(universe_size=universe, triples=tuple(map(frozenset, triples)))
+        self._check(gen_x3c_sa_empty(src, strict=strict), bundles, nodes)
+
+
+def test_many_types_no_recursion_limit():
+    # 8 agents, 600 items with 0/1 impacts: hundreds of item types, each
+    # split among several takers; a recursion per (type, taker) passed the
+    # interpreter's limit here and the command line read the crash as "none"
+    inst = gen_random(8, 600, 1, 1, 1, 1)
+    alloc = solve_sa_empty(inst)
+    assert alloc is not None
+    assert certify(inst, alloc, Notion("sa-empty")).fair

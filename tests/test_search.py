@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdsi import fairness
+from fdsi import fairness, sa_empty, search
 from fdsi.fairness import BASES, TARGET_BASES, Notion, Verdict, Witness, certify, check, is_sim
 from fdsi.generators import canned, gen_partition_ef1, gen_random
 from fdsi.model import (
@@ -205,6 +205,31 @@ class TestExactSolve:
         inst = gen_partition_ef1((1, 1, 4))
         with pytest.raises(ValidationError, match="must be a positive integer"):
             self._BAD_BUDGETS[call](inst)
+
+    # a budget of None means the module's default, for every solver: with
+    # that default lowered to 1, the same call runs out
+    _DEFAULT_BUDGETS = {
+        "exact": (search, "DEFAULT_STATE_BUDGET",
+                  lambda inst: exact_solve(inst, Notion("ef1"), state_budget=None)),
+        "brute-solve": (search, "DEFAULT_BRUTE_CAP",
+                        lambda inst: brute_force_solve(inst, Notion("ef1"), cap=None)),
+        "brute-count": (search, "DEFAULT_BRUTE_CAP",
+                        lambda inst: brute_force_count(inst, Notion("ef1"), cap=None)),
+        "brute-count-any": (search, "DEFAULT_BRUTE_CAP",
+                            lambda inst: brute_force_count(inst, None, cap=None)),
+        "sa-empty": (sa_empty, "DEFAULT_NODE_BUDGET",
+                     lambda inst: solve_sa_empty(inst, node_budget=None)),
+    }
+
+    @pytest.mark.parametrize("call", list(_DEFAULT_BUDGETS))
+    def test_budget_none_is_the_default(self, call, monkeypatch):
+        monkeypatch.delenv("FDSI_STATE_BUDGET", raising=False)
+        module, name, solve = self._DEFAULT_BUDGETS[call]
+        inst = gen_partition_ef1((1, 1, 4))
+        solve(inst)
+        monkeypatch.setattr(module, name, 1)
+        with pytest.raises(BudgetExceededError):
+            solve(inst)
 
     def test_state_count_bound(self):
         for seed in range(10):
