@@ -83,28 +83,27 @@ def _envy_successors(V: Matrix, S: Matrix, vertices: list[int]) -> dict[int, lis
 
 def _find_cycle(succ: dict[int, list[int]]) -> list[int] | None:
     """Deterministic DFS cycle search over an adjacency dict: lowest start
-    vertex, neighbors ascending."""
+    vertex, neighbors ascending.  The walk keeps one iterator of successors
+    per path vertex on an explicit stack, so a long path cannot exhaust the
+    interpreter's recursion limit."""
     color = dict.fromkeys(succ, 0)  # 0 new, 1 on path, 2 done
-
-    def visit(v: int, path: list[int]) -> list[int] | None:
-        color[v] = 1
-        path.append(v)
-        for u in succ[v]:
-            if color[u] == 1:
-                return path[path.index(u):]
-            if color[u] == 0:
-                found = visit(u, path)
-                if found is not None:
-                    return found
-        path.pop()
-        color[v] = 2
-        return None
-
     for start in succ:
-        if color[start] == 0:
-            cycle = visit(start, [])
-            if cycle is not None:
-                return cycle
+        if color[start]:
+            continue
+        color[start] = 1
+        path, stack = [start], [iter(succ[start])]
+        while stack:
+            for u in stack[-1]:
+                if color[u] == 1:
+                    return path[path.index(u):]
+                if color[u] == 0:
+                    color[u] = 1
+                    path.append(u)
+                    stack.append(iter(succ[u]))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
     return None
 
 

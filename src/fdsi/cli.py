@@ -13,6 +13,7 @@ the exact solver.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import serialize
@@ -283,41 +284,38 @@ def _cmd_brute(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fdsi",
-        description="Fair division with social impact: checkers, solvers, gadgets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="verdict for an instance + allocation")
-    p_check.add_argument("instance")
-    p_check.add_argument("allocation")
-    p_check.add_argument("notion")
-    _add_notion_flags(p_check)
-    p_check.add_argument(
+def _add_check(sub) -> None:
+    p = sub.add_parser("check", help="verdict for an instance + allocation")
+    for name in ("instance", "allocation", "notion"):
+        p.add_argument(name)
+    _add_notion_flags(p)
+    p.add_argument(
         "--require-sim",
         action="store_true",
         help="also require impact maximization for exit code 0",
     )
-    p_check.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check)
 
-    p_solve = sub.add_parser("solve", help="find a fair impact-maximizing allocation")
-    p_solve.add_argument("instance")
-    p_solve.add_argument("notion")
-    _add_notion_flags(p_solve)
-    p_solve.add_argument(
+
+def _add_solve(sub) -> None:
+    p = sub.add_parser("solve", help="find a fair impact-maximizing allocation")
+    p.add_argument("instance")
+    p.add_argument("notion")
+    _add_notion_flags(p)
+    p.add_argument(
         "--method",
         choices=("auto", "picking", "efl", "exact", "brute", "sa-empty"),
         default="auto",
     )
-    p_solve.add_argument("--state-budget", type=_positive_int, default=None)
-    p_solve.add_argument("--brute-cap", type=_positive_int, default=None)
-    p_solve.add_argument("--node-budget", type=_positive_int, default=None)
-    p_solve.set_defaults(func=_cmd_solve)
+    for flag in ("--state-budget", "--brute-cap", "--node-budget"):
+        p.add_argument(flag, type=_positive_int, default=None)
+    p.set_defaults(func=_cmd_solve)
 
-    p_gen = sub.add_parser("gen", help="generate an instance file")
-    gen_sub = p_gen.add_subparsers(dest="generator", required=True)
+
+def _add_gen(sub) -> None:
+    gen_sub = sub.add_parser("gen", help="generate an instance file").add_subparsers(
+        dest="generator", required=True
+    )
     for name in ("partition-ef1", "mixed", "wsa"):
         g = gen_sub.add_parser(name)
         g.add_argument("--weights", required=True, help="comma-separated integers")
@@ -355,23 +353,44 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_gen)
 
-    p_brute = sub.add_parser("brute", help="oracle scan over candidate allocations")
-    p_brute.add_argument("instance")
-    p_brute.add_argument("notion", help='a notion spec or "any"')
-    _add_notion_flags(p_brute)
-    p_brute.add_argument("--count", action="store_true")
-    p_brute.add_argument("--cap", type=_positive_int, default=None)
-    p_brute.add_argument(
-        "--no-require-sim", dest="require_sim", action="store_false"
-    )
-    p_brute.set_defaults(func=_cmd_brute, require_sim=True)
 
+def _add_brute(sub) -> None:
+    p = sub.add_parser("brute", help="oracle scan over candidate allocations")
+    p.add_argument("instance")
+    p.add_argument("notion", help='a notion spec or "any"')
+    _add_notion_flags(p)
+    p.add_argument("--count", action="store_true")
+    p.add_argument("--cap", type=_positive_int, default=None)
+    p.add_argument("--no-require-sim", dest="require_sim", action="store_false")
+    p.set_defaults(func=_cmd_brute, require_sim=True)
+
+
+# each subcommand's parser builder, in the order the help lists them
+_SUBCOMMANDS = {"check": _add_check, "solve": _add_solve, "gen": _add_gen, "brute": _add_brute}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subcommand that ``argv[0]`` names,
+    so that a call pays for one subparser, else all of them (no argv,
+    ``--help``, an unknown command), whose help texts and usage errors are
+    then the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="fdsi",
+        description="Fair division with social impact: checkers, solvers, gadgets.",
+    )
+    name = argv[0] if argv else None
+    lone = name in _SUBCOMMANDS
+    # with one built, an "unrecognized arguments" usage line still names all
+    every = "{" + ",".join(_SUBCOMMANDS) + "}" if lone else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for add in [_SUBCOMMANDS[name]] if lone else _SUBCOMMANDS.values():
+        add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -393,4 +412,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The ``fdsi`` script and ``python -m fdsi``.  What is loaded by now
+    lives until exit, so it is frozen: neither the collections during the
+    call nor those at shutdown walk it again.  ``main`` never freezes, because
+    a long-lived caller would then never collect what it froze."""
+    gc.freeze()
     raise SystemExit(main())

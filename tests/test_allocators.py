@@ -158,6 +158,62 @@ class TestEnvyGraph:
             assert _find_cycle(succ) is None
 
 
+def _recursive_find_cycle(succ):
+    """The recursive depth-first search ``_find_cycle`` replaced, kept as the
+    reference for its visiting order: lowest start vertex, neighbors
+    ascending, the first back arc closes the cycle."""
+    color = dict.fromkeys(succ, 0)
+
+    def visit(v, path):
+        color[v] = 1
+        path.append(v)
+        for u in succ[v]:
+            if color[u] == 1:
+                return path[path.index(u):]
+            if color[u] == 0:
+                found = visit(u, path)
+                if found is not None:
+                    return found
+        path.pop()
+        color[v] = 2
+        return None
+
+    for start in succ:
+        if color[start] == 0:
+            cycle = visit(start, [])
+            if cycle is not None:
+                return cycle
+    return None
+
+
+class TestFindCycle:
+    def test_long_path_no_recursion_limit(self):
+        n = 1200
+        path = {i: [i + 1] for i in range(n - 1)}
+        path[n - 1] = []
+        assert _find_cycle(path) is None
+
+    def test_long_cycle_no_recursion_limit(self):
+        n = 1200
+        assert _find_cycle({i: [(i + 1) % n] for i in range(n)}) == list(range(n))
+
+    def test_same_cycle_as_recursive_search(self):
+        found = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(2, 12)
+            density = rng.choice((0.1, 0.2, 0.35))
+            succ = {
+                i: [j for j in range(n) if j != i and rng.random() < density]
+                for i in range(n)
+            }
+            cycle = _find_cycle(succ)
+            assert cycle == _recursive_find_cycle(succ)
+            found += cycle is not None
+        # both outcomes occur among the 30 graphs
+        assert 0 < found < 30
+
+
 class TestSaEflAllocate:
     def test_single_agent(self):
         inst = make_instance(((3, 1),), ((1, 2),))

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import random
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi import fairness, generators, search
-from fdsi.cli import CANNED_NAMES, main
+from fdsi import cli, fairness, generators, search
+from fdsi.cli import CANNED_NAMES, build_parser, main
 from fdsi.fairness import Notion, Verdict, Witness, check, is_sim
 from fdsi.generators import canned, gen_partition_ef1, gen_random
 from fdsi.model import Allocation, ValidationError, exact_rational, make_instance
@@ -25,6 +27,15 @@ from fdsi.serialize import (
 )
 
 from helpers import random_instances
+
+
+@pytest.fixture(autouse=True)
+def _heap_never_frozen():
+    # main runs inside long-lived processes (these tests, perfbench's traced
+    # replay, library callers), which would never collect what it froze
+    before = gc.get_freeze_count()
+    yield
+    assert gc.get_freeze_count() == before
 
 
 class TestSerialization:
@@ -580,3 +591,94 @@ class TestCommands:
         assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
             plain.returncode, plain.stdout, plain.stderr
         )
+
+
+class TestEntry:
+    def test_entry_freezes_once_before_main(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 3
+        assert events == ["freeze", "main"]
+
+    def test_main_never_freezes(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        inst = tmp_path / "p.json"
+        assert main(["gen", "partition-ef1", "--weights", "1,1,2", "-o", str(inst)]) == 0
+        assert main(["solve", str(inst), "ef1", "--method", "exact"]) == 0
+        assert main(["brute", str(inst), "ef1", "--count"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        capsys.readouterr()
+        assert calls == []
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+class TestPerCommandParser:
+    """``main`` builds only the subparser that ``argv[0]`` names.  What a
+    call prints and returns must be exactly what the full parser gives."""
+
+    # case: (exit code, argv)
+    _ARGV = {
+        "check": (0, ["check", "{inst}", "{alloc}", "sa-ef1"]),
+        "solve": (0, ["solve", "{inst}", "ef1", "--sa"]),
+        "solve-exact": (0, ["solve", "{inst}", "sa-ef1", "--method", "exact"]),
+        "brute": (0, ["brute", "{inst}", "ef1", "--count"]),
+        "gen-partition-ef1": (0, ["gen", "partition-ef1", "--weights", "1,1,2"]),
+        "gen-mixed": (0, ["gen", "mixed", "--weights", "2,2,2"]),
+        "gen-wsa": (0, ["gen", "wsa", "--weights", ",".join("1" * 10)]),
+        "gen-alpha": (0, ["gen", "alpha", "--weights", "1,1,2", "--alpha", "1/2"]),
+        "gen-x3c": (0, ["gen", "x3c", "--universe", "3", "--triples", "0,1,2"]),
+        "gen-ef-embedding": (0, ["gen", "ef-embedding", "--valuations", "1,0;0,1"]),
+        "gen-example": (0, ["gen", "example", "bill-joe"]),
+        "gen-random": (0, ["gen", "random", "--agents", "2", "--items", "3", "--v-max", "3",
+                           "--s-max", "2", "--seed", "1"]),
+        "help": (0, ["--help"]),
+        "solve-help": (0, ["solve", "--help"]),
+        "gen-random-help": (0, ["gen", "random", "--help"]),
+        "no-command": (2, []),
+        "unknown-command": (2, ["bogus", "x"]),
+        "missing-positionals": (2, ["solve"]),
+        "missing-generator": (2, ["gen"]),
+        "bad-method": (2, ["solve", "{inst}", "ef1", "--method", "bogus"]),
+        "zero-budget": (2, ["solve", "{inst}", "ef1", "--state-budget", "0"]),
+        # the top-level parser reports these, with its own usage line
+        "unrecognized-flag": (2, ["check", "{inst}", "{alloc}", "ef1", "--no-such-flag"]),
+    }
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("case", _ARGV)
+    def test_same_output_as_full_parser(self, tmp_path, monkeypatch, capsys, case):
+        inst, alloc = tmp_path / "i.json", tmp_path / "a.json"
+        ex = canned("wsa-nonexistence")
+        save_instance(ex.instance, inst)
+        alloc.write_text(json.dumps(allocation_to_obj(ex.instance, ex.allocation)))
+        code, argv = self._ARGV[case]
+        argv = [a.format(inst=inst, alloc=alloc) for a in argv]
+        lone = self._run(argv, capsys)
+        full = build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+        assert self._run(argv, capsys) == lone
+        assert lone[0] == code and lone[1 if code == 0 else 2]
+
+    def test_builds_only_the_named_subcommand(self):
+        assert _subcommands(build_parser(["solve", "i.json", "ef1"])) == ["solve"]
+        assert _subcommands(build_parser(["gen", "random"])) == ["gen"]
+        every = ["check", "solve", "gen", "brute"]
+        for argv in (None, [], ["--help"], ["-h"], ["bogus"]):
+            assert _subcommands(build_parser(argv)) == every
