@@ -136,8 +136,11 @@ def _rotate_cycles(
 def sa_efl_partials(inst: Instance):
     """Yield the partial allocation after every assignment round of the
     envy-graph allocator (used to check that each prefix already satisfies
-    its guarantees).  Each round reads its envy graph from one
-    ``fairness.matrices`` call."""
+    its guarantees).  The value and impact matrices of ``fairness.matrices``
+    are built once, for the empty allocation; each round adds the picked
+    item's entries to the picker's column, and the cycle rotations move the
+    columns with their bundles, so every round reads its envy graph from the
+    matrices of the current allocation."""
     require_goods(inst)
     maxsets = all_maximizers(inst)
     alloc = Allocation.empty(inst.n)
@@ -162,7 +165,9 @@ def sa_efl_partials(inst: Instance):
                 best = g
         alloc = alloc.give(source, best)
         remaining.discard(best)
-        V, S = fairness.matrices(inst, alloc.owners(inst.m))
+        for Vi, Si, vals, imps in zip(V, S, inst.valuations, inst.impacts):
+            Vi[source] += vals[best]
+            Si[source] += imps[best]
         alloc = _rotate_cycles(alloc, V, S, vertices)
         yield alloc
 

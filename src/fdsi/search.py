@@ -2,30 +2,36 @@
 
 The exact solver walks a layered directed acyclic graph depth first.  Layer k
 holds the states reachable after assigning the first k items (input order),
-and a state, kept as an (x, y, flags) key, records for every ordered agent
-pair (a, b):
+and a state records for every ordered agent pair (a, b):
 
-* ``x[a][b]``  the value, in a's eyes, of b's bundle so far;
-* ``y[a][b]``  what "up to one item" may subtract from b's bundle at the end
-  (a tracked removal value, or for ``efl`` a set of values, see below);
-* optionally a flag per pair (a, b) with an aware observer a, set once b
-  received an item with strictly higher impact for b than for a (which on
-  impact-maximizing allocations is exactly when the ``sa`` override fires).
-  Awareness is read from the instance's ``aware`` flags under an ``sa``
-  notion only, so mixed awareness is an instance with some flags off.
+* ``x_ab``  the value, in a's eyes, of b's bundle so far;
+* ``y_ab``  what "up to one item" may subtract from b's bundle at the end
+  (a tracked removal value, or for ``efl`` the set of values, see below);
+* a flag when a is an aware observer, set once b received an item with
+  strictly higher impact for b than for a (which on impact-maximizing
+  allocations is exactly when the ``sa`` override fires).  Awareness is read
+  from the instance's ``aware`` flags under an ``sa`` notion only, so mixed
+  awareness is an instance with some flags off.
+
+A state is one ``int``.  ``_Layout`` states where each pair's fields lie:
+fixed bit offsets, each field as wide as the largest entry it can hold on the
+instance (x_ab a's row sum, y_ab a's largest value), so no field spills into
+the next, the root is 0 for every base and a layer is a set of ints.  Giving
+an item to an agent is an integer add and an OR, then a per-observer maximum
+over one column of ``y``, or a second successor with that column replaced.
 
 Assigning an item only ever goes to one of its impact maximizers, so every
-path encodes an impact-maximizing allocation.  How ``y`` starts and evolves,
-and what a leaf (layer m) tests per pair, is one entry per base of
-``_ENCODING``: the one-removal family keeps a running maximum, and the
-universal-item family branches on whether the new item becomes the single
-tracked removal for the whole bundle.  The one-less-preferred notion keeps,
-per pair, the frozenset of distinct positive values, in a's eyes, of the
-items in b's bundle; assigning an item adds one value per observer and never
+path encodes an impact-maximizing allocation.  How ``y`` moves, and what a
+leaf (layer m) tests per pair, is one entry per base of ``_ENCODING``: the
+one-removal family keeps a running maximum, and the universal-item family
+branches on whether the new item becomes the single tracked removal for the
+whole bundle.  The one-less-preferred notion keeps, per pair, the set of
+distinct positive values, in a's eyes, of the items in b's bundle, one bit per
+distinct positive value in a's row, so its width does not grow with how
+large the values are; assigning an item sets one bit per observer and never
 branches.  The set loses nothing the sink test reads (a zero value could only
-pass a pair without envy, which passes anyway), and unlike a bitmask over
-values its size does not grow with how large the values are.  A leaf accepts
-when every unflagged pair passes the base's closed-form test on (x, y).
+pass a pair without envy, which passes anyway).  A leaf accepts when every
+unflagged pair passes the base's closed-form test on (x, y).
 
 The brute-force oracle is independent of that encoding.  It scans candidate
 owner tuples as an odometer in ``itertools.product`` order (per item, the
@@ -89,60 +95,13 @@ def default_state_budget() -> int:
     return value
 
 
-def _aware_flags(inst: Instance, notion: Notion) -> tuple[bool, ...] | None:
-    """The ``aware`` flags the walk tracks: the instance's under ``sa`` when
-    some agent is aware, else None (no override fires anywhere).
-
-    Alpha and wsa modes are out of reach for the state encoding (their
-    overrides depend on impact sums, not on a per-pair bit) and are rejected.
-    """
-    if notion.awareness in ("alpha", "wsa"):
-        raise UnsupportedNotionError(
-            f"{notion.label()} is not solvable by the state search; "
-            "use the brute-force oracle"
-        )
-    if notion.awareness == "sa" and any(inst.aware):
-        return inst.aware
-    return None
-
-
 # -- per-base encoding ---------------------------------------------------------
 #
-# A column step maps ``y`` and the assignee c of an item whose values, one per
-# observer, are ``vals`` to the y-branches of the successor; column c of the
-# row-major ``y`` is the slice ``y[c::n]``.  A leaf test decides one ordered
-# pair (a, b) from ``x_aa``, ``x_ab``, ``y_ab`` and the pair's weights.
-
-
-def _keep(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
-    return (y,)
-
-
-def _running_max(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
-    new_y = list(y)
-    for a in range(n):
-        if vals[a] > new_y[a * n + c]:
-            new_y[a * n + c] = vals[a]
-    return (tuple(new_y),)
-
-
-def _keep_or_set(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
-    # keep the universal removal, or make this item the removal for every
-    # observer of the bundle
-    if y[c::n] == vals:
-        return (y,)
-    new_y = list(y)
-    new_y[c::n] = vals
-    return y, tuple(new_y)
-
-
-def _add_value(y: tuple, n: int, c: int, vals: tuple[int, ...]) -> tuple:
-    new_y = list(y)
-    for a in range(n):
-        v = vals[a]
-        if v and v not in new_y[a * n + c]:
-            new_y[a * n + c] = new_y[a * n + c] | {v}
-    return (tuple(new_y),)
+# How column c of ``y`` moves when c receives an item: not at all (no ``y``),
+# "bits" (each observer's value joins its set), "max" (a running maximum per
+# observer) or "set" (keep ``y``, or make the item every observer's removal).
+# A leaf test decides one ordered pair (a, b) from ``x_aa``, ``x_ab``,
+# ``y_ab`` (for "bits", the values in the set) and the pair's weights.
 
 
 def _no_envy(xaa: int, xab: int, yab, wa: int, wb: int) -> bool:
@@ -157,104 +116,152 @@ def _transfer(xaa: int, xab: int, yab: int, wa: int, wb: int) -> bool:
     return xaa + yab >= xab - yab
 
 
-def _less_preferred(xaa: int, xab: int, yab: frozenset, wa: int, wb: int) -> bool:
+def _less_preferred(xaa: int, xab: int, yab: list[int], wa: int, wb: int) -> bool:
     # no envy, one item carries all of b's bundle value for a (at most one
     # positive item), or some value v with x_ab - x_aa <= v <= x_aa
     return xaa >= xab or xab in yab or any(xab - xaa <= v <= xaa for v in yab)
 
 
-# base -> (the y entry of every pair at the root, None when no y is tracked;
-# column step; leaf test)
+# base -> (how y moves, leaf test)
 _ENCODING = {
-    "ef": (None, _keep, _no_envy),
-    "ef1": (0, _running_max, _weighted_removal),
-    "wef1": (0, _running_max, _weighted_removal),
-    "tef1": (0, _running_max, _transfer),
-    "sef1": (0, _keep_or_set, _weighted_removal),
-    "swef1": (0, _keep_or_set, _weighted_removal),
-    "efl": (frozenset(), _add_value, _less_preferred),
+    "ef": (None, _no_envy),
+    "ef1": ("max", _weighted_removal),
+    "wef1": ("max", _weighted_removal),
+    "tef1": ("max", _transfer),
+    "sef1": ("set", _weighted_removal),
+    "swef1": ("set", _weighted_removal),
+    "efl": ("bits", _less_preferred),
 }
 
 
-def _root_key(n: int, base: str, track: bool) -> tuple:
-    """The (x, y, flags) key of layer 0.  ``x``, ``y`` and ``flags`` are
-    row-major n*n tuples; ``y`` is empty when the base tracks no removal
-    (``ef``), and ``flags`` is None unless some observer is aware."""
-    y0 = _ENCODING[base][0]
-    zeros = (0,) * (n * n)
-    return zeros, () if y0 is None else (y0,) * (n * n), zeros if track else None
+class _Layout:
+    """Where each field of a search key lies, for one instance and notion.
 
+    A key is one ``int``.  Each ordered pair p = a*n + b, row-major from the
+    low bits up, owns three unsigned fields, given as (shift, mask) in
+    ``x[p]``, ``y[p]`` and ``flag[p]``: ``x_ab``, as wide as a's row sum;
+    ``y_ab``, as wide as a's largest value, or for "bits" one bit per distinct
+    positive value in a's row (bit i for ``values[a][i]``, the i-th smallest);
+    and a 1-bit flag when a is an aware observer of b != a.  A field of width
+    0 (mask 0) is absent: no ``y`` under ``ef``, no flag outside ``sa``, so
+    the root is 0 for every base.  The diagonal ``y_aa`` is never read, but it
+    is kept, so the walk creates the same states whatever the encoding.
 
-def _item_params(inst: Instance) -> tuple:
-    """Per item: its impact maximizers ascending, then its value and impact
-    columns (one entry per agent)."""
-    return tuple(
-        (
-            tuple(sorted(maxset)),
-            tuple(row[g] for row in inst.valuations),
-            tuple(row[g] for row in inst.impacts),
-        )
-        for g, maxset in enumerate(all_maximizers(inst))
-    )
-
-
-def accepting_state(key: tuple, base: str, weights: tuple[int, ...]) -> bool:
-    """Sink condition: does the final (x, y, flags) key satisfy ``base`` for
-    every ordered pair?
-
-    A flagged pair passes (only aware observers are ever flagged); every
-    other pair must pass the base's leaf test.  ``weights`` are the pair
-    weights of that test: the instance weights for ``wef1``/``swef1``, ones
-    otherwise.
+    ``moves[g]`` lists, per impact maximizer c of item g ascending, what
+    giving g to c does: (c, the int that adds the item's values to column c
+    of x, the OR mask of the flags and value bits it sets, the column step).
+    The column step is, for "max", the (mask, value) of each ``y_ac`` field
+    that the item's positive value for a may raise, and otherwise the mask of
+    column c of y and the item's values placed in it, for "set".
     """
-    x, y, flags = key
-    n = len(weights)
-    ok = _ENCODING[base][2]
-    y = y or (0,) * (n * n)
-    for a in range(n):
-        row = a * n
-        xaa, wa = x[row + a], weights[a]
-        for b in range(n):
-            if b == a or (flags is not None and flags[row + b]):
+
+    def __init__(self, inst: Instance, notion: Notion):
+        if notion.base not in BASES:
+            raise UnsupportedNotionError(
+                f"state search supports bases {BASES}, not {notion.base!r}"
+            )
+        # alpha and wsa overrides depend on impact sums, not on a per-pair
+        # bit, so the encoding cannot carry them
+        if notion.awareness in ("alpha", "wsa"):
+            raise UnsupportedNotionError(
+                f"{notion.label()} is not solvable by the state search; "
+                "use the brute-force oracle"
+            )
+        n = self.n = inst.n
+        rows = inst.valuations
+        self.ymove, self.test = _ENCODING[notion.base]
+        w = inst.weights if notion.base in WEIGHTED_BASES else (1,) * n
+        aware = inst.aware if notion.awareness == "sa" else (False,) * n
+        self.values = [sorted(set(row) - {0}) for row in rows]
+        self.x, self.y, self.flag = [], [], []
+        shift = 0
+        for a, row in enumerate(rows):
+            if self.ymove is None:
+                y_width = 0
+            elif self.ymove == "bits":
+                y_width = len(self.values[a])
+            else:
+                y_width = max(row, default=0).bit_length()
+            for b in range(n):
+                for fields, width in (
+                    (self.x, sum(row).bit_length()),
+                    (self.y, y_width),
+                    (self.flag, int(aware[a] and a != b)),
+                ):
+                    fields.append((shift, (1 << width) - 1))
+                    shift += width
+        self.moves = [
+            [self._move(inst, g, c) for c in sorted(maxset)]
+            for g, maxset in enumerate(all_maximizers(inst))
+        ]
+        # the leaf's pairs off the diagonal: the flag bit, the fields of
+        # x_aa, x_ab and y_ab, the pair's weights and a's values
+        self.pairs = []
+        for a, b in product(range(n), repeat=2):
+            if a != b:
+                p = a * n + b
+                shift, mask = self.flag[p]
+                self.pairs.append(
+                    (mask << shift, self.x[a * n + a], self.x[p], self.y[p], w[a], w[b], self.values[a])
+                )
+
+    def _move(self, inst: Instance, g: int, c: int) -> tuple:
+        """The ``moves`` entry of giving item g to c."""
+        add = bits = column = placed = 0
+        raised = []
+        for a, row in enumerate(inst.valuations):
+            v = row[g]
+            p = a * self.n + c
+            add += v << self.x[p][0]
+            y_shift, y_mask = self.y[p]
+            flag_shift, flag_mask = self.flag[p]
+            if flag_mask and inst.impacts[c][g] > inst.impacts[a][g]:
+                bits |= 1 << flag_shift
+            if self.ymove == "bits" and v:
+                bits |= 1 << (y_shift + self.values[a].index(v))
+            elif self.ymove == "max" and v:
+                raised.append((y_mask << y_shift, v << y_shift))
+            column |= y_mask << y_shift
+            placed += v << y_shift
+        return c, add, bits, raised if self.ymove == "max" else (column, placed)
+
+    def successors(self, key: int, g: int) -> list[tuple[int, int]]:
+        """The (key, assignee) pairs of giving item g: assignees ascending,
+        and under "set" the kept y before the set one.  A key may repeat;
+        the walk drops repeats."""
+        out = []
+        for c, add, bits, step in self.moves[g]:
+            k = (key + add) | bits
+            if self.ymove == "max":
+                for mask, v in step:
+                    if k & mask < v:
+                        k += v - (k & mask)
+            out.append((k, c))
+            if self.ymove == "set":
+                column, placed = step
+                held = k & column
+                if held != placed:
+                    out.append((k - held + placed, c))
+        return out
+
+    def accepts(self, key: int) -> bool:
+        """Sink condition: does the final key satisfy the base for every
+        ordered pair?
+
+        A flagged pair passes (only aware observers carry a flag); every
+        other pair must pass the base's leaf test, with the instance weights
+        for ``wef1``/``swef1`` and ones otherwise.
+        """
+        test, bits = self.test, self.ymove == "bits"
+        for flag, (s_aa, m_aa), (s_ab, m_ab), (s_y, m_y), wa, wb, values in self.pairs:
+            if key & flag:
                 continue
-            if not ok(xaa, x[row + b], y[row + b], wa, weights[b]):
+            yab = key >> s_y & m_y
+            if bits:
+                yab = [v for i, v in enumerate(values) if yab >> i & 1]
+            if not test(key >> s_aa & m_aa, key >> s_ab & m_ab, yab, wa, wb):
                 return False
-    return True
-
-
-def _expand_key(
-    key: tuple,
-    n: int,
-    c_list: tuple[int, ...],
-    vals: tuple[int, ...],
-    impact_col: tuple[int, ...],
-    step,
-    aware: tuple[bool, ...] | None,
-) -> list[tuple[tuple, int]]:
-    """The (key, assignee) pairs reachable by assigning one item, whose
-    ``_item_params`` entry is (c_list, vals, impact_col): assignees
-    ascending, then the y-branches of the base's column ``step``.  With
-    ``aware`` flags, pair (a, c) is flagged once c receives an item with
-    strictly higher impact for c than for an aware a.  A key may repeat; the
-    caller drops repeats."""
-    x, y, flags = key
-    out: list[tuple[tuple, int]] = []
-    for c in c_list:
-        new_x = list(x)
-        for a in range(n):
-            new_x[a * n + c] += vals[a]
-        nx = tuple(new_x)
-        nf = flags
-        if aware is not None:
-            new_f = list(flags)
-            s_c = impact_col[c]
-            for a in range(n):
-                if aware[a] and s_c > impact_col[a]:
-                    new_f[a * n + c] = 1
-            nf = tuple(new_f)
-        for ny in step(y, n, c, vals):
-            out.append(((nx, ny, nf), c))
-    return out
+        return True
 
 
 def exact_solve(
@@ -286,23 +293,14 @@ def exact_solve(
     (the size of each layer's set, layers 0 to m).
     """
     require_goods(inst)
-    if notion.base not in BASES:
-        raise UnsupportedNotionError(
-            f"state search supports bases {BASES}, not {notion.base!r}"
-        )
-    aware = _aware_flags(inst, notion)
+    layout = _Layout(inst, notion)
     budget = default_state_budget() if state_budget is None else state_budget
     require_budget(budget, "state budget")
-    n, m = inst.n, inst.m
-    base = notion.base
-    step = _ENCODING[base][1]
-    weights = inst.weights if base in WEIGHTED_BASES else (1,) * n
-    params = _item_params(inst)
-    root = _root_key(n, base, aware is not None)
-    seen: list[set] = [{root}] + [set() for _ in range(m)]
+    m = inst.m
+    seen: list[set[int]] = [{0}] + [set() for _ in range(m)]
     visited = 1
     owners: list[int] = []  # the assignees on the current path
-    stack = [iter(_expand_key(root, n, *params[0], step, aware))] if m else []
+    stack = [iter(layout.successors(0, 0))] if m else []
     while stack:
         g = len(stack)  # the layer the top iterator's successors lie on
         layer = seen[g]
@@ -322,8 +320,8 @@ def exact_solve(
             )
         if g < m:
             owners.append(c)
-            stack.append(iter(_expand_key(key, n, *params[g], step, aware)))
-        elif accepting_state(key, base, weights):
+            stack.append(iter(layout.successors(key, g)))
+        elif layout.accepts(key):
             owners.append(c)
             break
     if stats is not None:
@@ -333,7 +331,7 @@ def exact_solve(
     # only leaf, and it accepts (every x is 0)
     if len(owners) < m:
         return None
-    alloc = Allocation.from_assignment(n, owners)
+    alloc = Allocation.from_assignment(inst.n, owners)
     verdict = fairness.certify(inst, alloc, notion)
     if not verdict.fair:
         raise InternalError(f"search accepted an allocation that fails {verdict.witness.reason}")

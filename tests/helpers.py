@@ -204,3 +204,51 @@ def random_sim_allocation(inst: Instance, rng: random.Random) -> Allocation:
     maxsets = all_maximizers(inst)
     owners = [rng.choice(sorted(maxsets[g])) for g in range(inst.m)]
     return Allocation.from_assignment(inst.n, owners)
+
+
+def _value_bits(inst: Instance, a: int) -> list[int]:
+    """The values of a value-set field of observer a, one per bit: bit i is
+    the i-th smallest distinct positive value in a's row."""
+    return sorted({v for v in inst.valuations[a] if v > 0})
+
+
+def pack_key(inst: Instance, layout, x, y=None, flags=None) -> int:
+    """A search key from n*n matrices, each entry placed in the (shift,
+    mask) field that ``layout`` states for its pair.  Under a value-set
+    layout ("bits") each y entry is a set of values.  Absent matrices are
+    zero; every entry must fit its field."""
+    n = inst.n
+    key = 0
+    for fields, matrix in ((layout.x, x), (layout.y, y), (layout.flag, flags)):
+        if matrix is None:
+            continue
+        for p, (shift, mask) in enumerate(fields):
+            entry = matrix[p // n][p % n]
+            if fields is layout.y and layout.ymove == "bits":
+                entry = sum(1 << _value_bits(inst, p // n).index(v) for v in entry)
+            if not 0 <= int(entry) <= mask:
+                raise AssertionError(f"entry {entry} of pair {p} does not fit mask {mask}")
+            key |= int(entry) << shift
+    return key
+
+
+def unpack_key(inst: Instance, layout, key: int):
+    """The (x, y, flags) of a search key as row-major n*n tuples, read from
+    the fields ``layout`` states (absent fields read 0).  Under a value-set
+    layout ("bits") each y entry is the frozenset of the values whose bits
+    are set.  The key must hold no bit above its fields."""
+    n = inst.n
+    x, y, flags = (
+        tuple(key >> shift & mask for shift, mask in fields)
+        for fields in (layout.x, layout.y, layout.flag)
+    )
+    if layout.ymove == "bits":
+        y = tuple(
+            frozenset(v for i, v in enumerate(_value_bits(inst, p // n)) if y[p] >> i & 1)
+            for p in range(n * n)
+        )
+    top = max((shift + mask.bit_length() for fields in (layout.x, layout.y, layout.flag)
+               for shift, mask in fields), default=0)
+    if key >> top:
+        raise AssertionError("the key has bits above its last field")
+    return x, y, flags

@@ -550,9 +550,10 @@ class TestCommands:
 
     def test_out_of_memory_exit_3(self, tmp_path):
         # identical values 1, 2, 4, ...: every subset sum differs, so each
-        # ef state is distinct (797,161 of them, over 200 MiB), and no split
-        # of 4095 into three equal bundles exists, so the search is negative
-        m = 12
+        # ef state is distinct (2,391,484 of them, about 180 MiB at some 80 B
+        # a state), and no split of 8191 into three equal bundles exists, so
+        # the search is negative
+        m = 13
         inst = tmp_path / "big.json"
         save_instance(
             make_instance(((tuple(2**g for g in range(m)),) * 3), ((1,) * m,) * 3),

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,12 +21,8 @@ from fdsi.model import (
 )
 from fdsi.sa_empty import solve_sa_empty
 from fdsi.search import (
-    _ENCODING,
     UnsupportedNotionError,
-    _expand_key,
-    _item_params,
-    _root_key,
-    accepting_state,
+    _Layout,
     brute_force_count,
     brute_force_solve,
     candidate_columns,
@@ -32,79 +30,92 @@ from fdsi.search import (
     exact_solve,
 )
 
-from helpers import naive_check, naive_target, random_instances
+from helpers import naive_check, naive_target, pack_key, random_instances, unpack_key
 
 
-def _successors(inst, key, g, base):
-    """The (key, assignee) pairs of assigning item g, as the walk sees them
-    (the instance's ``aware`` flags are tracked when the key has flags)."""
-    aware = inst.aware if key[2] is not None else None
-    return _expand_key(key, inst.n, *_item_params(inst)[g], _ENCODING[base][1], aware)
+def _layout(inst, base, sa=False):
+    return _Layout(inst, Notion(base, "sa" if sa else None))
 
 
-def _key(x, y=None, flags=None):
-    """An (x, y, flags) search key from row-major matrices."""
-    flat_y = () if y is None else tuple(v for row in y for v in row)
-    flat_f = None if flags is None else tuple(int(v) for row in flags for v in row)
-    return tuple(v for row in x for v in row), flat_y, flat_f
+def _replay(inst, layout, owners, branch=0):
+    """The key after giving item g to ``owners[g]`` for every g, taking each
+    assignee's ``branch``-th successor (under "set", 0 keeps y and 1 sets
+    it, when the two differ)."""
+    key = 0
+    for g, owner in enumerate(owners):
+        keys = [k for k, c in layout.successors(key, g) if c == owner]
+        key = keys[min(branch, len(keys) - 1)]
+    return key
 
 
 class TestSuccessorStates:
     def test_single_agent_grows_own_cell(self):
         inst = make_instance(((4, 2),), ((1, 1),))
-        succ = _successors(inst, _root_key(1, "ef1", False), 0, "ef1")
+        layout = _layout(inst, "ef1")
+        succ = layout.successors(0, 0)
         assert len(succ) == 1
-        (x, y, _), assignee = succ[0]
+        key, assignee = succ[0]
         assert assignee == 0
+        x, y, _ = unpack_key(inst, layout, key)
         assert x == (4,)
         assert y == (4,)
 
     def test_update_rule_both_maximize(self):
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
-        succ = _successors(inst, _root_key(2, "ef1", False), 0, "ef1")
+        layout = _layout(inst, "ef1")
+        succ = layout.successors(0, 0)
         assert [assignee for _, assignee in succ] == [0, 1]
-        x, y, _ = dict((a, k) for k, a in succ)[1]
+        x, y, _ = unpack_key(inst, layout, dict((a, k) for k, a in succ)[1])
         assert x == (0, 3, 0, 5)  # x[0][1] += 3, x[1][1] += 5
         assert y == (0, 3, 0, 5)
 
     def test_unique_maximizer_single_branch(self):
         inst = make_instance(((3, 0), (5, 0)), ((2, 1), (1, 1)))
-        succ = _successors(inst, _root_key(2, "ef1", False), 0, "ef1")
+        succ = _layout(inst, "ef1").successors(0, 0)
         assert len(succ) == 1 and succ[0][1] == 0
 
     def test_universal_branching(self):
-        inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
-        succ = _successors(inst, _root_key(2, "sef1", False), 0, "sef1")
+        inst = make_instance(((3, 4), (5, 2)), ((1, 1), (1, 1)))
+        layout = _layout(inst, "sef1")
+        succ = layout.successors(0, 0)
         # per assignee: keep y, or set the universal removal to this item
         assert [assignee for _, assignee in succ] == [0, 0, 1, 1]
         assert len({k for k, _ in succ}) == 4
-        assert succ[0][0][1] == (0, 0, 0, 0)  # the kept y comes first
+        assert unpack_key(inst, layout, succ[0][0])[1] == (0, 0, 0, 0)  # the kept y first
+        # setting the removal again replaces the whole column: (3, 5) -> (4, 2)
+        key = succ[1][0]
+        assert unpack_key(inst, layout, key)[1] == (3, 0, 5, 0)
+        kept, replaced = (k for k, c in layout.successors(key, 1) if c == 0)
+        assert unpack_key(inst, layout, kept)[1] == (3, 0, 5, 0)
+        assert unpack_key(inst, layout, replaced) == ((7, 0, 7, 0), (4, 0, 2, 0), (0,) * 4)
 
     def test_per_observer_branching(self):
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
-        root = _root_key(2, "efl", False)
-        succ = _successors(inst, root, 0, "efl")
+        layout = _layout(inst, "efl")
+        succ = layout.successors(0, 0)
         # one successor per assignee; each observer's value joins its set
         assert [assignee for _, assignee in succ] == [0, 1]
-        by_assignee = dict((a, k) for k, a in succ)
+        by_assignee = dict((a, unpack_key(inst, layout, k)[1]) for k, a in succ)
         empty = frozenset()
-        assert by_assignee[0][1] == (frozenset({3}), empty, frozenset({5}), empty)
-        assert by_assignee[1][1] == (empty, frozenset({3}), empty, frozenset({5}))
+        assert by_assignee[0] == (frozenset({3}), empty, frozenset({5}), empty)
+        assert by_assignee[1] == (empty, frozenset({3}), empty, frozenset({5}))
         # a repeated value leaves the set as it is, a zero value is not kept
         inst = make_instance(((3, 3, 0), (0, 5, 7)), ((1, 1, 1), (0, 0, 0)))
-        key = root
+        layout = _layout(inst, "efl")
+        key = 0
         for g in range(3):
-            (key, _), = _successors(inst, key, g, "efl")
-        assert key[1] == (frozenset({3}), empty, frozenset({5, 7}), empty)
+            (key, _), = layout.successors(key, g)
+        assert unpack_key(inst, layout, key)[1] == (frozenset({3}), empty, frozenset({5, 7}), empty)
 
     def test_flags_follow_strict_impact(self):
         def flags_after_item_0(aware):
             inst = make_instance(((1, 1), (1, 1)), ((3, 0), (1, 0)), aware=aware)
-            succ = _successors(inst, _root_key(2, "ef1", True), 0, "ef1")
+            layout = _layout(inst, "ef1", sa=True)
+            succ = layout.successors(0, 0)
             assert len(succ) == 1
-            (_, _, flags), assignee = succ[0]
+            key, assignee = succ[0]
             assert assignee == 0
-            return flags
+            return unpack_key(inst, layout, key)[2]
 
         # pair (1, 0) saw a dominated item
         assert flags_after_item_0((True, True)) == (0, 0, 1, 0)
@@ -113,30 +124,87 @@ class TestSuccessorStates:
         assert flags_after_item_0((True, False)) == (0, 0, 0, 0)
 
 
+class TestKeyLayout:
+    """Fields at their widest: every path's key holds the value matrix of
+    ``fairness.matrices`` in x, and the running maximum or the value set in
+    y, with no field spilling into the next."""
+
+    @pytest.mark.parametrize("k", (3, 30))
+    def test_row_sums_at_a_power_of_two(self, k):
+        # row sums 2**k - 1 and 2**k: the widest x each field width holds,
+        # and the first value one bit wider
+        top = 2 ** (k - 1)
+        inst = make_instance(
+            ((top, top - 1, 0), (top, top - 1, 1)), ((1, 1, 1), (1, 1, 1))
+        )
+        assert [sum(row) for row in inst.valuations] == [2**k - 1, 2**k]
+        for base in ("ef", "ef1", "sef1"):
+            layout = _layout(inst, base)
+            assert [mask for _, mask in layout.x] == [2**k - 1] * 2 + [2 ** (k + 1) - 1] * 2
+            for owners in product(range(2), repeat=3):
+                V = fairness.matrices(inst, owners)[0]
+                for branch in (0, 1):
+                    x, y, _ = unpack_key(inst, layout, _replay(inst, layout, owners, branch))
+                    assert x == tuple(v for row in V for v in row), (base, owners)
+                    if base == "ef1":
+                        assert y == tuple(
+                            max((inst.valuations[a][g] for g in range(3) if owners[g] == b), default=0)
+                            for a in range(2) for b in range(2)
+                        ), owners
+
+    def test_efl_values_near_a_billion(self):
+        inst = make_instance(
+            ((10**9, 10**9 - 1, 10**9 + 1, 10**9), (1, 10**9, 0, 2)),
+            ((1, 1, 1, 1), (1, 1, 1, 1)),
+        )
+        layout = _layout(inst, "efl")
+        # one bit per distinct positive value, however large the values
+        assert [mask for _, mask in layout.y] == [0b111] * 4
+        assert [mask for _, mask in layout.x] == [2**32 - 1] * 2 + [2**30 - 1] * 2
+        for owners in product(range(2), repeat=4):
+            x, y, _ = unpack_key(inst, layout, _replay(inst, layout, owners))
+            V = fairness.matrices(inst, owners)[0]
+            assert x == tuple(v for row in V for v in row), owners
+            assert y == tuple(
+                frozenset(inst.valuations[a][g] for g in range(4) if owners[g] == b) - {0}
+                for a in range(2) for b in range(2)
+            ), owners
+
+
+def _accepts(rows, base, x, y=None, flags=None, weights=None):
+    """Does the leaf test accept the key of these matrices?  ``rows`` are
+    the valuations, chosen so that the entries fit the fields; with
+    ``flags`` every agent is aware and the notion is under ``sa``."""
+    n = len(rows)
+    inst = make_instance(
+        rows, [[0] * len(rows[0])] * n, weights=weights, aware=[flags is not None] * n
+    )
+    layout = _layout(inst, base, sa=flags is not None)
+    return layout.accepts(pack_key(inst, layout, x, y, flags))
+
+
 class TestAcceptingState:
     def test_single_agent_always_accepts(self):
-        key = _key([[7]], [[2]])
         for base in BASES:
-            k = key if base != "ef" else _key([[7]])
-            assert accepting_state(k, base, (1,))
+            y = None if base == "ef" else [[{2} if base == "efl" else 2]]
+            assert _accepts([[7, 2]], base, [[7]], y)
 
     def test_ef1_fails_tef1_holds(self):
-        key = _key([[0, 2], [2, 0]], [[0, 1], [1, 0]])
-        assert not accepting_state(key, "ef1", (1, 1))
-        assert accepting_state(key, "tef1", (1, 1))
+        rows, x, y = [[1, 1], [1, 1]], [[0, 2], [2, 0]], [[0, 1], [1, 0]]
+        assert not _accepts(rows, "ef1", x, y)
+        assert _accepts(rows, "tef1", x, y)
 
     def test_weighted_cross_multiplication(self):
         # x = ((2, 5), (0, 0)), y = ((0, 1), (0, 0)): 2/1 >= 4/2 holds
-        key = _key([[2, 5], [0, 0]], [[0, 1], [0, 0]])
-        assert accepting_state(key, "wef1", (1, 2))
-        assert not accepting_state(key, "wef1", (1, 1))
+        rows, x, y = [[2, 5], [0, 0]], [[2, 5], [0, 0]], [[0, 1], [0, 0]]
+        assert _accepts(rows, "wef1", x, y, weights=(1, 2))
+        assert not _accepts(rows, "wef1", x, y, weights=(1, 1))
 
     def test_efl_disjuncts(self):
         def accepts(x_aa, x_ab, values):
-            empty = frozenset()
-            y = [[empty, frozenset(values)], [empty, empty]]
-            key = _key([[x_aa, x_ab], [0, 0]], y)
-            return accepting_state(key, "efl", (1, 1))
+            rows = [[*values, x_aa + x_ab], [0] * (len(values) + 1)]
+            y = [[set(), set(values)], [set(), set()]]
+            return _accepts(rows, "efl", [[x_aa, x_ab], [0, 0]], y)
 
         # no envy
         assert accepts(5, 5, {2, 3})
@@ -153,11 +221,11 @@ class TestAcceptingState:
     def test_flag_exemption(self):
         # a flagged pair passes; the walk flags aware observers only
         # (``test_flags_follow_strict_impact``)
-        x, y = [[0, 9], [0, 0]], [[0, 0], [0, 0]]
-        assert not accepting_state(_key(x, y), "ef1", (1, 1))
-        assert not accepting_state(_key(x, y, flags=[[0, 0], [0, 0]]), "ef1", (1, 1))
-        assert not accepting_state(_key(x, y, flags=[[0, 0], [1, 0]]), "ef1", (1, 1))
-        assert accepting_state(_key(x, y, flags=[[0, 1], [0, 0]]), "ef1", (1, 1))
+        rows, x, y = [[9], [0]], [[0, 9], [0, 0]], [[0, 0], [0, 0]]
+        assert not _accepts(rows, "ef1", x, y)
+        assert not _accepts(rows, "ef1", x, y, flags=[[0, 0], [0, 0]])
+        assert not _accepts(rows, "ef1", x, y, flags=[[0, 0], [1, 0]])
+        assert _accepts(rows, "ef1", x, y, flags=[[0, 1], [0, 0]])
 
 
 class TestExactSolve:
@@ -370,6 +438,31 @@ class TestExactDifferential:
         assert stats["visited"] == 28
 
 
+# 40 seeded random instances (1-4 agents, 0-9 items, values up to 3, 7, 15
+# or 10**6, random weights and aware flags) with, per base, plain and under
+# sa, the walk's visited count, layer sizes and owners (null: no answer), as
+# recorded with the (x, y, flags) tuple keys the packed layout replaced
+_PINNED = json.loads((Path(__file__).parent / "pinned_walks.json").read_text())
+
+
+class TestPinnedWalks:
+    def test_counts_and_allocations_unchanged(self):
+        walks = 0
+        for k, rec in enumerate(_PINNED):
+            inst = make_instance(
+                rec["valuations"], rec["impacts"], weights=rec["weights"], aware=rec["aware"]
+            )
+            for base, mode in product(BASES, (None, "sa")):
+                notion = Notion(base, mode)
+                stats = {}
+                alloc = exact_solve(inst, notion, stats=stats)
+                owners = None if alloc is None else alloc.owners(inst.m)
+                want = rec["walks"][notion.label()]
+                assert [stats["visited"], stats["layer_sizes"], owners] == want, (k, notion.label())
+                walks += 1
+        assert walks == 560
+
+
 @st.composite
 def _metamorphic_cases(draw):
     """A small instance and its three transforms: items permuted, agents
@@ -427,21 +520,15 @@ class TestPathReplay:
         alloc = Allocation.from_assignment(2, owners)
         assert is_sim(inst, alloc).fair
         assert check(inst, alloc, Notion("ef1")).fair
-        key = _root_key(2, "ef1", False)
-        for g, owner in enumerate(owners):
-            successors = _successors(inst, key, g, "ef1")
-            key = next(k for k, assignee in successors if assignee == owner)
-        assert accepting_state(key, "ef1", inst.weights)
+        layout = _layout(inst, "ef1")
+        assert layout.accepts(_replay(inst, layout, owners))
         assert exact_solve(inst, Notion("ef1")) is not None
 
     def test_unbalanced_path_is_rejected(self):
         inst = gen_partition_ef1((1, 1, 2))
         owners = [0, 1, 0, 0, 0]  # everything small hoarded left
-        key = _root_key(2, "ef1", False)
-        for g, owner in enumerate(owners):
-            successors = _successors(inst, key, g, "ef1")
-            key = next(k for k, assignee in successors if assignee == owner)
-        assert not accepting_state(key, "ef1", inst.weights)
+        layout = _layout(inst, "ef1")
+        assert not layout.accepts(_replay(inst, layout, owners))
 
 
 class TestOracles:
