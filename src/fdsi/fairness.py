@@ -22,21 +22,22 @@ off never get an override.  The standalone notion ``sa-empty`` demands that
 every non-empty bundle strictly impact-dominates all other agents: for each
 ordered pair (i, j) with i != j, A_j is empty or s_i(A_j) < s_j(A_j).
 
-Every notion is stated once, in matrix form.  For a complete or partial
-allocation, ``matrices`` builds ``V[i][j] = v_i(A_j)`` and
-``S[i][j] = s_i(A_j)`` in O(n*m).  An ordered pair (i, j) is *envious* when
-``V[i][i] * w_j < V[i][j] * w_i`` (unit weights except for ``wef1`` and
-``swef1``); a pair that is not envious passes every base.  Envious pairs are
-decided from V, S and, only then, the values in i's eyes of the items of A_j:
-the largest removal, the positive values for ``efl``, or the per-item test of
-the universal-item bases.  ``decider`` compiles a notion once per instance
-into a function of (V, S, owners) that returns the first failing
-(observer, target) pair.  The compiled form lists the ordered pairs i != j
-once, each with what it reads of the instance: the pair's weights and the
-observer's items ranked by value, largest first, so the best removal from
-A_j is the first ranked item j holds.  ``check`` and the brute-force oracle
-both call it, the oracle while moving the entries of V and S that change
-from one candidate to the next.
+Every notion is stated once, over bundle sums: ``V[i][j] = v_i(A_j)`` and
+``S[i][j] = s_i(A_j)`` (``matrices`` builds both in O(n*m)).  An ordered
+pair (i, j) is *envious* when ``V[i][i] * w_j < V[i][j] * w_i`` (unit
+weights except for ``wef1`` and ``swef1``); a pair that is not envious
+passes every base.  Envious pairs are decided from V, S and, only then, the
+values in i's eyes of the items of A_j: the largest removal, the positive
+values for ``efl``, or the per-item test of the universal-item bases.
+``decider`` compiles a notion once per instance into a :class:`Sums` layout,
+which packs the entries of V and S it reads (and, for ``sa-empty``, each
+bundle's item count) into one int, and a function of (that int, owners)
+that returns the first failing (observer, target) pair.  The compiled form
+lists the ordered pairs i != j once, each with what it reads: the fields of
+its sums, the pair's weights and the observer's items ranked by value,
+largest first, so the best removal from A_j is the first ranked item j
+holds.  ``check`` packs the sums of one allocation; the brute-force oracle
+adds the packed sums of its items, so a candidate costs one integer add.
 
 All comparisons are exact integer arithmetic (rational thresholds are
 applied by cross multiplication).
@@ -179,8 +180,8 @@ def _best_removal(inst: Instance, i: int, bundle: frozenset[int]) -> int | None:
 
 Matrix = list[list[int]]
 Owners = Sequence["int | None"]
-# fails(V, S, owners) -> first failing (observer, target), or None when fair
-Decider = Callable[[Matrix, Matrix, Owners], "tuple[int, int] | None"]
+# fails(P, owners) -> first failing (observer, target), or None when fair
+Decider = Callable[[int, Owners], "tuple[int, int] | None"]
 
 
 def matrices(inst: Instance, owners: Owners) -> tuple[Matrix, Matrix]:
@@ -197,6 +198,49 @@ def matrices(inst: Instance, owners: Owners) -> tuple[Matrix, Matrix]:
     return V, S
 
 
+class Sums:
+    """Where the bundle sums a :func:`decider` reads lie in one packed int.
+
+    ``V[i][j]``, ``S[i][j]`` and ``count[j]`` are the (shift, mask) of the
+    fields of v_i(A_j), s_i(A_j) and |A_j|.  Only what :func:`reads` names
+    is packed, and |A_j| only for ``sa-empty``; any other field has width 0
+    and reads 0.  A field is as wide as the largest sum it holds (i's
+    value-row or impact-row sum, or m) and every packed entry is
+    non-negative, so no field carries into the next, and the int of an
+    allocation is the sum of :meth:`add` over its items.
+    """
+
+    __slots__ = ("V", "S", "count", "_inst", "_rows", "_fields")
+
+    def __init__(self, inst: Instance, notion: Notion) -> None:
+        read_v, read_s = reads(inst, notion)
+        n, shift = inst.n, 0
+        # the per-item rows summed: values and impacts per observer, then ones
+        self._inst, self._fields = inst, []
+        self._rows = inst.valuations + inst.impacts + ((1,) * inst.m,)
+        for row, read in zip(self._rows, [read_v] * n + [read_s] * n + [notion.base == SA_EMPTY]):
+            width = sum(row).bit_length() * read
+            self._fields.append([(shift + j * width, (1 << width) - 1) for j in range(n)])
+            shift += n * width
+        self.V, self.S, (self.count,) = self._fields[:n], self._fields[n:-1], self._fields[-1:]
+
+    def add(self, g: int, c: int) -> int:
+        """The int that giving item g to agent c adds."""
+        return sum(row[g] << f[c][0] for row, f in zip(self._rows, self._fields) if f[c][1])
+
+    def pack(self, owners: Owners) -> int:
+        """The packed sums of the item -> owner map ``owners``: the entries of
+        :func:`matrices` and the bundle sizes, each in its field."""
+        V, S = matrices(self._inst, owners)
+        sizes = [owners.count(j) for j in range(self._inst.n)]
+        return sum(
+            total << shift
+            for f, totals in zip(self._fields, V + S + [sizes])
+            for (shift, mask), total in zip(f, totals)
+            if mask
+        )
+
+
 def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
     """The item -> owner map of ``alloc`` (None when unallocated), after
     checking bundle count, item indices and disjointness."""
@@ -209,32 +253,26 @@ def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
 # -- per-notion formulas -------------------------------------------------------
 #
 # Base condition of an envious ordered pair (i, j): ``own = v_i(A_i)``,
-# ``other = v_i(A_j)`` and the pair's weights.  A_j's values in i's eyes are
-# read from ``ranked``, the items i values positively as (item, value) pairs,
-# largest value first and ties by index (``_ranked``), and from ``owners``:
-# item g lies in A_j when ``owners[g] == j``.  Envy needs a positive item, so
-# A_j holds at least one ranked item.  A base whose condition no envious pair
-# meets (``ef``) has no formula: the decider fails such a pair outright.
+# ``other = v_i(A_j)``, the pair's weights and ``largest``, the value to i
+# of A_j's most valuable item, which the decider reads as the first item of
+# ``ranked`` that j holds.  ``ranked`` lists the items i values positively
+# as (item, value) pairs, largest value first and ties by index
+# (``_ranked``), and item g lies in A_j when ``owners[g] == j``.  Envy needs
+# a positive item, so A_j holds at least one ranked item.  A base whose
+# condition no envious pair meets (``ef``) has no formula: the decider fails
+# such a pair outright.
 
 
 def _ranked(row: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(((g, v) for g, v in enumerate(row) if v > 0), key=lambda gv: -gv[1]))
 
 
-def _largest(ranked, owners: Owners, j: int) -> int:
-    # the first ranked item that j holds is A_j's most valuable one
-    for g, v in ranked:
-        if owners[g] == j:
-            return v
-    return 0  # not reached for an envious pair
-
-
-def _one_removal(own: int, other: int, wi: int, wj: int, ranked, owners: Owners, j: int) -> bool:
+def _one_removal(own, other, wi, wj, largest, ranked, owners: Owners, j: int) -> bool:
     # ef1 (unit weights) and wef1: v_i(A_i) / w_i >= (v_i(A_j) - max) / w_j
-    return own * wj >= (other - _largest(ranked, owners, j)) * wi
+    return own * wj >= (other - largest) * wi
 
 
-def _efl(own: int, other: int, wi: int, wj: int, ranked, owners: Owners, j: int) -> bool:
+def _efl(own, other, wi, wj, largest, ranked, owners: Owners, j: int) -> bool:
     # at most one positive item, or a removal that kills the envy and is not
     # itself worth more than A_i.  The first value v <= own of A_j decides:
     # no later one is larger, and if v is too small A_j holds a second
@@ -248,9 +286,9 @@ def _efl(own: int, other: int, wi: int, wj: int, ranked, owners: Owners, j: int)
     return held <= 1
 
 
-def _tef1(own: int, other: int, wi: int, wj: int, ranked, owners: Owners, j: int) -> bool:
+def _tef1(own, other, wi, wj, largest, ranked, owners: Owners, j: int) -> bool:
     # moving the best item from A_j to A_i kills the envy
-    return own + 2 * _largest(ranked, owners, j) >= other
+    return own + 2 * largest >= other
 
 
 _ENVIOUS_PAIR_OK = {
@@ -262,130 +300,142 @@ _ENVIOUS_PAIR_OK = {
 }
 
 
-def _pair_weights(inst: Instance, base: str) -> tuple[int, ...]:
-    return inst.weights if base in WEIGHTED_BASES else (1,) * inst.n
-
-
-def _can_excuse(inst: Instance, notion: Notion) -> bool:
-    return notion.awareness is not None and any(inst.aware)
-
-
 def reads(inst: Instance, notion: Notion) -> tuple[bool, bool]:
     """Which of V and S the compiled :func:`decider` reads: V for every base
     but ``sa-empty``, S for ``sa-empty`` and whenever some observer can be
-    excused.  A caller that updates the matrices need keep only these."""
+    excused.  :class:`Sums` packs only these."""
     if notion.base == SA_EMPTY:
         return False, True
-    return True, _can_excuse(inst, notion)
+    return True, notion.awareness is not None and any(inst.aware)
 
 
-def _excuse(inst: Instance, notion: Notion):
-    """``excused(i, j, V, S)`` for the awareness mode, or None when no
-    observer can ever be excused."""
-    if not _can_excuse(inst, notion):
-        return None
-    aware = inst.aware
-    if notion.awareness == "wsa":
-        # v_i(A_j) * s_i(A_j) <= v_i(A_i) * s_j(A_j)
-        return lambda i, j, V, S: aware[i] and V[i][j] * S[i][j] <= V[i][i] * S[j][j]
-    if notion.awareness == "alpha":
-        p, q = notion.alpha.numerator, notion.alpha.denominator
-    else:  # "sa" is alpha = 1
-        p, q = 1, 1
-    # s_i(A_j) < alpha * s_j(A_j)
-    return lambda i, j, V, S: aware[i] and S[i][j] * q < p * S[j][j]
+def _excuse(inst: Instance, notion: Notion, S) -> list[list]:
+    """Per ordered pair (i, j), ``excused(P, own, other)`` for the awareness
+    mode, with ``own = v_i(A_i)``, ``other = v_i(A_j)`` and the impact sums
+    read from the packed sums P through the fields ``S``; None when i can
+    never be excused toward j."""
+    alpha = 1 if notion.alpha is None else notion.alpha
+    p, q = alpha.numerator, alpha.denominator
+
+    def excused(i: int, j: int):
+        (s_ij, m_ij), (s_jj, m_jj) = S[i][j], S[j][j]
+        if notion.awareness == "wsa":
+            # v_i(A_j) * s_i(A_j) <= v_i(A_i) * s_j(A_j)
+            return lambda P, own, other: other * (P >> s_ij & m_ij) <= own * (P >> s_jj & m_jj)
+        # s_i(A_j) < alpha * s_j(A_j), and "sa" is alpha = 1
+        return lambda P, own, other: (P >> s_ij & m_ij) * q < p * (P >> s_jj & m_jj)
+
+    rng = range(inst.n)
+    aware = inst.aware if notion.awareness else (False,) * inst.n
+    return [[excused(i, j) if aware[i] else None for j in rng] for i in rng]
 
 
-def decider(inst: Instance, notion: Notion) -> Decider:
-    """Compile ``notion`` on ``inst`` into ``fails(V, S, owners)``.
+def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
+    """Compile ``notion`` on ``inst`` into its :class:`Sums` layout and
+    ``fails(P, owners)``, where ``P`` packs the bundle sums of the item ->
+    owner map ``owners`` in that layout.
 
     The result is the first failing (observer, target) pair in lexicographic
     order, or None when the allocation is fair.  For the universal-item bases
     a failing target j contributes (its least non-excused observer, j).
-    The pair list, each ordered pair i != j with its weights and the
-    observer's ranked items, is compiled here once per instance, not per
-    call.  Nothing is validated here: callers pass matrices of a valid
-    allocation of a goods instance (any instance for ``sa-empty``); a matrix
-    that :func:`reads` says is not read may be stale.
+    Everything a pair reads of the instance (the fields of its sums, its
+    weights, its excuse and the observer's ranked items) is compiled here
+    once per instance, and so is the pair it returns, so a call builds no
+    list, tuple or generator.  Nothing is validated here: callers pass the sums of a valid
+    allocation of a goods instance (any instance for ``sa-empty``).
     """
+    sums = Sums(inst, notion)
     rng = range(inst.n)
+    V, S, C = sums.V, sums.S, sums.count
+    pair = [[(i, j) for j in rng] for i in rng]
     if notion.base == SA_EMPTY:
-        pairs = [(i, j) for i in rng for j in rng if i != j]
+        pairs = [(pair[i][j], *S[i][j], *S[j][j], *C[j]) for i in rng for j in rng if i != j]
 
-        def fails(V: Matrix, S: Matrix, owners: Owners):
-            for i, j in pairs:
-                if S[i][j] >= S[j][j] and j in owners:
-                    return i, j
+        def fails(P: int, owners: Owners):
+            for ij, s_ij, m_ij, s_jj, m_jj, s_c, m_c in pairs:
+                if P >> s_ij & m_ij >= P >> s_jj & m_jj and P >> s_c & m_c:
+                    return ij
             return None
 
-        return fails
-    excused = _excuse(inst, notion)
-    wt = _pair_weights(inst, notion.base)
+        return sums, fails
+    excuse = _excuse(inst, notion, S)
+    wt = inst.weights if notion.base in WEIGHTED_BASES else (1,) * inst.n
     rankings = [_ranked(row) for row in inst.valuations]
     if notion.base in TARGET_BASES:
-        # per target j: j, w_j and (i, i's value row and ranking, w_i) for
-        # each observer i != j
-        targets = [
-            (j, wt[j], [(i, inst.valuations[i], rankings[i], wt[i]) for i in rng if i != j])
-            for j in rng
-        ]
+        # per target j: j, w_j and its observers i != j ascending, each with
+        # its fields, excuse, weight, value row, ranking and the observers after it
+        targets = []
+        for j in rng:
+            observers = [
+                (i, *V[i][i], *V[i][j], excuse[i][j], wt[i], inst.valuations[i], rankings[i])
+                for i in rng if i != j
+            ]
+            targets.append((j, wt[j], [o + (observers[k + 1:],) for k, o in enumerate(observers)]))
 
-        def fails(V: Matrix, S: Matrix, owners: Owners):
+        def fails(P: int, owners: Owners):
             # one removed item g of A_j must serve every envious observer i of j
             # that is not excused: v_i(g) * w_i >= need_i, where
             # need_i = v_i(A_j) * w_i - v_i(A_i) * w_j is positive exactly when i envies j
             first = None
             for j, wj, observers in targets:
-                needs = []
-                for i, row, ranked, wi in observers:
-                    Vi = V[i]
-                    need = Vi[j] * wi - Vi[i] * wj
-                    if need > 0 and not (excused is not None and excused(i, j, V, S)):
-                        needs.append((row, ranked, wi, need))
-                if not needs:
-                    continue
-                # the items serving the first observer are a prefix of its
-                # ranking; each later observer filters the items kept so far
-                _, ranked, wi, need = needs[0]
-                left = []
+                for i, s_own, m_own, s_oth, m_oth, ex, wi, _, ranked, later in observers:
+                    own, other = P >> s_own & m_own, P >> s_oth & m_oth
+                    need = other * wi - own * wj
+                    if need > 0 and not (ex and ex(P, own, other)):
+                        break
+                else:
+                    continue  # no observer of j needs a removal
+                # the items serving that first observer are a prefix of its
+                # ranking; one held by j must serve the later observers too
+                served = False
                 for g, v in ranked:
                     if v * wi < need:
                         break
-                    if owners[g] == j:
-                        left.append(g)
-                for row, _, wi, need in needs[1:]:
-                    left = [g for g in left if row[g] * wi >= need]
-                if left:
+                    if owners[g] != j:
+                        continue
+                    for _, s_own, m_own, s_oth, m_oth, ex, wk, row, _ in later:
+                        own, other = P >> s_own & m_own, P >> s_oth & m_oth
+                        if row[g] * wk < other * wk - own * wj and not (ex and ex(P, own, other)):
+                            break
+                    else:
+                        served = True
+                        break
+                if served:
                     continue
-                i = next(
-                    i
-                    for i, _, _, _ in observers
-                    if not (excused is not None and excused(i, j, V, S))
-                )
+                for i, s_own, m_own, s_oth, m_oth, ex, _, _, _, _ in observers:
+                    if not (ex and ex(P, P >> s_own & m_own, P >> s_oth & m_oth)):
+                        break
                 if first is None or i < first[0]:
-                    first = (i, j)
+                    first = pair[i][j]
                     if i == 0:  # no later target can give a smaller pair
                         break
             return first
 
-        return fails
+        return sums, fails
     ok = _ENVIOUS_PAIR_OK[notion.base]
-    pairs = [(i, j, rankings[i], wt[i], wt[j]) for i in rng for j in rng if i != j]
+    rows = [
+        (*V[i][i], wt[i], rankings[i],
+         [(pair[i][j], j, *V[i][j], excuse[i][j], wt[j]) for j in rng if j != i])
+        for i in rng
+    ]
 
-    def fails(V: Matrix, S: Matrix, owners: Owners):
-        for i, j, ranked, wi, wj in pairs:
-            Vi = V[i]
-            own, other = Vi[i], Vi[j]
-            if own * wj >= other * wi:  # not envious
-                continue
-            if excused is not None and excused(i, j, V, S):
-                continue
-            if ok is not None and ok(own, other, wi, wj, ranked, owners, j):
-                continue
-            return i, j
+    def fails(P: int, owners: Owners):
+        for s_own, m_own, wi, ranked, targets in rows:
+            own = P >> s_own & m_own
+            for ij, j, s_oth, m_oth, ex, wj in targets:
+                other = P >> s_oth & m_oth
+                if own * wj >= other * wi or ex and ex(P, own, other):  # not envious, or excused
+                    continue
+                if ok is not None:
+                    for g, largest in ranked:
+                        if owners[g] == j:
+                            break
+                    if ok(own, other, wi, wj, largest, ranked, owners, j):
+                        continue
+                return ij
         return None
 
-    return fails
+    return sums, fails
 
 
 def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
@@ -401,8 +451,8 @@ def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
     if notion.base != SA_EMPTY:
         require_goods(inst)
     owners = valid_owners(inst, alloc)
-    V, S = matrices(inst, owners)
-    failing = decider(inst, notion)(V, S, owners)
+    sums, fails = decider(inst, notion)
+    failing = fails(sums.pack(owners), owners)
     if failing is None:
         return Verdict(fair=True)
     i, j = failing

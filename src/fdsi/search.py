@@ -34,16 +34,17 @@ pass a pair without envy, which passes anyway).  A leaf accepts when every
 unflagged pair passes the base's closed-form test on (x, y).
 
 The brute-force oracle is independent of that encoding.  It scans candidate
-owner tuples as an odometer in ``itertools.product`` order (per item, the
-impact maximizers ascending, or every agent without the impact restriction).
-It keeps up to date those of the value and impact matrices of
-``fairness.matrices`` that the decider reads: when an item changes owner,
-only the nonzero entries of that item's columns move, from the old owner's
-column of the matrix to the new one's.  It decides each candidate with the same
-``fairness.decider`` that ``check`` uses, and builds an :class:`Allocation`
-only for the answer it returns.  ``brute_force_solve`` and
-``brute_force_count`` share that one scan, and the candidate cap bounds the
-candidate set on every path, ``notion=None`` included.
+owner tuples in ``itertools.product`` order (per item, the impact maximizers
+ascending, or every agent without the impact restriction) and decides each
+from one int, the bundle sums that ``fairness.decider`` reads packed as
+``fairness.Sums`` lays them out (its own layout, which shares nothing with
+``_Layout``).  Those sums are additive over items, so the scan splits the
+items into a head and a tail, lists every tail once with its sums, and
+gives each candidate ``head + tail`` the sum of the two: one integer add
+before the same decider that ``check`` uses.  It builds an
+:class:`Allocation` only for the answer it returns.  ``brute_force_solve``
+and ``brute_force_count`` share that one scan, and the candidate cap bounds
+the candidate set on every path, ``notion=None`` included.
 
 The walk keeps one set of created states per layer and never enters a state
 twice, and it tries successors in a fixed order, so the allocation it returns
@@ -58,6 +59,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import product
+from operator import getitem
 
 from . import fairness
 from .fairness import BASES, SA_EMPTY, WEIGHTED_BASES, Notion
@@ -365,62 +367,33 @@ def _capped_columns(inst: Instance, require_sim: bool, cap: int | None):
 
 
 def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int | None):
-    """Yield the owner list of every candidate passing the notion, in
-    ``itertools.product`` order over the candidate columns.  The list is the
-    scan's own and changes when the scan resumes; a caller that keeps one
-    copies it.
+    """Yield the owner tuple of every candidate passing the notion, in
+    ``itertools.product`` order over the candidate columns.
 
-    An odometer over the items with more than one choice.  Each such item
-    carries its moves, computed once: the nonzero entries of its value and
-    impact columns, for the matrices the decider reads (``fairness.reads``).
-    When the item changes owner, each move shifts one entry of V or S from
-    the old owner's column to the new one's, and every candidate is decided
-    by the same ``fairness.decider`` as ``check``.
+    The items split into a head and a tail: the tail is the longest suffix
+    of columns whose candidate count is at most the square root of the
+    whole count.  Every tail is listed once with its packed bundle sums
+    (``fairness.Sums``); each head in turn gets its own sums, and a
+    candidate, ``head + tail``, costs one integer add before the same
+    ``fairness.decider`` as ``check`` decides it.
     """
     if notion.base != SA_EMPTY:
         require_goods(inst)
-    columns, _ = _capped_columns(inst, require_sim, cap)
-    fails = fairness.decider(inst, notion)
-    owners = [col[0] for col in columns]
-    V, S = fairness.matrices(inst, owners)
-    # each matrix the decider reads, with the instance matrix it sums
-    tracked = [
-        (matrix, source)
-        for matrix, source, read in zip(
-            (V, S), (inst.valuations, inst.impacts), fairness.reads(inst, notion)
-        )
-        if read
-    ]
-    # the items with a choice, last item first (it varies fastest): index,
-    # next owner after each owner (cyclic), first owner, and the item's moves,
-    # (matrix row, entry) for each nonzero entry the decider reads
-    free = []
-    for g in reversed(range(len(columns))):
-        col = columns[g]
-        if len(col) > 1:
-            nxt = [0] * inst.n
-            for a, b in zip(col, col[1:] + col[:1]):
-                nxt[a] = b
-            moves = [
-                (row, source_row[g])
-                for matrix, source in tracked
-                for row, source_row in zip(matrix, source)
-                if source_row[g]
-            ]
-            free.append((g, nxt, col[0], moves))
-    while True:
-        if fails(V, S, owners) is None:
-            yield owners
-        for g, nxt, first, moves in free:
-            old = owners[g]
-            new = owners[g] = nxt[old]
-            for row, v in moves:
-                row[old] -= v
-                row[new] += v
-            if new != first:
-                break
-        else:
-            return
+    columns, count = _capped_columns(inst, require_sim, cap)
+    sums, fails = fairness.decider(inst, notion)
+    adds = [{c: sums.add(g, c) for c in col} for g, col in enumerate(columns)]
+    k, size, root = len(columns), 1, math.isqrt(count)
+    while k and size * len(columns[k - 1]) <= root:
+        k -= 1
+        size *= len(columns[k])
+    head_adds, tail_adds = adds[:k], adds[k:]
+    tails = [(tail, sum(map(getitem, tail_adds, tail))) for tail in product(*columns[k:])]
+    for head in product(*columns[:k]):
+        head_sums = sum(map(getitem, head_adds, head))
+        for tail, tail_sums in tails:
+            owners = head + tail
+            if fails(head_sums + tail_sums, owners) is None:
+                yield owners
 
 
 def brute_force_solve(

@@ -127,6 +127,15 @@ class TestTargetFair:
         assert not check(inst, alloc, Notion("sef1")).fair
         assert check(inst, alloc, Notion("sef1", "sa")).fair
 
+    def test_witness_is_the_least_observer_not_the_first_envious(self):
+        # only a2's bundle fails, and only a1 envies it; a0 values it at 0
+        # but is not exempt, so the witness names a0
+        inst = make_instance(((0, 0), (5, 5), (1, 1)), ((1, 1), (1, 1), (1, 1)))
+        alloc = Allocation((frozenset(), frozenset(), frozenset({0, 1})))
+        for notion in (Notion("sef1"), Notion("swef1", "sa")):
+            w = check(inst, alloc, notion).witness
+            assert (w.observer, w.target) == (0, 2), notion.label()
+
     def test_ef_embedding_universal_item(self):
         from fdsi.generators import gen_ef_embedding
 

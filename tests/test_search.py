@@ -663,9 +663,34 @@ def _oracle_cases(draw):
     return inst, notion, profile, draw(st.booleans())
 
 
+def _naive_scan(inst, notion, require_sim=True):
+    """The candidates passing ``helpers.naive_check``, in
+    ``itertools.product`` order over the candidate owners."""
+    if require_sim:
+        choices = [sorted(s) for s in all_maximizers(inst)]
+    else:
+        choices = [range(inst.n)] * inst.m
+    return [
+        owners
+        for owners in product(*choices)
+        if naive_check(inst, Allocation.from_assignment(inst.n, owners), notion)
+    ]
+
+
+def _assert_oracle_is_naive(inst, notion, require_sim=True):
+    """The oracle's count and first answer are the naive scan's."""
+    passing = _naive_scan(inst, notion, require_sim)
+    assert brute_force_count(inst, notion, require_sim=require_sim) == len(passing), notion.label()
+    first = Allocation.from_assignment(inst.n, passing[0]) if passing else None
+    assert brute_force_solve(inst, notion, require_sim=require_sim) == first, notion.label()
+
+
 class TestOracleScanDifferential:
-    """The incremental odometer scan against the literal definitions
-    (``helpers.naive_check``) over ``itertools.product`` of the candidates."""
+    """The head x tail scan against the literal definitions
+    (``helpers.naive_check``) over ``itertools.product`` of the candidates.
+    A drawn instance has a head whenever it has two or more candidates, and
+    a tail whenever its last column is no wider than the square root of the
+    candidate count."""
 
     @settings(max_examples=300, deadline=None)
     @given(_oracle_cases())
@@ -675,27 +700,13 @@ class TestOracleScanDifferential:
             inst = inst.replace(aware=profile)
             if notion.base != "sa-empty":
                 notion = Notion(notion.base, "sa")
-        if require_sim:
-            choices = [sorted(s) for s in all_maximizers(inst)]
-        else:
-            choices = [range(inst.n)] * inst.m
-        passing = [
-            owners
-            for owners in product(*choices)
-            if naive_check(inst, Allocation.from_assignment(inst.n, owners), notion)
-        ]
-        assert brute_force_count(inst, notion, require_sim=require_sim) == len(passing)
-        found = brute_force_solve(inst, notion, require_sim=require_sim)
-        if passing:
-            assert found == Allocation.from_assignment(inst.n, passing[0])
-        else:
-            assert found is None
+        _assert_oracle_is_naive(inst, notion, require_sim)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_two_agents_ten_co_maximized_items(self, seed):
-        # every item has both agents as maximizers, so the odometer moves
-        # all ten items; under sa with one aware agent it tracks S as well
-        # (all zero here)
+        # every item has both agents as maximizers, so the scan runs 32
+        # heads of five items by 32 tails of five; under sa with one aware
+        # agent it packs S as well (all zero here)
         plain = gen_random(2, 10, 9, 0, 1, seed)
         mixed = plain.replace(aware=(True, False))
         allocs = [Allocation.from_assignment(2, o) for o in product(range(2), repeat=10)]
@@ -744,3 +755,135 @@ class TestOracleScanDifferential:
         inst = make_instance(((1, 1), (1, 1), (1, 1)), ((2, 1), (0, 1), (2, 0)))
         assert candidate_columns(inst) == [(0, 2), (0, 1)]
         assert candidate_columns(inst, require_sim=False) == [(0, 1, 2), (0, 1, 2)]
+
+
+def _row_summing_to(rng, m, total):
+    cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+def _edge_instance(scale, seed, n=3, m=4):
+    """Rows at the edges of the packed field widths.  For ``("sum", 2**k)``
+    the value and impact rows sum to 2**k - 1 and 2**k in turn: the widest
+    sum a k-bit field holds, and the first one a bit wider.  For
+    ``("near", x)`` every entry lies within 3 of x.  Random weights; agent 1
+    is unaware."""
+    rng = random.Random(seed)
+    kind, size = scale
+
+    def row(a):
+        if kind == "sum":
+            return _row_summing_to(rng, m, size - 1 + a % 2)
+        return [size + rng.randint(-3, 3) for _ in range(m)]
+
+    return make_instance(
+        [row(a) for a in range(n)],
+        [row(a + 1) for a in range(n)],
+        weights=[rng.randint(1, 3) for _ in range(n)],
+        aware=[a != 1 for a in range(n)],
+    )
+
+
+_EDGE_SCALES = (("sum", 2**3), ("sum", 2**30), ("near", 10**9), ("near", 10**30))
+_EXCUSE_MODES = (("sa", None), ("alpha", Fraction(1, 2)), ("wsa", None))
+
+
+def _assert_check_is_naive(inst, notion):
+    """``check`` agrees with ``helpers.naive_check`` on every allocation."""
+    for owners in product(range(inst.n), repeat=inst.m):
+        alloc = Allocation.from_assignment(inst.n, owners)
+        want = naive_check(inst, alloc, notion)
+        assert check(inst, alloc, notion).fair == want, (notion.label(), owners)
+
+
+class TestPackedSums:
+    """The fields of ``fairness.Sums`` at their widest, through ``check``
+    and both oracle entry points, each against ``helpers.naive_check`` over
+    every allocation (so every bundle, the whole item set included)."""
+
+    @pytest.mark.parametrize("scale", _EDGE_SCALES)
+    @pytest.mark.parametrize("base", BASES)
+    def test_value_fields(self, scale, base):
+        inst = _edge_instance(scale, 7)
+        notion = Notion(base)
+        assert fairness.reads(inst, notion) == (True, False)
+        _assert_check_is_naive(inst, notion)
+        _assert_oracle_is_naive(inst, notion, require_sim=False)
+
+    @pytest.mark.parametrize("scale", _EDGE_SCALES)
+    @pytest.mark.parametrize("base", ("ef1", "swef1", "efl"))
+    def test_impact_fields(self, scale, base):
+        inst = _edge_instance(scale, 8)
+        for mode, alpha in _EXCUSE_MODES:
+            notion = Notion(base, mode, alpha)
+            assert fairness.reads(inst, notion) == (True, True)
+            _assert_check_is_naive(inst, notion)
+            _assert_oracle_is_naive(inst, notion, require_sim=False)
+
+    @pytest.mark.parametrize("scale", _EDGE_SCALES)
+    @pytest.mark.parametrize("n, m", ((3, 3), (3, 4), (2, 7), (2, 8)))
+    def test_sa_empty_fields(self, scale, n, m):
+        # item counts m = 2**k - 1 and 2**k, and negative values, which
+        # sa-empty never reads
+        inst = _edge_instance(scale, 9, n, m)
+        rng = random.Random(m)
+        inst = inst.replace(valuations=[[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
+        notion = Notion("sa-empty")
+        assert fairness.reads(inst, notion) == (False, True)
+        assert fairness.Sums(inst, notion).V == [[(0, 0)] * n] * n
+        _assert_check_is_naive(inst, notion)
+        _assert_oracle_is_naive(inst, notion, require_sim=False)
+
+
+def _columns_instance(columns, n, seed):
+    """An instance whose candidate columns are ``columns``: impact 1 for an
+    item's maximizers and 0 for every other agent, random values."""
+    rng = random.Random(seed)
+    inst = make_instance(
+        [[rng.randint(0, 4) for _ in columns] for _ in range(n)],
+        [[int(a in col) for col in columns] for a in range(n)],
+        weights=[rng.randint(1, 3) for _ in range(n)],
+        aware=[rng.random() < 0.5 for _ in range(n)],
+    )
+    assert candidate_columns(inst) == [tuple(col) for col in columns]
+    return inst
+
+
+class TestScanSplit:
+    """Where the head x tail split falls: the tail is the longest suffix of
+    candidate columns with at most isqrt(count) candidates, and the head
+    the rest.  Each case has the count and the first answer of the naive
+    product-order scan, under every base, ``sa`` and ``sa-empty``."""
+
+    NOTIONS = [Notion(base) for base in BASES] + [
+        Notion("sef1", "sa"), Notion("efl", "sa"), Notion("sa-empty")
+    ]
+
+    @pytest.mark.parametrize("columns, n", (
+        ([], 2),  # no items: one empty candidate
+        ([(1,), (0,), (2,)], 3),  # one candidate: all tail, an empty head
+        ([(0,), (0, 2), (1,), (2,)], 3),  # one free item, the last in the head
+        # size-1 columns between and after free ones: count 12, tail items 3-6
+        ([(0, 1), (1,), (0, 1, 2), (2,), (1, 2), (0,), (1,)], 3),
+        ([(0, 1)] * 3, 2),  # 8 = 3**2 - 1: tail of one item
+        ([(0, 1, 2)] * 2, 3),  # 9 = 3**2: one item each
+        ([(0, 1), (0, 1, 2, 3, 4)], 5),  # 10 = 3**2 + 1: an empty tail
+        ([(0, 1, 2, 3, 4), (0, 1)], 5),  # 10, the other way round: tail of one item
+        ([(0, 2, 4), (1, 3), (0, 1, 2, 3, 4)], 5),  # 30: tail of one 5-column
+        ([(0, 1, 2), (1, 3, 4), (0, 4), (2, 3)], 5),  # 36 = 6**2
+        ([(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2)], 5),  # 45
+        ([(0, 1)] * 4, 2),  # 16 = 4**2
+        ([(1, 2)] + [(0, 1)] * 3 + [(0, 1, 2)], 3),  # 48 = 7**2 - 1
+    ))
+    def test_count_and_first_answer(self, columns, n):
+        for seed in range(3):
+            inst = _columns_instance(columns, n, seed)
+            for notion in self.NOTIONS:
+                _assert_oracle_is_naive(inst, notion)
+
+    @pytest.mark.parametrize("n, m", ((3, 4), (3, 5), (2, 7), (4, 3)))
+    def test_without_the_impact_restriction(self, n, m):
+        # 81 = 9**2, 243, 128 and 64 = 8**2 candidates
+        for inst in random_instances(3, 10 * n + m, n, n, m, m, 4, 2, 3):
+            for notion in self.NOTIONS:
+                _assert_oracle_is_naive(inst, notion, require_sim=False)
