@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``check`` (verdict for an allocation), ``solve`` (find an
-allocation), ``gen`` (write gadget/canned/random instances), ``brute``
-(oracle scan).  Exit codes: 0 fair/found, 1 unfair/none, 2 validation error,
-3 resource budget exceeded or memory exhausted, 4 internal error (an answer
-failed its own re-check, or any other crash: a crash never exits 1).  All
-randomness is seeded explicitly and output is deterministic; the
-FDSI_STATE_BUDGET environment variable overrides the default state budget of
-the exact solver.
+allocation, each solver called from ``_solve_with`` alone), ``gen`` (write
+the instance one row of ``_GENERATORS`` builds), ``brute`` (oracle scan).
+Exit codes: 0 fair/found, 1 unfair/none, 2 validation error, 3 resource
+budget exceeded or memory exhausted, 4 internal error (an answer failed its
+own re-check, or any other crash: a crash never exits 1).  All randomness is
+seeded explicitly and output is deterministic; the FDSI_STATE_BUDGET
+environment variable overrides the default state budget of the exact solver.
 """
 
 from __future__ import annotations
@@ -107,45 +107,58 @@ def _cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _solve_sa_empty(inst: Instance, args) -> Allocation | None:
-    from . import sa_empty  # only sa-empty solves need it
+def _solve_with(method, inst: Instance, notion: Notion, args, weights=None) -> Allocation | None:
+    """The one call of each solver, for ``--method`` and ``auto`` alike; each
+    is read off its module, imported here, at call time.  ``weights`` are
+    the picking sequence's (None: the instance's)."""
+    if method in ("exact", "brute"):
+        from . import search
 
-    return sa_empty.solve_sa_empty(inst, node_budget=args.node_budget)
+        if method == "exact":
+            return search.exact_solve(inst, notion, state_budget=args.state_budget)
+        return search.brute_force_solve(inst, notion, cap=args.brute_cap)
+    if method == "sa-empty":
+        from . import sa_empty
+
+        return sa_empty.solve_sa_empty(inst, node_budget=args.node_budget)
+    from . import allocators
+
+    if method == "efl":
+        return allocators.sa_efl_allocate(inst)
+    return allocators.sa_weighted_picking(inst, weights=weights)
+
+
+def _sa_candidate(inst: Instance, notion: Notion, args) -> Allocation | None:
+    """Auto's polynomial candidate for an ``sa`` notion, or None: with every
+    agent aware, the envy graph for ``efl`` and picking for the one-removal
+    bases (``ef`` has no existence guarantee even with awareness); with
+    mixed awareness, the two-agent fast path for ``ef1``."""
+    if all(inst.aware):
+        if notion.base == "efl":
+            return _solve_with("efl", inst, notion, args)
+        if notion.base != "ef":
+            weights = None if notion.base in WEIGHTED_BASES else (1,) * inst.n
+            return _solve_with("picking", inst, notion, args, weights)
+    elif notion.base == "ef1":
+        from . import allocators
+
+        return allocators.two_agent_mixed_fast_path(inst)
+    return None
 
 
 def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
-    """Route to the cheapest solver that decides the notion.
-
-    Awareness without relaxation gets the polynomial allocators, a mixed or
-    absent awareness gets the exact state search, and the relaxed overrides
-    (alpha, wsa) fall back to the brute-force oracle.  Every polynomial
-    candidate is verified against the requested notion before being trusted.
-    """
+    """Route to the cheapest solver that decides the notion: ``sa-empty`` to
+    the type solver; an ``sa`` notion to its polynomial candidate, trusted
+    only once ``certify`` accepts it; the relaxed overrides (alpha, wsa) to
+    the brute-force oracle, and the rest to the exact state search."""
     if notion.base == SA_EMPTY:
-        return _solve_sa_empty(inst, args)
+        return _solve_with("sa-empty", inst, notion, args)
     if notion.awareness == "sa":
-        from . import allocators  # only the polynomial routes need it
-
-        candidate = None
-        if all(inst.aware):
-            if notion.base == "efl":
-                candidate = allocators.sa_efl_allocate(inst)
-            elif notion.base in WEIGHTED_BASES:
-                candidate = allocators.sa_weighted_picking(inst)
-            elif notion.base in ("ef1", "sef1", "tef1"):
-                candidate = allocators.sa_weighted_picking(
-                    inst, weights=(1,) * inst.n
-                )
-            # base "ef" has no existence guarantee even with awareness
-        elif notion.base == "ef1":
-            candidate = allocators.two_agent_mixed_fast_path(inst)
+        candidate = _sa_candidate(inst, notion, args)
         if candidate is not None and certify(inst, candidate, notion).fair:
             return candidate
-    from . import search  # a certified polynomial answer needs no search
-
-    if notion.awareness in ("alpha", "wsa"):
-        return search.brute_force_solve(inst, notion, cap=args.brute_cap)
-    return search.exact_solve(inst, notion, state_budget=args.state_budget)
+    method = "brute" if notion.awareness in ("alpha", "wsa") else "exact"
+    return _solve_with(method, inst, notion, args)
 
 
 def _cmd_solve(args) -> int:
@@ -154,112 +167,104 @@ def _cmd_solve(args) -> int:
     method = args.method
     if method == "auto":
         alloc = _solve_auto(inst, notion, args)
-    elif method in ("picking", "efl"):
-        from . import allocators
-
-        alloc = (
-            allocators.sa_weighted_picking(inst)
-            if method == "picking"
-            else allocators.sa_efl_allocate(inst)
-        )
-        if not certify(inst, alloc, notion).fair:
+    else:
+        if method == "sa-empty" and notion.base != SA_EMPTY:
+            raise ValidationError("method sa-empty only solves the sa-empty notion")
+        alloc = _solve_with(method, inst, notion, args)
+        if method in ("picking", "efl") and not certify(inst, alloc, notion).fair:
             raise ValidationError(
                 f"method {method} does not certify {notion.label()} on this "
                 "instance; use the exact or brute method"
             )
-    elif method in ("exact", "brute"):
-        from . import search
-
-        alloc = (
-            search.exact_solve(inst, notion, state_budget=args.state_budget)
-            if method == "exact"
-            else search.brute_force_solve(inst, notion, cap=args.brute_cap)
-        )
-    elif method == "sa-empty":
-        if notion.base != SA_EMPTY:
-            raise ValidationError("method sa-empty only solves the sa-empty notion")
-        alloc = _solve_sa_empty(inst, args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown method {method!r}")
     if alloc is None:
         return EXIT_NEGATIVE
     print(serialize.dumps(serialize.allocation_to_obj(inst, alloc)), end="")
     return EXIT_OK
 
 
-def _parse_weights(text: str) -> tuple[int, ...]:
+def _int_rows(text: str, what: str, single: bool = False):
+    """The ";"-separated rows of comma-separated integers in ``text``, empty
+    rows skipped; with ``single``, the one row ``text`` is (no ";")."""
+    rows = text.split(";")
     try:
-        return tuple(int(part) for part in text.split(","))
+        if single and len(rows) > 1:
+            raise ValueError(text)
+        ints = tuple(tuple(int(v) for v in row.split(",")) for row in rows if row or single)
     except ValueError as exc:
-        raise ValidationError(f"bad weight list {text!r}") from exc
+        raise ValidationError(f"bad {what} {text!r}") from exc
+    return ints[0] if single else ints
 
 
-def _parse_triples(text: str) -> tuple[frozenset[int], ...]:
-    try:
-        return tuple(
-            frozenset(int(u) for u in chunk.split(","))
-            for chunk in text.split(";")
-            if chunk
-        )
-    except ValueError as exc:
-        raise ValidationError(f"bad triple list {text!r}") from exc
+def _weights(args) -> tuple[int, ...]:
+    return _int_rows(args.weights, "weight list", single=True)
 
 
-def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        return tuple(
-            tuple(int(v) for v in row.split(","))
-            for row in text.split(";")
-            if row
-        )
-    except ValueError as exc:
-        raise ValidationError(f"bad matrix {text!r}") from exc
+_WEIGHTS = ("--weights", {"required": True, "help": "comma-separated integers"})
+_REQUIRED_INT = {"type": int, "required": True}
+
+# generator -> (its flags in help order, each a name and its add_argument
+# keywords; what it builds from the generators module and the parsed flags:
+# an instance, or for ``example`` the canned example with its allocation)
+_GENERATORS = {
+    "partition-ef1": ([_WEIGHTS], lambda gen, a: gen.gen_partition_ef1(_weights(a))),
+    "mixed": ([_WEIGHTS], lambda gen, a: gen.gen_mixed_awareness(_weights(a))),
+    "wsa": ([_WEIGHTS], lambda gen, a: gen.gen_wsa(_weights(a))),
+    "alpha": (
+        [_WEIGHTS, ("--alpha", {"required": True, "help": "rational P/Q in (0,1)"})],
+        lambda gen, a: gen.gen_alpha_sa(_weights(a), exact_rational(a.alpha, "rational")),
+    ),
+    "x3c": (
+        [
+            ("--universe", _REQUIRED_INT),
+            ("--triples", {"required": True, "help": '"0,1,2;3,4,5;..."'}),
+            ("--strict", {"action": "store_true"}),
+        ],
+        lambda gen, a: gen.gen_x3c_sa_empty(
+            gen.RX3CInput(a.universe, _int_rows(a.triples, "triple list")), strict=a.strict
+        ),
+    ),
+    "ef-embedding": (
+        [
+            ("--valuations", {"required": True, "help": 'binary rows "1,0;0,1"'}),
+            ("--tef1", {"action": "store_true"}),
+        ],
+        lambda gen, a: gen.gen_ef_embedding(_int_rows(a.valuations, "matrix"), tef1=a.tef1),
+    ),
+    "example": (
+        [
+            ("name", {"choices": CANNED_NAMES}),
+            ("--alpha", {"default": "1/2", "help": "rational for the alpha example"}),
+            ("--allocation-out", {"help": "write the reference allocation here"}),
+        ],
+        lambda gen, a: gen.canned(a.name, alpha=exact_rational(a.alpha, "rational")),
+    ),
+    "random": (
+        [
+            *((flag, _REQUIRED_INT) for flag in ("--agents", "--items", "--v-max", "--s-max")),
+            ("--w-max", {"type": int, "default": 1}),
+            ("--seed", _REQUIRED_INT),
+        ],
+        lambda gen, a: gen.gen_random(a.agents, a.items, a.v_max, a.s_max, a.w_max, a.seed),
+    ),
+}
 
 
 def _cmd_gen(args) -> int:
     from . import generators  # only this command needs it; keeps startup lean
 
-    allocation = None
-    if args.generator == "partition-ef1":
-        inst = generators.gen_partition_ef1(_parse_weights(args.weights))
-    elif args.generator == "mixed":
-        inst = generators.gen_mixed_awareness(_parse_weights(args.weights))
-    elif args.generator == "alpha":
-        inst = generators.gen_alpha_sa(
-            _parse_weights(args.weights), exact_rational(args.alpha, "rational")
-        )
-    elif args.generator == "wsa":
-        inst = generators.gen_wsa(_parse_weights(args.weights))
-    elif args.generator == "x3c":
-        src = generators.RX3CInput(
-            universe_size=args.universe, triples=_parse_triples(args.triples)
-        )
-        inst = generators.gen_x3c_sa_empty(src, strict=args.strict)
-    elif args.generator == "ef-embedding":
-        inst = generators.gen_ef_embedding(
-            _parse_matrix(args.valuations), tef1=args.tef1
-        )
-    elif args.generator == "example":
-        alpha = exact_rational("1/2" if args.alpha is None else args.alpha, "rational")
-        example = generators.canned(args.name, alpha=alpha)
-        inst, allocation = example.instance, example.allocation
-    elif args.generator == "random":
-        inst = generators.gen_random(
-            args.agents, args.items, args.v_max, args.s_max, args.w_max, args.seed
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown generator {args.generator!r}")
+    built = _GENERATORS[args.generator][1](generators, args)
+    inst = built.instance if isinstance(built, generators.CannedExample) else built
     text = serialize.dumps(serialize.instance_to_obj(inst))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         print(text, end="")
-    if getattr(args, "allocation_out", None):
-        if allocation is None:
+    if getattr(args, "allocation_out", None):  # only an example has the flag
+        if built.allocation is None:
             raise ValidationError("this example carries no reference allocation")
         with open(args.allocation_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(serialize.allocation_to_obj(inst, allocation)))
+            fh.write(serialize.dumps(serialize.allocation_to_obj(inst, built.allocation)))
     return EXIT_OK
 
 
@@ -316,42 +321,12 @@ def _add_gen(sub) -> None:
     gen_sub = sub.add_parser("gen", help="generate an instance file").add_subparsers(
         dest="generator", required=True
     )
-    for name in ("partition-ef1", "mixed", "wsa"):
+    for name, (flags, _) in _GENERATORS.items():
         g = gen_sub.add_parser(name)
-        g.add_argument("--weights", required=True, help="comma-separated integers")
+        for flag, keywords in flags:
+            g.add_argument(flag, **keywords)
         g.add_argument("-o", "--output")
         g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser("alpha")
-    g.add_argument("--weights", required=True)
-    g.add_argument("--alpha", required=True, help="rational P/Q in (0,1)")
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser("x3c")
-    g.add_argument("--universe", type=int, required=True)
-    g.add_argument("--triples", required=True, help='"0,1,2;3,4,5;..."')
-    g.add_argument("--strict", action="store_true")
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser("ef-embedding")
-    g.add_argument("--valuations", required=True, help='binary rows "1,0;0,1"')
-    g.add_argument("--tef1", action="store_true")
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser("example")
-    g.add_argument("name", choices=CANNED_NAMES)
-    g.add_argument("--alpha", help="rational for the alpha example")
-    g.add_argument("--allocation-out", help="write the reference allocation here")
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser("random")
-    g.add_argument("--agents", type=int, required=True)
-    g.add_argument("--items", type=int, required=True)
-    g.add_argument("--v-max", type=int, required=True)
-    g.add_argument("--s-max", type=int, required=True)
-    g.add_argument("--w-max", type=int, default=1)
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen)
 
 
 def _add_brute(sub) -> None:

@@ -102,26 +102,28 @@ def default_state_budget() -> int:
 # How column c of ``y`` moves when c receives an item: not at all (no ``y``),
 # "bits" (each observer's value joins its set), "max" (a running maximum per
 # observer) or "set" (keep ``y``, or make the item every observer's removal).
-# A leaf test decides one ordered pair (a, b) from ``x_aa``, ``x_ab``,
-# ``y_ab`` (for "bits", the values in the set) and the pair's weights.
+# A leaf test decides one ordered pair (a, b) from ``x_aa``, ``x_ab``, the
+# raw ``y_ab`` field, the pair's weights and a's distinct positive values
+# ascending (which a "bits" field indexes).
 
 
-def _no_envy(xaa: int, xab: int, yab, wa: int, wb: int) -> bool:
+def _no_envy(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
     return xaa >= xab
 
 
-def _weighted_removal(xaa: int, xab: int, yab: int, wa: int, wb: int) -> bool:
+def _weighted_removal(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
     return xaa * wb >= (xab - yab) * wa
 
 
-def _transfer(xaa: int, xab: int, yab: int, wa: int, wb: int) -> bool:
+def _transfer(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
     return xaa + yab >= xab - yab
 
 
-def _less_preferred(xaa: int, xab: int, yab: list[int], wa: int, wb: int) -> bool:
+def _less_preferred(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
     # no envy, one item carries all of b's bundle value for a (at most one
-    # positive item), or some value v with x_ab - x_aa <= v <= x_aa
-    return xaa >= xab or xab in yab or any(xab - xaa <= v <= xaa for v in yab)
+    # positive item), or some value v in the set with x_ab - x_aa <= v <= x_aa
+    held = [v for i, v in enumerate(values) if yab >> i & 1]
+    return xaa >= xab or xab in held or any(xab - xaa <= v <= xaa for v in held)
 
 
 # base -> (how y moves, leaf test)
@@ -150,11 +152,12 @@ class _Layout:
     is kept, so the walk creates the same states whatever the encoding.
 
     ``moves[g]`` lists, per impact maximizer c of item g ascending, what
-    giving g to c does: (c, the int that adds the item's values to column c
-    of x, the OR mask of the flags and value bits it sets, the column step).
-    The column step is, for "max", the (mask, value) of each ``y_ac`` field
-    that the item's positive value for a may raise, and otherwise the mask of
-    column c of y and the item's values placed in it, for "set".
+    giving g to c does, as one tuple for every base: (c, the int that adds
+    the item's values to column c of x, the OR mask of the flags and value
+    bits it sets, the raises, the reset).  The raises are, for "max", the
+    (mask, value) of each ``y_ac`` field that the item's positive value for
+    a may raise, and empty otherwise; the reset is, for "set", the mask of
+    column c of y and the item's values placed in it, and None otherwise.
     """
 
     def __init__(self, inst: Instance, notion: Notion):
@@ -225,22 +228,21 @@ class _Layout:
                 raised.append((y_mask << y_shift, v << y_shift))
             column |= y_mask << y_shift
             placed += v << y_shift
-        return c, add, bits, raised if self.ymove == "max" else (column, placed)
+        return c, add, bits, raised, (column, placed) if self.ymove == "set" else None
 
     def successors(self, key: int, g: int) -> list[tuple[int, int]]:
         """The (key, assignee) pairs of giving item g: assignees ascending,
         and under "set" the kept y before the set one.  A key may repeat;
         the walk drops repeats."""
         out = []
-        for c, add, bits, step in self.moves[g]:
+        for c, add, bits, raised, reset in self.moves[g]:
             k = (key + add) | bits
-            if self.ymove == "max":
-                for mask, v in step:
-                    if k & mask < v:
-                        k += v - (k & mask)
+            for mask, v in raised:
+                if k & mask < v:
+                    k += v - (k & mask)
             out.append((k, c))
-            if self.ymove == "set":
-                column, placed = step
+            if reset is not None:
+                column, placed = reset
                 held = k & column
                 if held != placed:
                     out.append((k - held + placed, c))
@@ -254,14 +256,11 @@ class _Layout:
         other pair must pass the base's leaf test, with the instance weights
         for ``wef1``/``swef1`` and ones otherwise.
         """
-        test, bits = self.test, self.ymove == "bits"
+        test = self.test
         for flag, (s_aa, m_aa), (s_ab, m_ab), (s_y, m_y), wa, wb, values in self.pairs:
             if key & flag:
                 continue
-            yab = key >> s_y & m_y
-            if bits:
-                yab = [v for i, v in enumerate(values) if yab >> i & 1]
-            if not test(key >> s_aa & m_aa, key >> s_ab & m_ab, yab, wa, wb):
+            if not test(key >> s_aa & m_aa, key >> s_ab & m_ab, key >> s_y & m_y, wa, wb, values):
                 return False
         return True
 

@@ -191,16 +191,88 @@ class TestCommands:
             == 3
         )
 
-    def test_solve_auto_routes(self, tmp_path, capsys):
-        rand = tmp_path / "rand.json"
-        assert main(
-            ["gen", "random", "--agents", "3", "--items", "6", "--v-max", "5",
-             "--s-max", "5", "--w-max", "2", "--seed", "11", "-o", str(rand)]
-        ) == 0
-        for spec in (["sa-swef1"], ["sa-efl"], ["sa-ef1"], ["ef1"], ["sa-empty"]):
-            code = main(["solve", str(rand), *spec])
-            assert code in (0, 1)
-            capsys.readouterr()
+    # mixed-awareness instance -> (valuations, impacts, aware)
+    _MIXED = {
+        "mixed-2": ([[1, 1], [9, 9]], [[2, 1], [1, 1]], (False, True)),
+        "mixed-3": ([[1, 2], [3, 1], [2, 2]], [[1, 1], [1, 1], [1, 1]], (False, True, True)),
+    }
+    _ONES = (1, 1, 1)
+    # (instance, notion spec, the solvers auto runs in order; picking with
+    # the weights it runs with)
+    _ROUTES = [
+        ("aware", ["sa-efl"], ["sa_efl_allocate"]),
+        ("aware", ["sa-wef1"], [("sa_weighted_picking", (1, 2, 1))]),
+        ("aware", ["sa-swef1"], [("sa_weighted_picking", (1, 2, 1))]),
+        ("aware", ["sa-ef1"], [("sa_weighted_picking", _ONES)]),
+        ("aware", ["sa-sef1"], [("sa_weighted_picking", _ONES)]),
+        ("aware", ["sa-tef1"], [("sa_weighted_picking", _ONES)]),
+        ("aware", ["sa-ef"], ["exact_solve"]),
+        ("mixed-2", ["sa-ef1"], ["two_agent_mixed_fast_path"]),
+        ("mixed-3", ["sa-ef1"], ["two_agent_mixed_fast_path", "exact_solve"]),
+        ("aware", ["ef1", "--alpha", "1/2"], ["brute_force_solve"]),
+        ("aware", ["wsa-ef1"], ["brute_force_solve"]),
+        ("aware", ["sa-empty"], ["solve_sa_empty"]),
+        ("aware", ["ef1"], ["exact_solve"]),
+    ]
+
+    def _record_solvers(self, monkeypatch) -> list:
+        """Wrap every solver auto can run, on the module attributes that
+        perfbench/tracing.py also patches, and return the list of runs."""
+        from fdsi import allocators, sa_empty
+
+        ran = []
+        for module, name in (
+            (allocators, "sa_weighted_picking"),
+            (allocators, "sa_efl_allocate"),
+            (allocators, "two_agent_mixed_fast_path"),
+            (search, "exact_solve"),
+            (search, "brute_force_solve"),
+            (sa_empty, "solve_sa_empty"),
+        ):
+            def solver(inst, *args, _real=getattr(module, name), _name=name, **kwargs):
+                if _name == "sa_weighted_picking":
+                    ran.append((_name, kwargs.get("weights") or inst.weights))
+                else:
+                    ran.append(_name)
+                return _real(inst, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, solver)
+        return ran
+
+    def _route_instance(self, tmp_path, key):
+        if key == "aware":
+            # weights (1, 2, 1) tell picking's two weightings apart
+            inst = gen_random(3, 6, 5, 5, 2, seed=10)
+            assert inst.weights == (1, 2, 1) and all(inst.aware)
+        else:
+            valuations, impacts, aware = self._MIXED[key]
+            inst = make_instance(valuations, impacts, aware=aware)
+        path = tmp_path / f"{key}.json"
+        save_instance(inst, path)
+        return path
+
+    def test_solve_auto_routes(self, tmp_path, monkeypatch, capsys):
+        ran = self._record_solvers(monkeypatch)
+        for key, spec, expected in self._ROUTES:
+            path = self._route_instance(tmp_path, key)
+            ran.clear()
+            assert main(["solve", str(path), *spec]) in (0, 1)
+            assert (key, spec, ran) == (key, spec, expected)
+        capsys.readouterr()
+
+    def test_solve_auto_rejected_candidate_runs_the_walk(self, tmp_path, monkeypatch, capsys):
+        ran = self._record_solvers(monkeypatch)
+        monkeypatch.setattr(cli, "certify", lambda inst, alloc, notion: Verdict(False))
+        for key, spec, first in (
+            ("aware", ["sa-ef1"], ("sa_weighted_picking", self._ONES)),
+            ("aware", ["sa-efl"], "sa_efl_allocate"),
+            ("mixed-2", ["sa-ef1"], "two_agent_mixed_fast_path"),
+        ):
+            path = self._route_instance(tmp_path, key)
+            ran.clear()
+            assert main(["solve", str(path), *spec]) in (0, 1)
+            assert (key, spec, ran) == (key, spec, [first, "exact_solve"])
+        capsys.readouterr()
 
     def test_solve_alpha_goes_to_brute(self, tmp_path, capsys):
         inst, _ = self._gen(tmp_path, "alpha-nonexistence")
@@ -363,6 +435,34 @@ class TestCommands:
     def test_gen_bad_params_exit_2(self, tmp_path):
         assert main(["gen", "partition-ef1", "--weights", "1,2"]) == 2
         assert main(["gen", "wsa", "--weights", "1,1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["partition-ef1", "--weights", "1,,2"], "bad weight list '1,,2'"),
+            (["partition-ef1", "--weights", "1;2"], "bad weight list '1;2'"),
+            (["partition-ef1", "--weights", "1;"], "bad weight list '1;'"),
+            (["alpha", "--weights", "1;2", "--alpha", "1/2"], "bad weight list '1;2'"),
+            (["x3c", "--universe", "3", "--triples", "0,1,x"], "bad triple list '0,1,x'"),
+            (["ef-embedding", "--valuations", "1,0;0,z"], "bad matrix '1,0;0,z'"),
+        ],
+    )
+    def test_gen_bad_text_flag_exit_2(self, capsys, argv, err):
+        assert main(["gen", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, with_empty_rows, without",
+        [
+            (["x3c", "--universe", "6", "--triples"], "0,1,2;;3,4,5;", "0,1,2;3,4,5"),
+            (["ef-embedding", "--valuations"], "1,0;;0,1", "1,0;0,1"),
+        ],
+    )
+    def test_gen_skips_empty_rows(self, tmp_path, argv, with_empty_rows, without):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gen", *argv, with_empty_rows, "-o", str(a)]) == 0
+        assert main(["gen", *argv, without, "-o", str(b)]) == 0
+        assert a.read_text() == b.read_text()
 
     def test_canned_names_match_the_builders(self):
         assert CANNED_NAMES == tuple(generators.CANNED)
