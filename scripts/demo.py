@@ -30,14 +30,13 @@ def main() -> None:
         if not is_goods(inst):
             print("  chores data: stored only, checkers refuse it")
             continue
-        if example.allocation is not None:
-            alloc = example.allocation
-            verdicts = ", ".join(
-                f"{n.label()}={'fair' if check(inst, alloc, n).fair else 'unfair'}"
-                for n in NOTIONS
-            )
-            print(f"  reference allocation: sim={is_sim(inst, alloc).fair}")
-            print(f"  verdicts: {verdicts}")
+        alloc = example.allocation
+        verdicts = ", ".join(
+            f"{n.label()}={'fair' if check(inst, alloc, n).fair else 'unfair'}"
+            for n in NOTIONS
+        )
+        print(f"  reference allocation: sim={is_sim(inst, alloc).fair}")
+        print(f"  verdicts: {verdicts}")
         for n in NOTIONS:
             found = brute_force_solve(inst, n)
             print(f"  exists maximizing {n.label()}: {found is not None}")

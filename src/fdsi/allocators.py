@@ -6,8 +6,9 @@ whose envy graph is read from the value and impact matrices of
 ``fairness.matrices``, and the two-agent mixed-awareness special case
 (``two_agent_mixed_fast_path``).  Each only ever hands an item to one of its
 impact maximizers, so its output maximizes total social impact by
-construction.  Tie-breaking is lexicographic everywhere (agent index, then
-item index), which makes every run reproducible.
+construction.  The first two offer each agent its items in the one order
+``_preferences`` sorts per call (most valued first, then by item index), and
+agents tie by index, which makes every run reproducible.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ from .model import (
 )
 
 
+def _preferences(inst: Instance) -> list:
+    """Each agent's impact-maximized items, most valued first, then by index,
+    as an iterator: the agent's best remaining item is its next entry still
+    in ``remaining``, since an item taken once never becomes remaining again."""
+    maxsets = all_maximizers(inst)
+    return [
+        iter(sorted((g for g in range(inst.m) if i in maxsets[g]), key=lambda g: -values[g]))
+        for i, values in enumerate(inst.valuations)
+    ]
+
+
 def sa_weighted_picking(
     inst: Instance, *, weights: tuple[int, ...] | None = None
 ) -> Allocation:
@@ -31,8 +43,8 @@ def sa_weighted_picking(
 
     Repeatedly the active agent minimizing picks/weight (cross-multiplied,
     ties by agent index) takes its most valued remaining item among those it
-    maximizes impact for (ties by item index).  Agents that maximize no
-    remaining item are deactivated.  With socially aware agents the result
+    maximizes impact for (ties by item index).  An agent chosen with no such
+    item left is deactivated for good.  With socially aware agents the result
     satisfies the strong weighted one-removal condition on top of impact
     maximization; pass ``weights`` to override the instance weights (all-ones
     gives plain round robin).
@@ -41,29 +53,27 @@ def sa_weighted_picking(
     w = inst.weights if weights is None else tuple(weights)
     if len(w) != inst.n or any(x < 1 for x in w):
         raise ValidationError("picking weights must be positive, one per agent")
-    maxsets = all_maximizers(inst)
-    # counts[i] is how many picks agent i has made.  Agents leave ``active``
-    # for good once they maximize impact for no remaining item; this is the
-    # skip-and-increment formulation, because the remaining items only shrink.
+    orders = _preferences(inst)
+    # counts[i] is how many picks agent i has made; dropping an agent with
+    # nothing left picks as the skip-and-increment form does, as the items
+    # only shrink
     counts = [0] * inst.n
     remaining = set(range(inst.m))
-    active = [i for i in range(inst.n) if any(i in maxsets[g] for g in remaining)]
+    active = list(range(inst.n))
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     while remaining:
         picker = active[0]
         for i in active[1:]:
             if counts[i] * w[picker] < counts[picker] * w[i]:
                 picker = i
-        candidates = sorted(g for g in remaining if picker in maxsets[g])
-        best = candidates[0]
-        for g in candidates[1:]:
-            if inst.valuations[picker][g] > inst.valuations[picker][best]:
-                best = g
+        best = next((g for g in orders[picker] if g in remaining), None)
+        if best is None:
+            active.remove(picker)
+            continue
         bundles[picker].add(best)
         remaining.discard(best)
         counts[picker] += 1
-        active = [i for i in active if any(i in maxsets[g] for g in remaining)]
-    return Allocation(bundles=tuple(frozenset(b) for b in bundles))
+    return Allocation(bundles)
 
 
 def _envy_successors(V: Matrix, S: Matrix, vertices: list[int]) -> dict[int, list[int]]:
@@ -107,12 +117,10 @@ def _find_cycle(succ: dict[int, list[int]]) -> list[int] | None:
     return None
 
 
-def _rotate_cycles(
-    alloc: Allocation, V: Matrix, S: Matrix, vertices: list[int]
-) -> Allocation:
+def _rotate_cycles(bundles: list, V: Matrix, S: Matrix, vertices: list[int]) -> None:
     """Rotate bundles along envy cycles among ``vertices`` until the graph is
-    acyclic.  The columns of ``V`` and ``S`` move with their bundles, in
-    place, so they stay the matrices of the returned allocation.
+    acyclic.  ``bundles`` moves in place as one more row next to those of
+    ``V`` and ``S``, so their columns stay the matrices of the bundles.
 
     Along a cycle every agent receives the bundle it envied, so each
     affected agent's own-bundle value strictly increases, which guarantees
@@ -120,30 +128,26 @@ def _rotate_cycles(
     while True:
         cycle = _find_cycle(_envy_successors(V, S, vertices))
         if cycle is None:
-            return alloc
+            return
         # every agent on the cycle takes the bundle of the agent it envies
         donors = cycle[1:] + cycle[:1]
-        bundles = list(alloc.bundles)
-        for i, d in zip(cycle, donors):
-            bundles[i] = alloc.bundles[d]
-        for row in V + S:
+        for row in (bundles, *V, *S):
             moved = [row[d] for d in donors]
             for i, value in zip(cycle, moved):
                 row[i] = value
-        alloc = Allocation(bundles=tuple(bundles))
 
 
 def sa_efl_partials(inst: Instance):
     """Yield the partial allocation after every assignment round of the
     envy-graph allocator (used to check that each prefix already satisfies
-    its guarantees).  The value and impact matrices of ``fairness.matrices``
-    are built once, for the empty allocation; each round adds the picked
-    item's entries to the picker's column, and the cycle rotations move the
-    columns with their bundles, so every round reads its envy graph from the
-    matrices of the current allocation."""
+    its guarantees).  One list of bundles and its value and impact matrices
+    (``fairness.matrices``) are built once, empty; each round adds the picked
+    item to the picker's bundle and its entries to the picker's column, and
+    ``_rotate_cycles`` moves bundles and columns together, so every round
+    reads its envy graph from the matrices of its bundles."""
     require_goods(inst)
-    maxsets = all_maximizers(inst)
-    alloc = Allocation.empty(inst.n)
+    orders = _preferences(inst)
+    bundles: list[set[int]] = [set() for _ in range(inst.n)]
     V, S = fairness.matrices(inst, [None] * inst.m)
     vertices = list(range(inst.n))
     remaining = set(range(inst.m))
@@ -155,21 +159,17 @@ def sa_efl_partials(inst: Instance):
         succ = _envy_successors(V, S, vertices)
         envied = {j for heads in succ.values() for j in heads}
         source = min(v for v in vertices if v not in envied)
-        candidates = sorted(g for g in remaining if source in maxsets[g])
-        if not candidates:
+        best = next((g for g in orders[source] if g in remaining), None)
+        if best is None:
             vertices.remove(source)
             continue
-        best = candidates[0]
-        for g in candidates[1:]:
-            if inst.valuations[source][g] > inst.valuations[source][best]:
-                best = g
-        alloc = alloc.give(source, best)
+        bundles[source].add(best)
         remaining.discard(best)
         for Vi, Si, vals, imps in zip(V, S, inst.valuations, inst.impacts):
             Vi[source] += vals[best]
             Si[source] += imps[best]
-        alloc = _rotate_cycles(alloc, V, S, vertices)
-        yield alloc
+        _rotate_cycles(bundles, V, S, vertices)
+        yield Allocation(bundles)
 
 
 def sa_efl_allocate(inst: Instance) -> Allocation:

@@ -107,10 +107,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _solve_with(method, inst: Instance, notion: Notion, args, weights=None) -> Allocation | None:
+def _solve_with(method, inst: Instance, notion: Notion, args) -> Allocation | None:
     """The one call of each solver, for ``--method`` and ``auto`` alike; each
-    is read off its module, imported here, at call time.  ``weights`` are
-    the picking sequence's (None: the instance's)."""
+    is read off its module, imported here, at call time.  Picking weighs the
+    agents by the instance weights under a weighted base, else equally."""
     if method in ("exact", "brute"):
         from . import search
 
@@ -125,6 +125,7 @@ def _solve_with(method, inst: Instance, notion: Notion, args, weights=None) -> A
 
     if method == "efl":
         return allocators.sa_efl_allocate(inst)
+    weights = None if notion.base in WEIGHTED_BASES else (1,) * inst.n
     return allocators.sa_weighted_picking(inst, weights=weights)
 
 
@@ -137,8 +138,7 @@ def _sa_candidate(inst: Instance, notion: Notion, args) -> Allocation | None:
         if notion.base == "efl":
             return _solve_with("efl", inst, notion, args)
         if notion.base != "ef":
-            weights = None if notion.base in WEIGHTED_BASES else (1,) * inst.n
-            return _solve_with("picking", inst, notion, args, weights)
+            return _solve_with("picking", inst, notion, args)
     elif notion.base == "ef1":
         from . import allocators
 
@@ -261,8 +261,6 @@ def _cmd_gen(args) -> int:
     else:
         print(text, end="")
     if getattr(args, "allocation_out", None):  # only an example has the flag
-        if built.allocation is None:
-            raise ValidationError("this example carries no reference allocation")
         with open(args.allocation_out, "w", encoding="utf-8") as fh:
             fh.write(serialize.dumps(serialize.allocation_to_obj(inst, built.allocation)))
     return EXIT_OK

@@ -278,9 +278,9 @@ class CannedExample(Frozen):
     __slots__ = ("name", "instance", "allocation")
     name: str
     instance: Instance
-    allocation: Allocation | None
+    allocation: Allocation
 
-    def __init__(self, name: str, instance: Instance, allocation: Allocation | None) -> None:
+    def __init__(self, name: str, instance: Instance, allocation: Allocation) -> None:
         _set(self, "name", name)
         _set(self, "instance", instance)
         _set(self, "allocation", allocation)
@@ -330,8 +330,8 @@ CANNED = {
 
 
 def canned(name: str, *, alpha: Fraction = Fraction(1, 2)) -> CannedExample:
-    """Bit-exact fixture instances, with a reference allocation when one is
-    pinned down by the construction."""
+    """Bit-exact fixture instances, each with the reference allocation its
+    construction pins down."""
     if name not in CANNED:
         raise ValidationError(f"unknown canned instance {name!r}")
     inst, bundles = CANNED[name](alpha)

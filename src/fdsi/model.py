@@ -271,12 +271,6 @@ class Allocation(Frozen):
                 out[g] = i
         return out
 
-    def give(self, i: int, g: int) -> "Allocation":
-        """Return a copy with item g added to agent i's bundle."""
-        new = list(self.bundles)
-        new[i] = new[i] | {g}
-        return Allocation(bundles=tuple(new))
-
 
 def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     """Check bundle shape, item validity, and disjointness; return violations."""

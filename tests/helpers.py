@@ -183,6 +183,77 @@ def literal_picking(inst: Instance, weights=None) -> Allocation:
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
+def literal_efl(inst: Instance) -> Allocation:
+    """The envy-graph allocator, with every sum taken afresh.
+
+    Every round the lowest agent still in the graph whom no agent in it
+    envies takes its most valued remaining item among those it maximizes
+    impact for (ties by index), or leaves the graph for good when there is
+    none.  Then envy cycles are rotated away, each the first one a recursive
+    depth-first search meets (lowest start, neighbors ascending), every
+    agent on it taking the bundle of the next.  Agent i envies j when i
+    values A_j above A_i and i's impact for A_j is at least j's own.
+    """
+    maxsets = all_maximizers(inst)
+    bundles = [frozenset() for _ in range(inst.n)]
+    vertices = list(range(inst.n))
+    remaining = set(range(inst.m))
+
+    def envies(i, j):
+        return (
+            value_of(inst, i, bundles[i]) < value_of(inst, i, bundles[j])
+            and impact_of(inst, i, bundles[j]) >= impact_of(inst, j, bundles[j])
+        )
+
+    def first_cycle():
+        color = dict.fromkeys(vertices, 0)
+
+        def visit(v, path):
+            color[v] = 1
+            path.append(v)
+            for u in vertices:
+                if u == v or not envies(v, u):
+                    continue
+                if color[u] == 1:
+                    return path[path.index(u):]
+                if color[u] == 0:
+                    found = visit(u, path)
+                    if found is not None:
+                        return found
+            path.pop()
+            color[v] = 2
+            return None
+
+        for start in vertices:
+            if color[start] == 0:
+                cycle = visit(start, [])
+                if cycle is not None:
+                    return cycle
+        return None
+
+    while remaining:
+        source = min(
+            v for v in vertices if not any(i != v and envies(i, v) for i in vertices)
+        )
+        candidates = sorted(g for g in remaining if source in maxsets[g])
+        if not candidates:
+            vertices.remove(source)
+            continue
+        best = candidates[0]
+        for g in candidates[1:]:
+            if inst.valuations[source][g] > inst.valuations[source][best]:
+                best = g
+        bundles[source] = bundles[source] | {best}
+        remaining.discard(best)
+        cycle = first_cycle()
+        while cycle is not None:
+            taken = [bundles[d] for d in cycle[1:] + cycle[:1]]
+            for i, bundle in zip(cycle, taken):
+                bundles[i] = bundle
+            cycle = first_cycle()
+    return Allocation(bundles=tuple(bundles))
+
+
 def random_instances(count, seed, n_lo, n_hi, m_lo, m_hi, v_max, s_max, w_max=1):
     """Deterministic stream of random goods instances."""
     rng = random.Random(seed)

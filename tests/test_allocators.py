@@ -13,10 +13,16 @@ from fdsi.allocators import (
 )
 from fdsi.fairness import Notion, check, is_sim, matrices, valid_owners
 from fdsi.generators import canned, gen_random
-from fdsi.model import Allocation, GoodsOnlyError, make_instance
+from fdsi.model import Allocation, GoodsOnlyError, all_maximizers, make_instance
 from fdsi.search import enumerate_sim_allocations
 
-from helpers import literal_picking, random_instances, random_sim_allocation, value_of
+from helpers import (
+    literal_efl,
+    literal_picking,
+    random_instances,
+    random_sim_allocation,
+    value_of,
+)
 
 
 def _greedy_sim(inst):
@@ -74,7 +80,10 @@ class TestPicking:
 
     def test_matches_skip_and_increment_form(self):
         for inst in random_instances(150, 33, 1, 5, 0, 9, 6, 6, 3):
-            assert sa_weighted_picking(inst) == literal_picking(inst)
+            for weights in (None, (1,) * inst.n):
+                assert sa_weighted_picking(inst, weights=weights) == literal_picking(
+                    inst, weights
+                )
 
     def test_binary_equal_valuation_impact_gives_plain_fairness(self):
         rng = random.Random(34)
@@ -100,8 +109,10 @@ def _arcs(inst, alloc, vertices):
 
 def _rotated(inst, alloc, vertices):
     V, S = _envy_matrices(inst, alloc)
-    result = _rotate_cycles(alloc, V, S, list(vertices))
-    # the columns moved in place are the matrices of the result
+    bundles = list(alloc.bundles)
+    _rotate_cycles(bundles, V, S, list(vertices))
+    result = Allocation(bundles)
+    # the bundles and columns moved in place still belong together
     assert (V, S) == _envy_matrices(inst, result)
     return result
 
@@ -250,6 +261,26 @@ class TestSaEflAllocate:
                     if owner is not None:
                         assert owner in impact_maximizers(inst, g)
                 assert check(inst, partial, Notion("efl", "sa")).fair
+
+    def test_matches_literal_form(self):
+        # impacts up to 1, or all 0, make most items co-maximized; wide
+        # values over many items make envy cycles to rotate
+        cases = [
+            *random_instances(150, 53, 1, 5, 0, 9, 6, 1),
+            *random_instances(100, 54, 1, 4, 0, 8, 5, 5),
+            *random_instances(300, 55, 2, 6, 3, 12, 100, 0),
+        ]
+        shared = rotated = 0
+        for inst in cases:
+            assert sa_efl_allocate(inst) == literal_efl(inst)
+            shared += any(len(ms) > 1 for ms in all_maximizers(inst))
+            # a round that rotates changes more than the picker's bundle
+            partials = [Allocation.empty(inst.n), *sa_efl_partials(inst)]
+            rotated += any(
+                sum(a != b for a, b in zip(p.bundles, q.bundles)) > 1
+                for p, q in zip(partials, partials[1:])
+            )
+        assert (shared, rotated) >= (400, 10), (shared, rotated)
 
 
 class TestTwoAgentFastPath:

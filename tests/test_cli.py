@@ -22,6 +22,8 @@ from fdsi.serialize import (
     allocation_to_obj,
     instance_from_obj,
     instance_to_obj,
+    load_allocation,
+    load_instance,
     parse_notion_spec,
     save_instance,
 )
@@ -300,6 +302,20 @@ class TestCommands:
         assert main(["solve", str(inst), "sa-ef1", "--method", "picking"]) == 0
         capsys.readouterr()
 
+    def test_solve_picking_weighs_agents_as_auto(self, tmp_path, capsys):
+        # weights (3, 3, 1): picking weighs the agents only under a weighted
+        # base, whichever route runs it
+        path = tmp_path / "g1.json"
+        argv = ["gen", "random", "--agents", "3", "--items", "8", "--v-max", "9",
+                "--s-max", "0", "--w-max", "3", "--seed", "1", "-o", str(path)]
+        assert main(argv) == 0
+        assert load_instance(path).weights == (3, 3, 1)
+        for spec in ("sa-ef1", "sa-sef1", "sa-tef1", "sa-wef1", "sa-swef1"):
+            assert main(["solve", str(path), spec]) == 0
+            auto = capsys.readouterr()
+            assert main(["solve", str(path), spec, "--method", "picking"]) == 0
+            assert (spec, capsys.readouterr()) == (spec, auto)
+
     def test_solve_auto_mixed_two_agents(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"
         obj = {
@@ -469,9 +485,12 @@ class TestCommands:
 
     def test_every_canned_example_generates(self, tmp_path, capsys):
         for name in CANNED_NAMES:
-            out = tmp_path / f"{name}.json"
-            assert main(["gen", "example", name, "-o", str(out)]) == 0
-            json.loads(out.read_text())
+            out, alloc_out = tmp_path / f"{name}.json", tmp_path / f"{name}-alloc.json"
+            argv = ["gen", "example", name, "-o", str(out), "--allocation-out", str(alloc_out)]
+            assert main(argv) == 0
+            example, inst = canned(name), load_instance(out)
+            assert inst == example.instance
+            assert load_allocation(inst, alloc_out) == example.allocation
         capsys.readouterr()
 
     def test_gen_example_names(self, capsys):
@@ -586,6 +605,67 @@ class TestCommands:
         assert out == ""
         assert err == "error: bundle of 'a1' holds a non-string item id\n"
 
+    _AGENTS = [{"id": "a1"}, {"id": "a2"}]
+    _GOOD = {"agents": _AGENTS, "items": ["g1"], "valuations": [[1], [1]], "impacts": [[1], [1]]}
+
+    # (the file that is bad, its JSON, the one stderr line); a bad allocation
+    # file is read against the wsa-nonexistence example (agents a1, a2;
+    # items g1-g3)
+    @pytest.mark.parametrize(
+        "kind, obj, err",
+        [
+            ("instance", [], "instance file must be a JSON object"),
+            (
+                "instance",
+                {"agents": _AGENTS},
+                "missing instance keys: ['impacts', 'items', 'valuations']",
+            ),
+            ("instance", {**_GOOD, "agents": {"id": "a1"}}, "agents must be a list"),
+            ("instance", {**_GOOD, "agents": ["a1", "a2"]}, "each agent must be an object"),
+            ("instance", {**_GOOD, "agents": [{"id": 1}, {"id": "a2"}]},
+             "each agent needs a string id"),
+            ("instance", {**_GOOD, "agents": [{"id": "a1", "aware": 1}, {"id": "a2"}]},
+             "agent aware flag must be a boolean"),
+            ("instance", {**_GOOD, "items": ["g1", 2]}, "items must be a list of strings"),
+            ("instance", {**_GOOD, "impacts": [1, 1]}, "impacts must be a list of rows"),
+            ("allocation", [], "allocation file must be a JSON object"),
+            ("allocation", {"bundles": {}, "owners": {}}, "unknown allocation keys: ['owners']"),
+            ("allocation", {"bundles": [["g1"]]}, "allocation file needs a bundles object"),
+            ("allocation", {"bundles": {"a3": []}}, "unknown agent id 'a3'"),
+            ("allocation", {"bundles": {"a1": "g1"}}, "bundle of 'a1' must be a list"),
+            ("allocation", {"bundles": {"a1": ["g4"]}}, "unknown item id 'g4'"),
+        ],
+    )
+    def test_strict_format_rejection_exit_2(self, tmp_path, capsys, kind, obj, err):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        if kind == "instance":
+            argv = ["solve", str(bad), "ef1"]
+        else:
+            inst, _ = self._gen(tmp_path, "wsa-nonexistence")
+            argv = ["check", str(inst), str(bad), "ef1"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "value, err", [("0", "positive"), ("-1", "positive"), ("x", "an integer")]
+    )
+    def test_bad_state_budget_env_exit_2(self, tmp_path, monkeypatch, capsys, value, err):
+        inst = tmp_path / "p.json"
+        save_instance(gen_partition_ef1((1, 1, 4)), inst)
+        monkeypatch.setenv("FDSI_STATE_BUDGET", value)
+        assert main(["solve", str(inst), "ef1", "--method", "exact"]) == 2
+        assert capsys.readouterr() == ("", f"error: FDSI_STATE_BUDGET must be {err}\n")
+
+    def test_solve_method_sa_empty_needs_its_notion(self, tmp_path, capsys):
+        inst, _ = self._gen(tmp_path, "bill-joe")
+        capsys.readouterr()
+        assert main(["solve", str(inst), "ef1", "--method", "sa-empty"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: method sa-empty only solves the sa-empty notion\n"
+        )
+
     @pytest.mark.parametrize(
         "command, flag",
         [
@@ -597,7 +677,8 @@ class TestCommands:
     )
     def test_non_positive_budget_exit_2(self, tmp_path, capsys, command, flag):
         # a budget below 1 is invalid input (exit 2), as FDSI_STATE_BUDGET=0
-        # is, not a budget that runs out (exit 3)
+        # is (test_bad_state_budget_env_exit_2), not a budget that runs out
+        # (exit 3)
         inst = tmp_path / "p.json"
         save_instance(gen_partition_ef1((1, 1, 4)), inst)
         argv = [command[0], str(inst), *command[1:]]
