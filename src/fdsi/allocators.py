@@ -117,59 +117,28 @@ def _find_cycle(succ: dict[int, list[int]]) -> list[int] | None:
     return None
 
 
-def _rotate_cycles(bundles: list, V: Matrix, S: Matrix, vertices: list[int]) -> None:
+def _rotate_cycles(
+    bundles: list, V: Matrix, S: Matrix, vertices: list[int]
+) -> dict[int, list[int]]:
     """Rotate bundles along envy cycles among ``vertices`` until the graph is
-    acyclic.  ``bundles`` moves in place as one more row next to those of
-    ``V`` and ``S``, so their columns stay the matrices of the bundles.
+    acyclic, and return that acyclic graph.  ``bundles`` moves in place as
+    one more row next to those of ``V`` and ``S``, so their columns stay the
+    matrices of the bundles.
 
     Along a cycle every agent receives the bundle it envied, so each
     affected agent's own-bundle value strictly increases, which guarantees
     termination."""
     while True:
-        cycle = _find_cycle(_envy_successors(V, S, vertices))
+        succ = _envy_successors(V, S, vertices)
+        cycle = _find_cycle(succ)
         if cycle is None:
-            return
+            return succ
         # every agent on the cycle takes the bundle of the agent it envies
         donors = cycle[1:] + cycle[:1]
         for row in (bundles, *V, *S):
             moved = [row[d] for d in donors]
             for i, value in zip(cycle, moved):
                 row[i] = value
-
-
-def sa_efl_partials(inst: Instance):
-    """Yield the partial allocation after every assignment round of the
-    envy-graph allocator (used to check that each prefix already satisfies
-    its guarantees).  One list of bundles and its value and impact matrices
-    (``fairness.matrices``) are built once, empty; each round adds the picked
-    item to the picker's bundle and its entries to the picker's column, and
-    ``_rotate_cycles`` moves bundles and columns together, so every round
-    reads its envy graph from the matrices of its bundles."""
-    require_goods(inst)
-    orders = _preferences(inst)
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    V, S = fairness.matrices(inst, [None] * inst.m)
-    vertices = list(range(inst.n))
-    remaining = set(range(inst.m))
-    while remaining:
-        if not vertices:
-            raise InternalError(
-                "maximizer sets are never empty, so a vertex must remain"
-            )
-        succ = _envy_successors(V, S, vertices)
-        envied = {j for heads in succ.values() for j in heads}
-        source = min(v for v in vertices if v not in envied)
-        best = next((g for g in orders[source] if g in remaining), None)
-        if best is None:
-            vertices.remove(source)
-            continue
-        bundles[source].add(best)
-        remaining.discard(best)
-        for Vi, Si, vals, imps in zip(V, S, inst.valuations, inst.impacts):
-            Vi[source] += vals[best]
-            Si[source] += imps[best]
-        _rotate_cycles(bundles, V, S, vertices)
-        yield Allocation(bundles)
 
 
 def sa_efl_allocate(inst: Instance) -> Allocation:
@@ -179,11 +148,40 @@ def sa_efl_allocate(inst: Instance) -> Allocation:
     The result maximizes total impact and satisfies the one-less-preferred
     condition for socially aware agents.  Agents that maximize no remaining
     good leave the graph permanently but keep their bundles.
+
+    One list of bundles and its value and impact matrices
+    (``fairness.matrices``) are built once, empty; each round adds the picked
+    item to the picker's bundle and its entries to the picker's column, and
+    ``_rotate_cycles`` moves bundles and columns together and hands back the
+    acyclic envy graph of the result, from which the next round picks its
+    source.  The graph is built afresh only when an agent leaves it.
     """
-    alloc = Allocation.empty(inst.n)
-    for alloc in sa_efl_partials(inst):
-        pass
-    return alloc
+    require_goods(inst)
+    orders = _preferences(inst)
+    bundles: list[set[int]] = [set() for _ in range(inst.n)]
+    V, S = fairness.matrices(inst, [None] * inst.m)
+    vertices = list(range(inst.n))
+    succ = _envy_successors(V, S, vertices)
+    remaining = set(range(inst.m))
+    while remaining:
+        if not vertices:
+            raise InternalError(
+                "maximizer sets are never empty, so a vertex must remain"
+            )
+        envied = {j for heads in succ.values() for j in heads}
+        source = min(v for v in vertices if v not in envied)
+        best = next((g for g in orders[source] if g in remaining), None)
+        if best is None:
+            vertices.remove(source)
+            succ = _envy_successors(V, S, vertices)
+            continue
+        bundles[source].add(best)
+        remaining.discard(best)
+        for Vi, Si, vals, imps in zip(V, S, inst.valuations, inst.impacts):
+            Vi[source] += vals[best]
+            Si[source] += imps[best]
+        succ = _rotate_cycles(bundles, V, S, vertices)
+    return Allocation(bundles)
 
 
 def two_agent_mixed_fast_path(inst: Instance) -> Allocation | None:

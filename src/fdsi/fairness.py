@@ -45,8 +45,6 @@ applied by cross multiplication).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
-
 from .model import (
     Allocation,
     Frozen,
@@ -60,7 +58,9 @@ from .model import (
     validate_allocation,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable, Sequence
     from fractions import Fraction
 
 BASES = ("ef", "ef1", "sef1", "wef1", "swef1", "efl", "tef1")
@@ -179,9 +179,10 @@ def _best_removal(inst: Instance, i: int, bundle: frozenset[int]) -> int | None:
 
 
 Matrix = list[list[int]]
-Owners = Sequence["int | None"]
-# fails(P, owners) -> first failing (observer, target), or None when fair
-Decider = Callable[[int, Owners], "tuple[int, int] | None"]
+if TYPE_CHECKING:
+    Owners = Sequence[int | None]
+    # fails(P, owners) -> first failing (observer, target), or None when fair
+    Decider = Callable[[int, Owners], tuple[int, int] | None]
 
 
 def matrices(inst: Instance, owners: Owners) -> tuple[Matrix, Matrix]:

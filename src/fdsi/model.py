@@ -8,9 +8,10 @@ multiplication elsewhere, so no floating point appears anywhere.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 

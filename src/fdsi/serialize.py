@@ -28,14 +28,15 @@ alpha mode is selected via an explicit rational like ``1/2``.
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import TYPE_CHECKING
+from json.encoder import encode_basestring_ascii
 
 from .fairness import SA_EMPTY, Notion
 from .model import Allocation, Instance, ValidationError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from os import PathLike
 
 _AGENT_KEYS = {"id", "weight", "aware"}
 _INSTANCE_KEYS = {"agents", "items", "valuations", "impacts"}
@@ -135,11 +136,61 @@ def allocation_from_obj(inst: Instance, obj) -> Allocation:
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
+# how each scalar type is written; bool is its own type, so True is never 1
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it when it starts at
+    ``indent``.  A list whose entries are all of one scalar type is one
+    C-level join, so only the containers cost Python steps."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("keys must be str")
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in obj.items()
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is not None:
+            body = sep.join(map(scalar, obj))
+        else:
+            body = sep.join(_encode(x, inner) for x in obj)
+        return f"[\n{inner}{body}\n{indent}]"
+    # subclasses are written as their base, as json writes them
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The canonical text of every file and stdout fdsi writes: exactly
+    ``json.dumps(obj, indent=2) + "\\n"`` (two-space indent, ASCII escapes,
+    tuples as lists), without json's pure-Python indent encoder.  ``obj`` is
+    built from dicts with string keys, lists, tuples, strings, ints, bools
+    and None; anything else raises ``TypeError``."""
+    return _encode(obj, "") + "\n"
 
 
-def _read_json(path: str | Path):
+def _read_json(path: str | PathLike):
     """Parse a UTF-8 JSON file.  Every way the text can be malformed raises
     :class:`ValidationError`: bad JSON, bytes that are not UTF-8 (both
     ``ValueError``), an integer too long to convert (``ValueError``) or
@@ -151,16 +202,17 @@ def _read_json(path: str | Path):
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def load_instance(path: str | Path) -> Instance:
+def load_instance(path: str | PathLike) -> Instance:
     return instance_from_obj(_read_json(path))
 
 
-def load_allocation(inst: Instance, path: str | Path) -> Allocation:
+def load_allocation(inst: Instance, path: str | PathLike) -> Allocation:
     return allocation_from_obj(inst, _read_json(path))
 
 
-def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(dumps(instance_to_obj(inst)), encoding="utf-8")
+def save_instance(inst: Instance, path: str | PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(instance_to_obj(inst)))
 
 
 def parse_notion_spec(

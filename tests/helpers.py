@@ -184,7 +184,18 @@ def literal_picking(inst: Instance, weights=None) -> Allocation:
 
 
 def literal_efl(inst: Instance) -> Allocation:
-    """The envy-graph allocator, with every sum taken afresh.
+    """The envy-graph allocator, with every sum taken afresh: the last of
+    :func:`literal_efl_partials`, or the empty allocation when no item is
+    assigned."""
+    alloc = Allocation.empty(inst.n)
+    for alloc in literal_efl_partials(inst):
+        pass
+    return alloc
+
+
+def literal_efl_partials(inst: Instance):
+    """Yield the partial allocation of the envy-graph allocator after every
+    assignment round, every sum taken afresh.
 
     Every round the lowest agent still in the graph whom no agent in it
     envies takes its most valued remaining item among those it maximizes
@@ -251,7 +262,7 @@ def literal_efl(inst: Instance) -> Allocation:
             for i, bundle in zip(cycle, taken):
                 bundles[i] = bundle
             cycle = first_cycle()
-    return Allocation(bundles=tuple(bundles))
+        yield Allocation(bundles=tuple(bundles))
 
 
 def random_instances(count, seed, n_lo, n_hi, m_lo, m_hi, v_max, s_max, w_max=1):

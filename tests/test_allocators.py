@@ -7,7 +7,6 @@ from fdsi.allocators import (
     _find_cycle,
     _rotate_cycles,
     sa_efl_allocate,
-    sa_efl_partials,
     sa_weighted_picking,
     two_agent_mixed_fast_path,
 )
@@ -18,6 +17,7 @@ from fdsi.search import enumerate_sim_allocations
 
 from helpers import (
     literal_efl,
+    literal_efl_partials,
     literal_picking,
     random_instances,
     random_sim_allocation,
@@ -110,10 +110,13 @@ def _arcs(inst, alloc, vertices):
 def _rotated(inst, alloc, vertices):
     V, S = _envy_matrices(inst, alloc)
     bundles = list(alloc.bundles)
-    _rotate_cycles(bundles, V, S, list(vertices))
+    succ = _rotate_cycles(bundles, V, S, list(vertices))
     result = Allocation(bundles)
-    # the bundles and columns moved in place still belong together
+    # the bundles and columns moved in place still belong together, and the
+    # graph handed back is the acyclic one of the result
     assert (V, S) == _envy_matrices(inst, result)
+    assert succ == _envy_successors(V, S, list(vertices))
+    assert _find_cycle(succ) is None
     return result
 
 
@@ -251,16 +254,19 @@ class TestSaEflAllocate:
 
     def test_partial_allocations_stay_fair(self):
         # the loop invariant: after every round the prefix already satisfies
-        # impact maximization (restricted to assigned items) and the notion
+        # impact maximization (restricted to assigned items) and the notion;
+        # the rounds are the literal form's, which ends where the allocator does
         for inst in random_instances(40, 52, 2, 3, 1, 6, 5, 5):
             from fdsi.model import impact_maximizers
 
-            for partial in sa_efl_partials(inst):
+            partial = Allocation.empty(inst.n)
+            for partial in literal_efl_partials(inst):
                 owners = partial.owners(inst.m)
                 for g, owner in enumerate(owners):
                     if owner is not None:
                         assert owner in impact_maximizers(inst, g)
                 assert check(inst, partial, Notion("efl", "sa")).fair
+            assert sa_efl_allocate(inst) == partial
 
     def test_matches_literal_form(self):
         # impacts up to 1, or all 0, make most items co-maximized; wide
@@ -275,7 +281,7 @@ class TestSaEflAllocate:
             assert sa_efl_allocate(inst) == literal_efl(inst)
             shared += any(len(ms) > 1 for ms in all_maximizers(inst))
             # a round that rotates changes more than the picker's bundle
-            partials = [Allocation.empty(inst.n), *sa_efl_partials(inst)]
+            partials = [Allocation.empty(inst.n), *literal_efl_partials(inst)]
             rotated += any(
                 sum(a != b for a, b in zip(p.bundles, q.bundles)) > 1
                 for p, q in zip(partials, partials[1:])

@@ -568,6 +568,29 @@ class TestCommands:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
+    def test_no_typing_or_pathlib_without_site(self, tmp_path):
+        # with the site module off (-S) nothing but fdsi can load them; the
+        # annotations that name typing's aliases are never evaluated
+        inst, alloc = self._gen(tmp_path, "wsa-nonexistence", alloc=True)
+        calls = [
+            ["solve", str(inst), "sa-ef1"],
+            ["solve", str(inst), "sa-ef1", "--method", "exact"],
+            ["brute", str(inst), "ef1", "--count"],
+            ["check", str(inst), str(alloc), "sa-ef1"],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from fdsi.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {calls!r}]\n"
+            "print(codes, [m for m in ('typing', 'pathlib') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0, 0] []\n", "")
+
     @pytest.mark.parametrize("command", ["solve", "check"])
     @pytest.mark.parametrize(
         "content",
