@@ -48,6 +48,14 @@ def sa_weighted_picking(
     satisfies the strong weighted one-removal condition on top of impact
     maximization; pass ``weights`` to override the instance weights (all-ones
     gives plain round robin).
+
+    Unaware agents need no override when valuations equal impacts and are
+    binary, the paper's tractable case: an agent maximizes every item it
+    values at 1, so in its eyes the run is an unrestricted picking sequence.
+    Round robin is then fair under every base but ``ef``, and the instance
+    weights give ``wef1``/``swef1`` by the weighted picking-sequence result of
+    Chakraborty, Igarashi, Suksompong and Zick ("Weighted Envy-Freeness in
+    Indivisible Item Allocation", ACM TEAC 2021).
     """
     require_goods(inst)
     w = inst.weights if weights is None else tuple(weights)

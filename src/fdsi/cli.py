@@ -93,16 +93,8 @@ def _cmd_check(args) -> int:
     sim = is_sim(inst, alloc)  # rejects an incomplete allocation first
     notion = _notion_from_args(args)
     verdict = check_notion(inst, alloc, notion)
-    print(
-        serialize.dumps(
-            {
-                "sim": sim.fair,
-                "fair": verdict.fair,
-                "witness": _witness_obj(inst, verdict),
-            }
-        ),
-        end="",
-    )
+    out = {"sim": sim.fair, "fair": verdict.fair, "witness": _witness_obj(inst, verdict)}
+    print(serialize.dumps(out), end="")
     ok = verdict.fair and (sim.fair or not args.require_sim)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -125,57 +117,64 @@ def _solve_with(method, inst: Instance, notion: Notion, args) -> Allocation | No
 
     if method == "efl":
         return allocators.sa_efl_allocate(inst)
+    if method == "two-agent":
+        return allocators.two_agent_mixed_fast_path(inst)
     weights = None if notion.base in WEIGHTED_BASES else (1,) * inst.n
     return allocators.sa_weighted_picking(inst, weights=weights)
 
 
-def _sa_candidate(inst: Instance, notion: Notion, args) -> Allocation | None:
-    """Auto's polynomial candidate for an ``sa`` notion, or None: with every
-    agent aware, the envy graph for ``efl`` and picking for the one-removal
-    bases (``ef`` has no existence guarantee even with awareness); with
-    mixed awareness, the two-agent fast path for ``ef1``."""
-    if all(inst.aware):
-        if notion.base == "efl":
-            return _solve_with("efl", inst, notion, args)
-        if notion.base != "ef":
-            return _solve_with("picking", inst, notion, args)
-    elif notion.base == "ef1":
-        from . import allocators
+def _certified(method, inst: Instance, notion: Notion, args) -> Allocation | None:
+    """A polynomial method's answer if ``certify`` accepts it, else None."""
+    alloc = _solve_with(method, inst, notion, args)
+    return alloc if alloc is not None and certify(inst, alloc, notion).fair else None
 
-        return allocators.two_agent_mixed_fast_path(inst)
-    return None
+
+# auto's polynomial candidates in the order it tries them: (applies to the
+# instance and notion, the ``_solve_with`` method).  ef has no existence
+# guarantee even with awareness.  Binary valuations equal to the impacts get
+# picking under any awareness: ``allocators.sa_weighted_picking`` says why it
+# is fair without one, and an override only ever excuses.
+_CANDIDATES = (
+    (lambda inst, n: n.awareness == "sa" and all(inst.aware) and n.base == "efl", "efl"),
+    (lambda inst, n: n.awareness == "sa" and all(inst.aware) and n.base not in ("ef", "efl"),
+     "picking"),
+    (lambda inst, n: n.awareness == "sa" and not all(inst.aware) and n.base == "ef1", "two-agent"),
+    (lambda inst, n: n.base not in ("ef", SA_EMPTY) and inst.valuations == inst.impacts
+     and set().union(*inst.valuations) <= {0, 1}, "picking"),
+)
 
 
 def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
-    """Route to the cheapest solver that decides the notion: ``sa-empty`` to
-    the type solver; an ``sa`` notion to its polynomial candidate, trusted
-    only once ``certify`` accepts it; the relaxed overrides (alpha, wsa) to
-    the brute-force oracle, and the rest to the exact state search."""
-    if notion.base == SA_EMPTY:
-        return _solve_with("sa-empty", inst, notion, args)
-    if notion.awareness == "sa":
-        candidate = _sa_candidate(inst, notion, args)
-        if candidate is not None and certify(inst, candidate, notion).fair:
-            return candidate
-    method = "brute" if notion.awareness in ("alpha", "wsa") else "exact"
-    return _solve_with(method, inst, notion, args)
+    """The first certified answer of the ``_CANDIDATES`` rows that apply (a
+    method two rows share runs once), else the final solver: the type solver
+    for ``sa-empty``, the brute-force oracle for the relaxed overrides
+    (alpha, wsa), the exact state search for the rest."""
+    for method in dict.fromkeys(m for applies, m in _CANDIDATES if applies(inst, notion)):
+        alloc = _certified(method, inst, notion, args)
+        if alloc is not None:
+            return alloc
+    relaxed = notion.awareness in ("alpha", "wsa")
+    final = "sa-empty" if notion.base == SA_EMPTY else "brute" if relaxed else "exact"
+    return _solve_with(final, inst, notion, args)
 
 
 def _cmd_solve(args) -> int:
     inst = serialize.load_instance(args.instance)
     notion = _notion_from_args(args)
     method = args.method
+    if method == "sa-empty" and notion.base != SA_EMPTY:
+        raise ValidationError("method sa-empty only solves the sa-empty notion")
     if method == "auto":
         alloc = _solve_auto(inst, notion, args)
-    else:
-        if method == "sa-empty" and notion.base != SA_EMPTY:
-            raise ValidationError("method sa-empty only solves the sa-empty notion")
-        alloc = _solve_with(method, inst, notion, args)
-        if method in ("picking", "efl") and not certify(inst, alloc, notion).fair:
+    elif method in ("picking", "efl"):
+        alloc = _certified(method, inst, notion, args)
+        if alloc is None:
             raise ValidationError(
                 f"method {method} does not certify {notion.label()} on this "
                 "instance; use the exact or brute method"
             )
+    else:
+        alloc = _solve_with(method, inst, notion, args)
     if alloc is None:
         return EXIT_NEGATIVE
     print(serialize.dumps(serialize.allocation_to_obj(inst, alloc)), end="")

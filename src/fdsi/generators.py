@@ -130,7 +130,8 @@ def gen_wsa(weights) -> Instance:
     Needs 2L weights with L > 4 such that every (L-1)-subset sums below half
     the total (checked); under that promise any unbalanced maximizing
     allocation leaves one agent with envy the override cannot excuse, so
-    fairness forces an equal-size equal-sum split.
+    fairness forces an equal-size equal-sum split.  The instance is that of
+    :func:`gen_partition_ef1`; only the promise on the weights is new.
     """
     weights = tuple(weights)
     t = _check_weights(weights)
@@ -143,16 +144,7 @@ def gen_wsa(weights) -> Instance:
         raise ValidationError(
             "every (L-1)-subset must sum below half the weight total"
         )
-    items = ("G1", "G2") + tuple(f"g{j + 1}" for j in range(len(weights)))
-    valuations = (
-        (0, t) + weights,
-        (t, 0) + weights,
-    )
-    impacts = (
-        (1, 0) + (1,) * len(weights),
-        (0, 1) + (1,) * len(weights),
-    )
-    return make_instance(valuations, impacts, items=items)
+    return gen_partition_ef1(weights)
 
 
 class RX3CInput(Frozen):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from fdsi.allocators import sa_efl_allocate, sa_weighted_picking
-from fdsi.fairness import BASES, Notion, certify, check, is_sim
+from fdsi.fairness import BASES, WEIGHTED_BASES, Notion, certify, check, is_sim
 from fdsi.generators import (
     RX3CInput,
     canned,
@@ -117,11 +117,18 @@ def test_criterion_3_binary_equal_valuation_impact():
         for _ in range(CFG.binary_runs):
             n, m = rng.randint(1, 5), rng.randint(0, 10)
             b = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
-            inst = make_instance(b, b)
-            alloc = sa_weighted_picking(inst)
-            assert is_sim(inst, alloc).fair
-            for base in ("sef1", "ef1", "efl", "tef1"):
+            weights = [rng.randint(1, 3) for _ in range(n)]
+            aware = [rng.random() < 0.5 for _ in range(n)]
+            inst = make_instance(b, b, weights=weights, aware=aware)
+            # weighed as auto weighs picking: by the instance weights under
+            # a weighted base, equally otherwise
+            by_weights = sa_weighted_picking(inst)
+            equal = sa_weighted_picking(inst, weights=(1,) * n)
+            for base in ("sef1", "ef1", "efl", "tef1", "wef1", "swef1"):
+                alloc = by_weights if base in WEIGHTED_BASES else equal
+                assert is_sim(inst, alloc).fair
                 assert check(inst, alloc, Notion(base)).fair
+                assert check(inst, alloc, Notion(base, "sa")).fair
 
 
 def test_criterion_4_oracle_equivalence():

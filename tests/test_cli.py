@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fdsi import cli, fairness, generators, search
 from fdsi.cli import CANNED_NAMES, build_parser, main
-from fdsi.fairness import Notion, Verdict, Witness, check, is_sim
+from fdsi.fairness import Notion, Verdict, Witness, certify, check, is_sim
 from fdsi.generators import canned, gen_partition_ef1, gen_random
 from fdsi.model import Allocation, ValidationError, exact_rational, make_instance
 from fdsi.serialize import (
@@ -199,6 +199,9 @@ class TestCommands:
         "mixed-3": ([[1, 2], [3, 1], [2, 2]], [[1, 1], [1, 1], [1, 1]], (False, True, True)),
     }
     _ONES = (1, 1, 1)
+    # binary valuations equal to the impacts, weighed (1, 2, 1): round robin
+    # is not wef1 here, so the weighted picking run is told apart
+    _BINARY = ((1, 0, 1, 1, 0, 1), (1, 1, 0, 1, 0, 0), (0, 1, 1, 1, 1, 1))
     # (instance, notion spec, the solvers auto runs in order; picking with
     # the weights it runs with)
     _ROUTES = [
@@ -215,6 +218,11 @@ class TestCommands:
         ("aware", ["wsa-ef1"], ["brute_force_solve"]),
         ("aware", ["sa-empty"], ["solve_sa_empty"]),
         ("aware", ["ef1"], ["exact_solve"]),
+        ("binary", ["sef1"], [("sa_weighted_picking", _ONES)]),
+        ("binary", ["wef1"], [("sa_weighted_picking", (1, 2, 1))]),
+        ("binary", ["ef"], ["exact_solve"]),
+        ("binary", ["ef1", "--alpha", "1/2"], [("sa_weighted_picking", _ONES)]),
+        ("binary-aware", ["sa-efl"], ["sa_efl_allocate"]),
     ]
 
     def _record_solvers(self, monkeypatch) -> list:
@@ -246,6 +254,9 @@ class TestCommands:
             # weights (1, 2, 1) tell picking's two weightings apart
             inst = gen_random(3, 6, 5, 5, 2, seed=10)
             assert inst.weights == (1, 2, 1) and all(inst.aware)
+        elif key.startswith("binary"):
+            aware = (key == "binary-aware",) * 3
+            inst = make_instance(self._BINARY, self._BINARY, weights=(1, 2, 1), aware=aware)
         else:
             valuations, impacts, aware = self._MIXED[key]
             inst = make_instance(valuations, impacts, aware=aware)
@@ -269,12 +280,35 @@ class TestCommands:
             ("aware", ["sa-ef1"], ("sa_weighted_picking", self._ONES)),
             ("aware", ["sa-efl"], "sa_efl_allocate"),
             ("mixed-2", ["sa-ef1"], "two_agent_mixed_fast_path"),
+            ("binary", ["sef1"], ("sa_weighted_picking", self._ONES)),
         ):
             path = self._route_instance(tmp_path, key)
             ran.clear()
             assert main(["solve", str(path), *spec]) in (0, 1)
             assert (key, spec, ran) == (key, spec, [first, "exact_solve"])
         capsys.readouterr()
+
+    def test_solve_auto_matches_exact_on_binary_v_is_s(self, tmp_path, capsys):
+        # binary valuations equal to the impacts, where auto tries picking
+        # under every awareness: the verdict is exact's, the answer certified
+        rng = random.Random(19)
+        path = tmp_path / "b.json"
+        for k in range(45):
+            n, m = rng.randint(2, 4), rng.randint(0, 8)
+            b = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+            # unaware, all aware and mixed flags in turn
+            aware = [k % 3 == 1 or k % 3 == 2 and rng.random() < 0.5 for _ in range(n)]
+            weights = [rng.randint(1, 3) for _ in range(n)]
+            inst = make_instance(b, b, weights=weights, aware=aware)
+            save_instance(inst, path)
+            for base, sa in product(fairness.BASES, (False, True)):
+                spec = [str(path), base] + ["--sa"] * sa
+                exact = main(["solve", *spec, "--method", "exact"])
+                capsys.readouterr()
+                assert (k, base, sa, main(["solve", *spec])) == (k, base, sa, exact)
+                if exact == 0:
+                    alloc = allocation_from_obj(inst, json.loads(capsys.readouterr().out))
+                    assert certify(inst, alloc, Notion(base, "sa" if sa else None)).fair
 
     def test_solve_alpha_goes_to_brute(self, tmp_path, capsys):
         inst, _ = self._gen(tmp_path, "alpha-nonexistence")
