@@ -330,20 +330,46 @@ def canned(name: str, *, alpha: Fraction = Fraction(1, 2)) -> CannedExample:
     return CannedExample(name, inst, Allocation(bundles))
 
 
+def _draw_row(bits, count: int, lo: int, hi: int) -> tuple[int, ...]:
+    """``count`` uniform integers in [lo, hi], each by rejection from ``bits``.
+
+    With w = hi - lo + 1 and k = w.bit_length(), an entry is lo + r for the
+    first r = bits(k) below w: the rule of CPython's ``randint``, so the
+    same Mersenne words give the same entries, without its argument checks.
+    """
+    w = hi - lo + 1
+    k = w.bit_length()  # not (w - 1): a width of 1 still draws one bit
+    row = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= w:
+            r = bits(k)
+        row.append(lo + r)
+    return tuple(row)
+
+
 def gen_random(
     n: int, m: int, v_max: int, s_max: int, w_max: int, seed: int
 ) -> Instance:
-    """Uniform independent integer entries, deterministic per seed; goods mode."""
+    """Uniform independent integer entries, deterministic per seed; goods mode.
+
+    Every entry is drawn by :func:`_draw_row` from the one stream
+    ``random.Random(seed).getrandbits``: the valuations row by row, then the
+    impacts row by row, then the weights.  That is the rule and the order of
+    ``randint``, so each seed gives byte-identical instances to the earlier
+    ``randint`` form on every supported Python.  CPython seeds an int by its
+    absolute value, so seeds s and -s give the same instance.
+    """
+    sizes = {"n": n, "m": m, "v_max": v_max, "s_max": s_max, "w_max": w_max}
+    for name, size in sizes.items():
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ValidationError(f"{name} must be an int, not {type(size).__name__}")
     if n < 1 or m < 0 or v_max < 0 or s_max < 0 or w_max < 1:
         raise ValidationError("bad random-instance parameters")
-    rng = random.Random(seed)
-    valuations = tuple(
-        tuple(rng.randint(0, v_max) for _ in range(m)) for _ in range(n)
-    )
-    impacts = tuple(
-        tuple(rng.randint(0, s_max) for _ in range(m)) for _ in range(n)
-    )
-    weights = tuple(rng.randint(1, w_max) for _ in range(n))
+    bits = random.Random(seed).getrandbits
+    valuations = tuple(_draw_row(bits, m, 0, v_max) for _ in range(n))
+    impacts = tuple(_draw_row(bits, m, 0, s_max) for _ in range(n))
+    weights = _draw_row(bits, n, 1, w_max)
     return make_instance(valuations, impacts, weights=weights)
 
 

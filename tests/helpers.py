@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from fdsi.model import Allocation, Instance, all_maximizers, make_instance
 
@@ -275,6 +276,62 @@ def random_instances(count, seed, n_lo, n_hi, m_lo, m_hi, v_max, s_max, w_max=1)
         imps = [[rng.randint(0, s_max) for _ in range(m)] for _ in range(n)]
         w = [rng.randint(1, w_max) for _ in range(n)]
         yield make_instance(vals, imps, weights=w)
+
+
+def randint_random(n, m, v_max, s_max, w_max, seed):
+    """``generators.gen_random`` as ``random.Random(seed).randint`` draws it:
+    the instance, and the generator left after the last draw."""
+    rng = random.Random(seed)
+    vals = [[rng.randint(0, v_max) for _ in range(m)] for _ in range(n)]
+    imps = [[rng.randint(0, s_max) for _ in range(m)] for _ in range(n)]
+    w = [rng.randint(1, w_max) for _ in range(n)]
+    return make_instance(vals, imps, weights=w), rng
+
+
+# (n, m, v_max, s_max, w_max) sizes for the draw-identity check: one agent,
+# no items, widths 1 and 2, power-of-two widths (4, 8, 2**32), s_max 0,
+# w_max 1, and widths past one 32-bit Mersenne word
+DRAW_GRID = (
+    (1, 5, 9, 2, 3),
+    (3, 0, 9, 2, 3),
+    (2, 6, 0, 1, 1),
+    (3, 7, 1, 0, 2),
+    (4, 9, 3, 7, 4),
+    (2, 5, 2**32 - 1, 1, 1),
+    (3, 4, 2**32, 2**32 - 2, 5),
+    (2, 6, 2**40 + 7, 3, 2**33),
+    (8, 100, 20, 3, 3),
+)
+DRAW_SEEDS = (0, 1, 2, 5, -5, 42, 2**40 + 3)
+
+
+def randint_mismatches(grid=DRAW_GRID, seeds=DRAW_SEEDS) -> list:
+    """The (sizes, seed) cases where ``gen_random`` differs from
+    :func:`randint_random`, in the instance or in the generator's next
+    ``random()`` (which shows whether both drew the same number of words)."""
+    from fdsi import generators
+
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    saved = generators.random
+    generators.random = SimpleNamespace(Random=Recorded)
+    try:
+        failures = []
+        for sizes in grid:
+            for seed in seeds:
+                made.clear()
+                inst = generators.gen_random(*sizes, seed)
+                ref, rng = randint_random(*sizes, seed)
+                if inst != ref or [r.random() for r in made] != [rng.random()]:
+                    failures.append((sizes, seed))
+        return failures
+    finally:
+        generators.random = saved
 
 
 def random_allocation(inst: Instance, rng: random.Random) -> Allocation:

@@ -1,8 +1,10 @@
+import hashlib
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from fdsi.cli import CANNED_NAMES
+from fdsi.cli import CANNED_NAMES, main
 from fdsi.generators import (
     RX3CInput,
     canned,
@@ -21,6 +23,8 @@ from fdsi.generators import (
 )
 from fdsi.model import ValidationError
 from fdsi.serialize import instance_from_obj, instance_to_obj
+
+from helpers import randint_mismatches
 
 
 class TestPartitionGadget:
@@ -213,6 +217,41 @@ class TestRandom:
         inst = gen_random(3, 6, 1, 1, 1, seed=8)
         assert all(v in (0, 1) for row in inst.valuations for v in row)
         assert all(s in (0, 1) for row in inst.impacts for s in row)
+
+    def test_same_draws_as_randint(self):
+        # same entries and the same number of Mersenne words as the randint
+        # form, so every seed gives the instance it gave before
+        assert randint_mismatches() == []
+
+    def test_negative_seed_is_its_absolute_value(self):
+        # CPython seeds an int by |seed|
+        assert gen_random(2, 4, 9, 2, 1, 5) == gen_random(2, 4, 9, 2, 1, -5)
+
+    # sha256 of `fdsi gen random ARGS` stdout, taken with the randint form
+    _PINNED_TEXTS = {
+        "--agents 8 --items 600 --v-max 1 --s-max 1 --seed 1":
+            "50a9baecf657cf91f7c5699339a2a7d1bf1fb7feba49f9c630b415948b4f0540",
+        "--agents 3 --items 8 --v-max 4294967296 --s-max 0 --w-max 3 --seed 5":
+            "c3bdde5a9a22cbad474589b06a39537311ad46f234d09e73c2b91cb7b2f7cf33",
+    }
+
+    @pytest.mark.parametrize("args", sorted(_PINNED_TEXTS))
+    def test_pinned_texts(self, args, capsys):
+        assert main(["gen", "random", *args.split()]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == self._PINNED_TEXTS[args]
+
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_sizes_must_be_ints(self, position, bad):
+        # a float or bool size is refused up front, the same on every
+        # Python, not left to randint's version-dependent checks
+        sizes = [3, 4, 5, 5, 2]
+        sizes[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="must be an int"):
+                gen_random(*sizes, seed=1)
 
 
 class TestSourceOracles:
