@@ -358,12 +358,13 @@ def gen_random(
     impacts row by row, then the weights.  That is the rule and the order of
     ``randint``, so each seed gives byte-identical instances to the earlier
     ``randint`` form on every supported Python.  CPython seeds an int by its
-    absolute value, so seeds s and -s give the same instance.
+    absolute value, so seeds s and -s give the same instance.  A seed that
+    is not an ``int`` (None would draw a fresh seed from the OS) is refused.
     """
-    sizes = {"n": n, "m": m, "v_max": v_max, "s_max": s_max, "w_max": w_max}
-    for name, size in sizes.items():
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise ValidationError(f"{name} must be an int, not {type(size).__name__}")
+    ints = {"n": n, "m": m, "v_max": v_max, "s_max": s_max, "w_max": w_max, "seed": seed}
+    for name, value in ints.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an int, not {type(value).__name__}")
     if n < 1 or m < 0 or v_max < 0 or s_max < 0 or w_max < 1:
         raise ValidationError("bad random-instance parameters")
     bits = random.Random(seed).getrandbits

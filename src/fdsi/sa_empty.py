@@ -1,33 +1,34 @@
 """Existence solver for the strict-domination notion via type analysis.
 
-Two structural facts shrink the search space enormously:
+On an impact-maximizing allocation agent j maximizes the impact of every item
+of A_j, so s_i(A_j) <= s_j(A_j) item by item, with equality on exactly the
+items that i maximizes too.  Hence s_i(A_j) < s_j(A_j) iff A_j holds an item
+that i does not maximize: only the *set* of item types a bundle holds
+matters, and one more type in a bundle never hurts anyone.  Two consequences
+shrink the search:
 
 * agents with identical maximizer relations (same agent-type) can never both
-  satisfy strict domination, so any agent sharing its type with another is
-  forced to end up empty-handed;
-* within an impact-maximizing allocation only the *type* multiset of a bundle
-  matters (same-type items are interchangeable), and in maximizer units the
-  impact another agent j has on agent i's bundle is simply the number of i's
-  items whose type j also maximizes.
+  hold items, so any agent sharing its type with another ends empty-handed,
+  and one representative per agent-type class stands for all its rivals;
+* a type with at least as many items as eligible holders goes to all of
+  them, and a type with fewer items to as many holders as it has items
+  (each such holder set tried in lexicographic order).
 
-The solver therefore guesses the set of uniquely-typed agents that receive
-non-empty bundles (smallest guesses first) and searches integer counts
-x[i][t] (items of type t given to agent i) such that every type is fully
-distributed, every guessed agent holds at least one item, and every guessed
-agent's bundle count strictly exceeds each rival's share of it.  The count
-search is a bounded depth-first enumeration with reachability pruning, run
-as an explicit stack of split iterators, one layer per item type, so that no
-number of types meets the recursion limit.  It replaces a fixed-dimension
-integer program at desk scale (same answers, weaker asymptotic guarantee).
-Raw-scale impacts and maximizer units agree on impact-maximizing
-allocations, so returned allocations are verified directly against the
-raw-instance checkers.
+The solver guesses the set of uniquely-typed agents that receive non-empty
+bundles (smallest guesses first, then lexicographic) and, per guess, walks
+the item types in ``compute_types`` order, choosing which guessed agents hold
+each.  Every guessed agent must end up holding, for each other agent-type
+class, a type that class does not maximize.  With one bitmask of the classes
+per type (built once per solve), a branch is cut as soon as some agent
+cannot cover its classes from the types still left.  The walk is an explicit
+stack, so no number of types meets the recursion limit.  One node of the
+budget is one guess or one holder set tried, so the budget bounds the work.
+Returned allocations are verified directly against the raw-instance checker.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, combinations_with_replacement
-from operator import sub
+from itertools import combinations
 
 from . import fairness
 from .model import (
@@ -48,105 +49,48 @@ def unique_type_agents(types: TypePartition) -> frozenset[int]:
     return frozenset(cls[0] for cls in types.agent_types if len(cls) == 1)
 
 
-def _eligible(types: TypePartition, guess: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-    """Per item type, the guessed agents allowed to hold it (those maximizing
-    it); None when some type has no taker."""
-    eligible = []
-    for maxset in types.maximizer_sets:
-        takers = tuple(i for i in guess if i in maxset)
-        if not takers:
-            return None
-        eligible.append(takers)
-    return eligible
+def _spend(budget: list[int]) -> None:
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise BudgetExceededError("node budget exhausted in the holder search")
 
 
-def _splits(total: int, parts: int):
-    """Every split of ``total`` items among ``parts`` takers: the first
-    taker's count ascending, then the second's; the last takes the rest."""
-    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
+def _search_holders(pools, takers, cover, need, reach, budget):
+    """Depth-first over the item types; returns the holders of each type, in
+    ``compute_types`` order, or None.
 
-
-def _search_counts(
-    types: TypePartition, sizes: tuple[int, ...], guess: tuple[int, ...],
-    eligible: list[tuple[int, ...]], rival_reps: tuple[int, ...], budget: list[int],
-) -> list[tuple[int, ...]] | None:
-    """Bounded DFS over the counts; returns one split per type (the counts of
-    ``eligible[t]``, in order) or None.
-
-    ``sizes[t]`` is the number of type-t items and ``eligible[t]`` the
-    guessed agents that may take them.  ``rival_reps`` holds one
-    representative agent per agent-type class (same-type rivals impose
-    identical constraints); a rival j shares in the type-t items of a bundle
-    when j maximizes type t.  ``budget`` is the remaining node allowance,
-    decremented in place by one per type entered.
+    ``takers[t]`` are the guessed agents that maximize type t, ``cover[t]``
+    the agent-type classes that do not, ``need[i]`` the classes agent i must
+    find such a type for, and ``reach[i][t]`` those it could still find one
+    for among types t onward.  All masks are ints with one bit per class.
     """
-    k = len(sizes)
-    # share[s]: one rival's share of one guessed agent's bundle; the rivals
-    # of the agent at position a hold the slots spans[a]
-    rivals = [[j for j in rival_reps if j != i] for i in guess]
-    ends = list(accumulate(map(len, rivals)))
-    spans = list(zip([0, *ends], ends))
-    share = [0] * sum(map(len, rivals))
-    # ceiling[a]: the items the agent at position a holds or could still get
-    ceiling = [sum(c for c, takers in zip(sizes, eligible) if i in takers) for i in guess]
-    # per type, each taker's position and the slots of the rivals that share
-    moves = [
-        [(a, [spans[a][0] + r for r, j in enumerate(rivals[a]) if j in maxset])
-         for a in map(guess.index, takers)]
-        for takers, maxset in zip(eligible, types.maximizer_sets)
-    ]
+    if not pools:
+        return []
 
-    def viable() -> bool:
-        """Every guessed agent can still end non-empty and above each rival;
-        once every type is split this is the domination condition itself."""
-        for a, (lo, hi) in enumerate(spans):
-            if ceiling[a] <= max(share[lo:hi], default=0):
-                return False
-        return True
+    def options(t: int):
+        return combinations(takers[t], min(len(pools[t]), len(takers[t])))
 
-    def shift(t: int, split: tuple[int, ...], sign: int) -> None:
-        for (a, slots), c in zip(moves[t], split):
-            ceiling[a] += sign * (c - sizes[t])
-            for s in slots:
-                share[s] += sign * c
-
-    path: list[tuple[int, ...]] = []  # the split of each type entered
-    stack = []  # per type entered, its untried splits
-    while True:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceededError("node budget exhausted in the count search")
-        t = len(path)
-        if t == k:  # entered through viable(); with no types, only the empty guess
-            return path
-        stack.append(_splits(sizes[t], len(eligible[t])))
-        while stack:
-            t = len(stack) - 1
-            if len(path) > t:  # back from a split that failed
-                shift(t, path.pop(), -1)
-            split = next(stack[-1], None)
-            if split is None:
-                stack.pop()
-                continue
-            shift(t, split, 1)
-            path.append(split)
-            if viable():
-                break
-        else:
-            return None
-
-
-def _materialize(inst: Instance, types: TypePartition, eligible, splits) -> Allocation:
-    """Turn type counts into concrete items, lowest indices first within each
-    type (``compute_types`` lists a type's items in increasing order)."""
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    for pool, takers, split in zip(types.item_types, eligible, splits):
-        at = 0
-        for i, c in zip(takers, split):
-            bundles[i].update(pool[at : at + c])
-            at += c
-    return Allocation(bundles=tuple(frozenset(b) for b in bundles))
+    path: list[tuple[int, ...]] = []  # the holders of each type entered
+    stack = [(options(0), [0] * len(need))]  # per type: untried holders, masks held before it
+    while stack:
+        t = len(stack) - 1
+        untried, held = stack[-1]
+        holders = next(untried, None)
+        if holders is None:
+            stack.pop()
+            continue
+        _spend(budget)
+        now = held.copy()
+        for i in holders:
+            now[i] |= cover[t]
+        # only the takers of type t lost reach
+        if all((now[i] | reach[i][t + 1]) & need[i] == need[i] for i in takers[t]):
+            del path[t:]
+            path.append(holders)
+            if t + 1 == len(pools):
+                return path
+            stack.append((options(t + 1), now))
+    return None
 
 
 def solve_sa_empty(inst: Instance, *, node_budget: int | None = None) -> Allocation | None:
@@ -154,28 +98,45 @@ def solve_sa_empty(inst: Instance, *, node_budget: int | None = None) -> Allocat
     strictly impact-dominates all other agents, or decide none exists.
 
     Guesses are tried by increasing size with lexicographic tie-break, so the
-    returned allocation is deterministic.  Raises
-    :class:`BudgetExceededError` when the node budget runs out (never a
-    wrong answer); a budget of None means ``DEFAULT_NODE_BUDGET``.
+    returned allocation is deterministic: each holder of a type gets one of
+    its items, lowest indices first, and the last holder gets the rest.
+    Raises :class:`BudgetExceededError` when the node budget runs out (never
+    a wrong answer); a budget of None means ``DEFAULT_NODE_BUDGET``.
     """
     budget = [DEFAULT_NODE_BUDGET if node_budget is None else node_budget]
     require_budget(budget[0], "node budget")
     types = compute_types(inst)
-    uniques = sorted(unique_type_agents(types))
-    rival_reps = tuple(cls[0] for cls in types.agent_types)
-    sizes = tuple(map(len, types.item_types))
-    for size in range(len(uniques) + 1):
-        for guess in combinations(uniques, size):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceededError("node budget exhausted enumerating guesses")
-            eligible = _eligible(types, guess)
-            if eligible is None:
+    pools, maxsets, classes = types.item_types, types.maximizer_sets, types.agent_types
+    cover = [sum(1 << c for c, cls in enumerate(classes) if cls[0] not in ms) for ms in maxsets]
+    maximizers = [sum(1 << i for i in ms) for ms in maxsets]
+    full = (1 << len(classes)) - 1
+    need = [0] * inst.n
+    reach: list[list[int]] = [[]] * inst.n
+    for c, cls in enumerate(classes):
+        if len(cls) == 1:
+            i = cls[0]
+            need[i] = full ^ 1 << c
+            reach[i] = [0] * (len(pools) + 1)
+            for t in reversed(range(len(pools))):
+                reach[i][t] = reach[i][t + 1] | (cover[t] if i in maxsets[t] else 0)
+    # an agent that can never dominate every other class is in no guess
+    hopeful = [i for i in sorted(unique_type_agents(types)) if reach[i][0] & need[i] == need[i]]
+    for size in range(len(hopeful) + 1):
+        for guess in combinations(hopeful, size):
+            _spend(budget)
+            members = sum(1 << i for i in guess)
+            if not all(ms & members for ms in maximizers):  # a type nobody may take
                 continue
-            splits = _search_counts(types, sizes, guess, eligible, rival_reps, budget)
-            if splits is None:
+            takers = [tuple(i for i in guess if i in ms) for ms in maxsets]
+            holders = _search_holders(pools, takers, cover, need, reach, budget)
+            if holders is None:
                 continue
-            alloc = _materialize(inst, types, eligible, splits)
+            bundles: list[list[int]] = [[] for _ in range(inst.n)]
+            for pool, hs in zip(pools, holders):
+                for i, g in zip(hs, pool):
+                    bundles[i].append(g)
+                bundles[hs[-1]].extend(pool[len(hs):])
+            alloc = Allocation(bundles)
             verdict = fairness.certify(inst, alloc, fairness.Notion(fairness.SA_EMPTY))
             if not verdict.fair:
                 raise InternalError(

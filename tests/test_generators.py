@@ -253,6 +253,13 @@ class TestRandom:
             with pytest.raises(ValidationError, match="must be an int"):
                 gen_random(*sizes, seed=1)
 
+    @pytest.mark.parametrize("bad", [None, "x", 1.5, True])
+    def test_seed_must_be_an_int(self, bad):
+        # None would draw a fresh seed from the OS, so the same call would
+        # give a different instance each time
+        with pytest.raises(ValidationError, match="seed must be an int"):
+            gen_random(2, 3, 9, 9, 1, bad)
+
 
 class TestSourceOracles:
     def test_partition(self):
