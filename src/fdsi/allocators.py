@@ -1,12 +1,14 @@
 """Polynomial-time allocators with impact-maximization and awareness guarantees.
 
-There are three: the weighted picking sequence (``sa_weighted_picking``), the
-envy-graph allocator for the one-less-preferred notion (``sa_efl_allocate``),
-whose envy graph is read from the value and impact matrices of
-``fairness.matrices``, and the two-agent mixed-awareness special case
-(``two_agent_mixed_fast_path``).  Each only ever hands an item to one of its
-impact maximizers, so its output maximizes total social impact by
-construction.  The first two offer each agent its items in the one order
+``auto`` tries two of them on every instance, whatever the agents'
+awareness, and keeps an answer only once ``fairness.certify`` accepts it: the
+weighted picking sequence (``sa_weighted_picking``) and the envy-graph
+allocator for the one-less-preferred notion (``sa_efl_allocate``), whose envy
+graph is read from the value and impact matrices of ``fairness.matrices``.
+The two-agent mixed-awareness special case (``two_agent_mixed_fast_path``) is
+a library function that no solve route calls.  Each only ever hands an item
+to one of its impact maximizers, so its output maximizes total social impact
+by construction.  The first two offer each agent its items in the one order
 ``_preferences`` sorts per call (most valued first, then by item index), and
 agents tie by index, which makes every run reproducible.
 """

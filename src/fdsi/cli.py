@@ -17,7 +17,7 @@ import gc
 import sys
 
 from . import serialize
-from .fairness import SA_EMPTY, WEIGHTED_BASES, Notion, Verdict, certify, is_sim
+from .fairness import BASES, SA_EMPTY, WEIGHTED_BASES, Notion, Verdict, certify, is_sim
 from .fairness import check as check_notion
 from .model import (
     Allocation,
@@ -117,8 +117,6 @@ def _solve_with(method, inst: Instance, notion: Notion, args) -> Allocation | No
 
     if method == "efl":
         return allocators.sa_efl_allocate(inst)
-    if method == "two-agent":
-        return allocators.two_agent_mixed_fast_path(inst)
     weights = None if notion.base in WEIGHTED_BASES else (1,) * inst.n
     return allocators.sa_weighted_picking(inst, weights=weights)
 
@@ -126,33 +124,28 @@ def _solve_with(method, inst: Instance, notion: Notion, args) -> Allocation | No
 def _certified(method, inst: Instance, notion: Notion, args) -> Allocation | None:
     """A polynomial method's answer if ``certify`` accepts it, else None."""
     alloc = _solve_with(method, inst, notion, args)
-    return alloc if alloc is not None and certify(inst, alloc, notion).fair else None
+    return alloc if certify(inst, alloc, notion).fair else None
 
 
-# auto's polynomial candidates in the order it tries them: (applies to the
-# instance and notion, the ``_solve_with`` method).  ef has no existence
-# guarantee even with awareness.  Binary valuations equal to the impacts get
-# picking under any awareness: ``allocators.sa_weighted_picking`` says why it
-# is fair without one, and an override only ever excuses.
-_CANDIDATES = (
-    (lambda inst, n: n.awareness == "sa" and all(inst.aware) and n.base == "efl", "efl"),
-    (lambda inst, n: n.awareness == "sa" and all(inst.aware) and n.base not in ("ef", "efl"),
-     "picking"),
-    (lambda inst, n: n.awareness == "sa" and not all(inst.aware) and n.base == "ef1", "two-agent"),
-    (lambda inst, n: n.base not in ("ef", SA_EMPTY) and inst.valuations == inst.impacts
-     and set().union(*inst.valuations) <= {0, 1}, "picking"),
-)
+# auto's polynomial candidates in the order it tries them: (the bases a row
+# applies to, the ``_solve_with`` method).  No row reads the awareness, as
+# ``certify`` decides every answer.  With every agent aware the envy graph is
+# fair under efl and picking under every other base but ef; picking is fair on
+# binary valuations equal to the impacts, whatever the awareness, and often
+# on unaware random instances, where the problem is NP-hard.
+_CANDIDATES = ((("efl",), "efl"), (BASES, "picking"))
 
 
 def _solve_auto(inst: Instance, notion: Notion, args) -> Allocation | None:
-    """The first certified answer of the ``_CANDIDATES`` rows that apply (a
-    method two rows share runs once), else the final solver: the type solver
-    for ``sa-empty``, the brute-force oracle for the relaxed overrides
-    (alpha, wsa), the exact state search for the rest."""
-    for method in dict.fromkeys(m for applies, m in _CANDIDATES if applies(inst, notion)):
-        alloc = _certified(method, inst, notion, args)
-        if alloc is not None:
-            return alloc
+    """The first certified answer of the ``_CANDIDATES`` rows whose bases
+    hold the notion's, whatever the agents' awareness, else the final
+    solver: the type solver for ``sa-empty``, the brute-force oracle for the
+    relaxed overrides (alpha, wsa), the exact state search for the rest."""
+    for bases, method in _CANDIDATES:
+        if notion.base in bases:
+            alloc = _certified(method, inst, notion, args)
+            if alloc is not None:
+                return alloc
     relaxed = notion.awareness in ("alpha", "wsa")
     final = "sa-empty" if notion.base == SA_EMPTY else "brute" if relaxed else "exact"
     return _solve_with(final, inst, notion, args)

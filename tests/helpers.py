@@ -3,7 +3,8 @@
 Everything here is a deliberate, slow transliteration of the definitions
 (explicit loops, fresh sums, Fraction arithmetic) so that agreement with the
 library is meaningful.  Nothing imports the library's decision logic except
-the shared data types.
+the shared data types, and :func:`walk_count`, which reads the exact walk's
+own graph so that the oracle can count against it.
 """
 
 from __future__ import annotations
@@ -332,6 +333,27 @@ def randint_mismatches(grid=DRAW_GRID, seeds=DRAW_SEEDS) -> list:
         return failures
     finally:
         generators.random = saved
+
+
+def walk_count(inst: Instance, notion) -> int:
+    """The number of paths from the exact walk's root to an accepting leaf,
+    over ``successors`` and ``accepts`` of ``search._Layout(inst, notion)``,
+    with no state skipped: per (layer, key), the accepting leaves below the
+    key, memoized.  A path is an owner tuple, except under "set", whose
+    y-branches reach one allocation by several paths."""
+    from fdsi.search import _Layout
+
+    layout = _Layout(inst, notion)
+    memo = {}
+
+    def below(g: int, key: int) -> int:
+        if g == inst.m:
+            return int(layout.accepts(key))
+        if (g, key) not in memo:
+            memo[g, key] = sum(below(g + 1, k) for k, _ in layout.successors(key, g))
+        return memo[g, key]
+
+    return below(0, 0)
 
 
 def random_allocation(inst: Instance, rng: random.Random) -> Allocation:

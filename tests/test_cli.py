@@ -203,7 +203,9 @@ class TestCommands:
     # is not wef1 here, so the weighted picking run is told apart
     _BINARY = ((1, 0, 1, 1, 0, 1), (1, 1, 0, 1, 0, 0), (0, 1, 1, 1, 1, 1))
     # (instance, notion spec, the solvers auto runs in order; picking with
-    # the weights it runs with)
+    # the weights it runs with).  Both candidates run whatever the awareness:
+    # the envy graph under efl, then picking under every base but sa-empty,
+    # each kept only once certified
     _ROUTES = [
         ("aware", ["sa-efl"], ["sa_efl_allocate"]),
         ("aware", ["sa-wef1"], [("sa_weighted_picking", (1, 2, 1))]),
@@ -211,16 +213,22 @@ class TestCommands:
         ("aware", ["sa-ef1"], [("sa_weighted_picking", _ONES)]),
         ("aware", ["sa-sef1"], [("sa_weighted_picking", _ONES)]),
         ("aware", ["sa-tef1"], [("sa_weighted_picking", _ONES)]),
-        ("aware", ["sa-ef"], ["exact_solve"]),
-        ("mixed-2", ["sa-ef1"], ["two_agent_mixed_fast_path"]),
-        ("mixed-3", ["sa-ef1"], ["two_agent_mixed_fast_path", "exact_solve"]),
-        ("aware", ["ef1", "--alpha", "1/2"], ["brute_force_solve"]),
-        ("aware", ["wsa-ef1"], ["brute_force_solve"]),
+        ("aware", ["sa-ef"], [("sa_weighted_picking", _ONES)]),
+        ("mixed-2", ["sa-ef1"], [("sa_weighted_picking", (1, 1))]),
+        ("mixed-3", ["sa-ef1"], [("sa_weighted_picking", _ONES)]),
+        ("aware", ["ef1", "--alpha", "1/2"], [("sa_weighted_picking", _ONES)]),
+        ("aware", ["wsa-ef1"], [("sa_weighted_picking", _ONES)]),
+        ("alpha-nonexistence", ["ef1", "--alpha", "1/2"],
+         [("sa_weighted_picking", (1, 1)), "brute_force_solve"]),
+        ("wsa-nonexistence", ["wsa-ef1"], [("sa_weighted_picking", (1, 1)), "brute_force_solve"]),
         ("aware", ["sa-empty"], ["solve_sa_empty"]),
-        ("aware", ["ef1"], ["exact_solve"]),
+        ("aware", ["ef1"], [("sa_weighted_picking", _ONES)]),
+        ("unaware", ["efl"], ["sa_efl_allocate", ("sa_weighted_picking", _ONES)]),
+        ("unaware", ["wef1"], [("sa_weighted_picking", (1, 2, 1))]),
+        ("unaware", ["ef"], [("sa_weighted_picking", _ONES), "exact_solve"]),
         ("binary", ["sef1"], [("sa_weighted_picking", _ONES)]),
         ("binary", ["wef1"], [("sa_weighted_picking", (1, 2, 1))]),
-        ("binary", ["ef"], ["exact_solve"]),
+        ("binary", ["ef"], [("sa_weighted_picking", _ONES), "exact_solve"]),
         ("binary", ["ef1", "--alpha", "1/2"], [("sa_weighted_picking", _ONES)]),
         ("binary-aware", ["sa-efl"], ["sa_efl_allocate"]),
     ]
@@ -234,7 +242,6 @@ class TestCommands:
         for module, name in (
             (allocators, "sa_weighted_picking"),
             (allocators, "sa_efl_allocate"),
-            (allocators, "two_agent_mixed_fast_path"),
             (search, "exact_solve"),
             (search, "brute_force_solve"),
             (sa_empty, "solve_sa_empty"),
@@ -254,6 +261,13 @@ class TestCommands:
             # weights (1, 2, 1) tell picking's two weightings apart
             inst = gen_random(3, 6, 5, 5, 2, seed=10)
             assert inst.weights == (1, 2, 1) and all(inst.aware)
+        elif key == "unaware":
+            # the envy graph is not efl here, but picking is
+            g = gen_random(3, 6, 5, 5, 2, seed=66)
+            assert g.weights == (1, 2, 1)
+            inst = make_instance(g.valuations, g.impacts, weights=g.weights, aware=(False,) * 3)
+        elif key in CANNED_NAMES:
+            inst = canned(key).instance
         elif key.startswith("binary"):
             aware = (key == "binary-aware",) * 3
             inst = make_instance(self._BINARY, self._BINARY, weights=(1, 2, 1), aware=aware)
@@ -274,41 +288,58 @@ class TestCommands:
         capsys.readouterr()
 
     def test_solve_auto_rejected_candidate_runs_the_walk(self, tmp_path, monkeypatch, capsys):
+        # with every candidate rejected, auto tries each row that applies and
+        # then runs its final solver, whatever the awareness
         ran = self._record_solvers(monkeypatch)
         monkeypatch.setattr(cli, "certify", lambda inst, alloc, notion: Verdict(False))
-        for key, spec, first in (
-            ("aware", ["sa-ef1"], ("sa_weighted_picking", self._ONES)),
-            ("aware", ["sa-efl"], "sa_efl_allocate"),
-            ("mixed-2", ["sa-ef1"], "two_agent_mixed_fast_path"),
-            ("binary", ["sef1"], ("sa_weighted_picking", self._ONES)),
+        picking = ("sa_weighted_picking", self._ONES)
+        for key, spec, expected in (
+            ("aware", ["sa-ef1"], [picking, "exact_solve"]),
+            ("aware", ["sa-efl"], ["sa_efl_allocate", picking, "exact_solve"]),
+            ("mixed-2", ["sa-ef1"], [("sa_weighted_picking", (1, 1)), "exact_solve"]),
+            ("binary", ["sef1"], [picking, "exact_solve"]),
+            ("unaware", ["ef1"], [picking, "exact_solve"]),
+            ("aware", ["wsa-ef1"], [picking, "brute_force_solve"]),
+            ("aware", ["sa-empty"], ["solve_sa_empty"]),
         ):
             path = self._route_instance(tmp_path, key)
             ran.clear()
             assert main(["solve", str(path), *spec]) in (0, 1)
-            assert (key, spec, ran) == (key, spec, [first, "exact_solve"])
+            assert (key, spec, ran) == (key, spec, expected)
         capsys.readouterr()
 
-    def test_solve_auto_matches_exact_on_binary_v_is_s(self, tmp_path, capsys):
-        # binary valuations equal to the impacts, where auto tries picking
-        # under every awareness: the verdict is exact's, the answer certified
-        rng = random.Random(19)
-        path = tmp_path / "b.json"
-        for k in range(45):
+    def test_solve_auto_matches_exact_under_every_awareness(self, tmp_path, capsys):
+        # seeded random instances, unaware, mixed and all aware in turn, every
+        # other one with binary valuations equal to the impacts: auto's exit
+        # code is the exact method's (the oracle's under alpha and wsa), and
+        # every answer it prints is certified
+        rng = random.Random(22)
+        path = tmp_path / "r.json"
+        half = exact_rational("1/2", "rational")
+        for k in range(48):
             n, m = rng.randint(2, 4), rng.randint(0, 8)
-            b = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
-            # unaware, all aware and mixed flags in turn
-            aware = [k % 3 == 1 or k % 3 == 2 and rng.random() < 0.5 for _ in range(n)]
-            weights = [rng.randint(1, 3) for _ in range(n)]
-            inst = make_instance(b, b, weights=weights, aware=aware)
+            g = gen_random(n, m, 5, rng.randint(0, 2), 3, seed=k)
+            values, impacts = g.valuations, g.impacts
+            if k % 2:
+                values = impacts = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+            aware = [(False, i % 2 == 1, True)[k % 3] for i in range(n)]
+            inst = make_instance(values, impacts, weights=g.weights, aware=aware)
             save_instance(inst, path)
-            for base, sa in product(fairness.BASES, (False, True)):
-                spec = [str(path), base] + ["--sa"] * sa
-                exact = main(["solve", *spec, "--method", "exact"])
-                capsys.readouterr()
-                assert (k, base, sa, main(["solve", *spec])) == (k, base, sa, exact)
-                if exact == 0:
-                    alloc = allocation_from_obj(inst, json.loads(capsys.readouterr().out))
-                    assert certify(inst, alloc, Notion(base, "sa" if sa else None)).fair
+            for base in fairness.BASES:
+                for flags, method, notion in (
+                    ([], "exact", Notion(base)),
+                    (["--sa"], "exact", Notion(base, "sa")),
+                    (["--alpha", "1/2"], "brute", Notion(base, "alpha", half)),
+                    (["--wsa"], "brute", Notion(base, "wsa")),
+                ):
+                    spec = [str(path), base, *flags]
+                    expected = main(["solve", *spec, "--method", method])
+                    capsys.readouterr()
+                    code = main(["solve", *spec])
+                    assert (k, notion, code) == (k, notion, expected)
+                    if code == 0:
+                        alloc = allocation_from_obj(inst, json.loads(capsys.readouterr().out))
+                        assert certify(inst, alloc, notion).fair, (k, notion)
 
     def test_solve_alpha_goes_to_brute(self, tmp_path, capsys):
         inst, _ = self._gen(tmp_path, "alpha-nonexistence")
@@ -351,6 +382,9 @@ class TestCommands:
             assert (spec, capsys.readouterr()) == (spec, auto)
 
     def test_solve_auto_mixed_two_agents(self, tmp_path, capsys):
+        # the first agent unaware, the second aware: auto prints picking's
+        # answer once it certifies, which on 60 items is before the walk
+        # would run out of 1,000 states
         path = tmp_path / "mixed.json"
         obj = {
             "agents": [
@@ -364,7 +398,16 @@ class TestCommands:
         path.write_text(json.dumps(obj))
         assert main(["solve", str(path), "sa-ef1"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["bundles"]["a1"] == ["g1", "g2"]
+        assert out["bundles"] == {"a1": ["g1"], "a2": ["g2"]}
+        g = gen_random(2, 60, 20, 0, 1, seed=1)
+        inst = make_instance(g.valuations, g.impacts, aware=(False, True))
+        save_instance(inst, path)
+        budget = ["--state-budget", "1000"]
+        assert main(["solve", str(path), "sa-ef1", *budget]) == 0
+        alloc = allocation_from_obj(inst, json.loads(capsys.readouterr().out))
+        assert certify(inst, alloc, Notion("ef1", "sa")).fair
+        assert main(["solve", str(path), "sa-ef1", "--method", "exact", *budget]) == 3
+        capsys.readouterr()
 
     def test_brute_counts(self, tmp_path, capsys):
         rand = tmp_path / "co.json"
@@ -570,6 +613,11 @@ class TestCommands:
         "solve-sa": (
             ["solve", "{inst}", "ef1", "--sa"], _STDLIB + ("fdsi.search",), ("fdsi.allocators",)
         ),
+        # and so it is with no awareness at all, where picking is fair on
+        # {random} (a 3-agent, 8-item random instance)
+        "solve-unaware": (
+            ["solve", "{random}", "ef1"], _STDLIB + ("fdsi.search",), ("fdsi.allocators",)
+        ),
         "solve-alpha": (["solve", "{inst}", "ef1", "--alpha", "1/2"], (), ("fractions",)),
         "brute-count": (["brute", "{inst}", "ef1", "--count"], _LEAN + _STDLIB, ()),
         "check": (
@@ -583,8 +631,11 @@ class TestCommands:
             code = self._IMPORT_CASES[case]
         else:
             inst, alloc = self._gen(tmp_path, "wsa-nonexistence", alloc=True)
+            rand = tmp_path / "random.json"
+            assert main(["gen", "random", "--agents", "3", "--items", "8", "--v-max", "9",
+                         "--s-max", "0", "--seed", "1", "-o", str(rand)]) == 0
             argv, absent, present = self._COMMANDS[case]
-            argv = [a.format(inst=inst, alloc=alloc) for a in argv]
+            argv = [a.format(inst=inst, alloc=alloc, random=rand) for a in argv]
             # what the interpreter loaded before fdsi.cli is not the command's
             code = (
                 "import contextlib, io, sys\n"

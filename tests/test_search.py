@@ -30,7 +30,14 @@ from fdsi.search import (
     exact_solve,
 )
 
-from helpers import naive_check, naive_target, pack_key, random_instances, unpack_key
+from helpers import (
+    naive_check,
+    naive_target,
+    pack_key,
+    random_instances,
+    unpack_key,
+    walk_count,
+)
 
 
 def _layout(inst, base, sa=False):
@@ -436,6 +443,28 @@ class TestExactDifferential:
         stats = {}
         assert exact_solve(_MERGED_FLAGS, Notion("ef", "sa"), stats=stats) is None
         assert stats["visited"] == 28
+
+
+class TestWalkCount:
+    # the walk's graph has one path per impact-maximizing owner tuple under
+    # every base but sef1/swef1, so its accepting paths are the oracle's
+    # count: a prune or a dropped successor that removes some fair
+    # allocations, though not all, shows here and not in a verdict
+    @pytest.mark.parametrize("base", ["ef", "ef1", "wef1", "tef1", "efl"])
+    def test_count_matches_brute(self, base):
+        rng = random.Random(2)
+        sizes = [(n, m) for n in (2, 3) for m in range(3, 8) for _ in range(6)] + [(4, 9)] * 4
+        for k, (n, m) in enumerate(sizes):
+            # s_max 0 makes every agent maximize every item: n**m candidates
+            s_max = rng.randint(0, 2) if n < 4 else 2
+            inst = gen_random(n, m, rng.choice((3, 9)), s_max, 3, seed=k)
+            # every other agent aware
+            inst = make_instance(inst.valuations, inst.impacts, weights=inst.weights,
+                                 aware=[i % 2 == k % 2 for i in range(n)])
+            for notion in (Notion(base), Notion(base, "sa")):
+                assert (k, notion, walk_count(inst, notion)) == (
+                    k, notion, brute_force_count(inst, notion)
+                )
 
 
 # 40 seeded random instances (1-4 agents, 0-9 items, values up to 3, 7, 15
