@@ -4,7 +4,7 @@
 awareness, and keeps an answer only once ``fairness.certify`` accepts it: the
 weighted picking sequence (``sa_weighted_picking``) and the envy-graph
 allocator for the one-less-preferred notion (``sa_efl_allocate``), whose envy
-graph is read from the value and impact matrices of ``fairness.matrices``.
+graph is read from the bundles' value and impact matrices, which it keeps.
 The two-agent mixed-awareness special case (``two_agent_mixed_fast_path``) is
 a library function that no solve route calls.  Each only ever hands an item
 to one of its impact maximizers, so its output maximizes total social impact
@@ -15,16 +15,17 @@ agents tie by index, which makes every run reproducible.
 
 from __future__ import annotations
 
-from . import fairness
-from .fairness import Matrix
 from .model import (
     Allocation,
     Instance,
     InternalError,
     ValidationError,
+    _ints,
     all_maximizers,
     require_goods,
 )
+
+Matrix = list[list[int]]
 
 
 def _preferences(inst: Instance) -> list:
@@ -61,8 +62,8 @@ def sa_weighted_picking(
     """
     require_goods(inst)
     w = inst.weights if weights is None else tuple(weights)
-    if len(w) != inst.n or any(x < 1 for x in w):
-        raise ValidationError("picking weights must be positive, one per agent")
+    if len(w) != inst.n or not _ints(w) or any(x < 1 for x in w):
+        raise ValidationError("picking weights must be positive integers, one per agent")
     orders = _preferences(inst)
     # counts[i] is how many picks agent i has made; dropping an agent with
     # nothing left picks as the skip-and-increment form does, as the items
@@ -88,9 +89,9 @@ def sa_weighted_picking(
 
 def _envy_successors(V: Matrix, S: Matrix, vertices: list[int]) -> dict[int, list[int]]:
     """Adjacency of the awareness-filtered envy graph among ``vertices``
-    (ascending), from ``V`` and ``S`` of ``fairness.matrices``: j follows i
-    exactly when i values A_j above A_i while i's impact for A_j is at least
-    j's own."""
+    (ascending), from the bundle sums ``V[i][j] = v_i(A_j)`` and
+    ``S[i][j] = s_i(A_j)``: j follows i exactly when i values A_j above A_i
+    while i's impact for A_j is at least j's own."""
     return {
         i: [
             j
@@ -159,8 +160,8 @@ def sa_efl_allocate(inst: Instance) -> Allocation:
     condition for socially aware agents.  Agents that maximize no remaining
     good leave the graph permanently but keep their bundles.
 
-    One list of bundles and its value and impact matrices
-    (``fairness.matrices``) are built once, empty; each round adds the picked
+    One list of bundles and its value and impact matrices V and S (as in
+    ``_envy_successors``) are built once, empty; each round adds the picked
     item to the picker's bundle and its entries to the picker's column, and
     ``_rotate_cycles`` moves bundles and columns together and hands back the
     acyclic envy graph of the result, from which the next round picks its
@@ -169,7 +170,7 @@ def sa_efl_allocate(inst: Instance) -> Allocation:
     require_goods(inst)
     orders = _preferences(inst)
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    V, S = fairness.matrices(inst, [None] * inst.m)
+    V, S = [[0] * inst.n for _ in range(inst.n)], [[0] * inst.n for _ in range(inst.n)]
     vertices = list(range(inst.n))
     succ = _envy_successors(V, S, vertices)
     remaining = set(range(inst.m))

@@ -23,21 +23,21 @@ every non-empty bundle strictly impact-dominates all other agents: for each
 ordered pair (i, j) with i != j, A_j is empty or s_i(A_j) < s_j(A_j).
 
 Every notion is stated once, over bundle sums: ``V[i][j] = v_i(A_j)`` and
-``S[i][j] = s_i(A_j)`` (``matrices`` builds both in O(n*m)).  An ordered
-pair (i, j) is *envious* when ``V[i][i] * w_j < V[i][j] * w_i`` (unit
-weights except for ``wef1`` and ``swef1``); a pair that is not envious
-passes every base.  Envious pairs are decided from V, S and, only then, the
-values in i's eyes of the items of A_j: the largest removal, the positive
-values for ``efl``, or the per-item test of the universal-item bases.
-``decider`` compiles a notion once per instance into a :class:`Sums` layout,
-which packs the entries of V and S it reads (and, for ``sa-empty``, each
-bundle's item count) into one int, and a function of (that int, owners)
-that returns the first failing (observer, target) pair.  The compiled form
-lists the ordered pairs i != j once, each with what it reads: the fields of
-its sums, the pair's weights and the observer's items ranked by value,
-largest first, so the best removal from A_j is the first ranked item j
-holds.  ``check`` packs the sums of one allocation; the brute-force oracle
-adds the packed sums of its items, so a candidate costs one integer add.
+``S[i][j] = s_i(A_j)``.  An ordered pair (i, j) is *envious* when
+``V[i][i] * w_j < V[i][j] * w_i`` (unit weights except for ``wef1`` and
+``swef1``); a pair that is not envious passes every base.  Envious pairs are
+decided from V, S and, only then, the values in i's eyes of the items of
+A_j: the largest removal, the positive values for ``efl``, or the per-item
+test of the universal-item bases.  ``decider`` compiles a notion once per
+instance into a :class:`Sums`, which decides which entries of V and S the
+notion reads (and, for ``sa-empty``, each bundle's item count), lays them
+out in one int and sums them, and a function of (that int, owners) that
+returns the first failing (observer, target) pair.  The compiled form lists
+the ordered pairs i != j once, each with what it reads: the fields of its
+sums, the pair's weights and the observer's items ranked by value, largest
+first, so the best removal from A_j is the first ranked item j holds.
+``check`` packs the sums of one allocation; the brute-force oracle adds the
+packed sums of its items, so a candidate costs one integer add.
 
 All comparisons are exact integer arithmetic (rational thresholds are
 applied by cross multiplication).
@@ -167,59 +167,35 @@ def is_sim(inst: Instance, alloc: Allocation) -> Verdict:
     return Verdict(fair=True)
 
 
-def _best_removal(inst: Instance, i: int, bundle: frozenset[int]) -> int | None:
-    """Item of the bundle worth most to i (lowest index on ties), None if empty."""
-    best: int | None = None
-    best_v = None
-    for g in sorted(bundle):
-        v = inst.valuations[i][g]
-        if best_v is None or v > best_v:
-            best, best_v = g, v
-    return best
-
-
-Matrix = list[list[int]]
 if TYPE_CHECKING:
     Owners = Sequence[int | None]
     # fails(P, owners) -> first failing (observer, target), or None when fair
     Decider = Callable[[int, Owners], tuple[int, int] | None]
 
 
-def matrices(inst: Instance, owners: Owners) -> tuple[Matrix, Matrix]:
-    """``V[i][j] = v_i(A_j)`` and ``S[i][j] = s_i(A_j)`` for the item -> owner
-    map ``owners`` (None marks an unallocated item), in O(n*m)."""
-    n = inst.n
-    V = [[0] * n for _ in range(n)]
-    S = [[0] * n for _ in range(n)]
-    for Vi, Si, vals, imps in zip(V, S, inst.valuations, inst.impacts):
-        for j, v, s in zip(owners, vals, imps):
-            if j is not None:
-                Vi[j] += v
-                Si[j] += s
-    return V, S
-
-
 class Sums:
-    """Where the bundle sums a :func:`decider` reads lie in one packed int.
+    """Where the bundle sums a :func:`decider` reads lie in one packed int,
+    and the ints that :meth:`add` and :meth:`pack` build in that layout.
 
     ``V[i][j]``, ``S[i][j]`` and ``count[j]`` are the (shift, mask) of the
-    fields of v_i(A_j), s_i(A_j) and |A_j|.  Only what :func:`reads` names
-    is packed, and |A_j| only for ``sa-empty``; any other field has width 0
-    and reads 0.  A field is as wide as the largest sum it holds (i's
-    value-row or impact-row sum, or m) and every packed entry is
-    non-negative, so no field carries into the next, and the int of an
-    allocation is the sum of :meth:`add` over its items.
+    fields of v_i(A_j), s_i(A_j) and |A_j|.  V is packed for every base but
+    ``sa-empty``, whose values may be negative; S for ``sa-empty`` and
+    whenever some observer can be excused; |A_j| only for ``sa-empty``.
+    Any other field has width 0 and reads 0.  A field is as wide as the
+    largest sum it holds (i's value-row or impact-row sum, or m) and every
+    packed entry is non-negative, so no field carries into the next, and the
+    int of an allocation is the sum of :meth:`add` over its items.
     """
 
-    __slots__ = ("V", "S", "count", "_inst", "_rows", "_fields")
+    __slots__ = ("V", "S", "count", "_rows", "_fields")
 
     def __init__(self, inst: Instance, notion: Notion) -> None:
-        read_v, read_s = reads(inst, notion)
+        sa_empty = notion.base == SA_EMPTY
+        read_s = sa_empty or notion.awareness is not None and any(inst.aware)
         n, shift = inst.n, 0
         # the per-item rows summed: values and impacts per observer, then ones
-        self._inst, self._fields = inst, []
-        self._rows = inst.valuations + inst.impacts + ((1,) * inst.m,)
-        for row, read in zip(self._rows, [read_v] * n + [read_s] * n + [notion.base == SA_EMPTY]):
+        self._rows, self._fields = inst.valuations + inst.impacts + ((1,) * inst.m,), []
+        for row, read in zip(self._rows, [not sa_empty] * n + [read_s] * n + [sa_empty]):
             width = sum(row).bit_length() * read
             self._fields.append([(shift + j * width, (1 << width) - 1) for j in range(n)])
             shift += n * width
@@ -230,16 +206,18 @@ class Sums:
         return sum(row[g] << f[c][0] for row, f in zip(self._rows, self._fields) if f[c][1])
 
     def pack(self, owners: Owners) -> int:
-        """The packed sums of the item -> owner map ``owners``: the entries of
-        :func:`matrices` and the bundle sizes, each in its field."""
-        V, S = matrices(self._inst, owners)
-        sizes = [owners.count(j) for j in range(self._inst.n)]
-        return sum(
-            total << shift
-            for f, totals in zip(self._fields, V + S + [sizes])
-            for (shift, mask), total in zip(f, totals)
-            if mask
-        )
+        """The packed sums of the item -> owner map ``owners`` (None marks an
+        unallocated item): each packed row summed per owner, in O(n*m)."""
+        packed = 0
+        for row, f in zip(self._rows, self._fields):
+            if not f[0][1]:  # the fields of a row share one width
+                continue
+            totals = [0] * len(f)
+            for j, x in zip(owners, row):
+                if j is not None:
+                    totals[j] += x
+            packed += sum(total << shift for total, (shift, _) in zip(totals, f))
+        return packed
 
 
 def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
@@ -299,15 +277,6 @@ _ENVIOUS_PAIR_OK = {
     "efl": _efl,
     "tef1": _tef1,
 }
-
-
-def reads(inst: Instance, notion: Notion) -> tuple[bool, bool]:
-    """Which of V and S the compiled :func:`decider` reads: V for every base
-    but ``sa-empty``, S for ``sa-empty`` and whenever some observer can be
-    excused.  :class:`Sums` packs only these."""
-    if notion.base == SA_EMPTY:
-        return False, True
-    return True, notion.awareness is not None and any(inst.aware)
 
 
 def _excuse(inst: Instance, notion: Notion, S) -> list[list]:
@@ -465,7 +434,8 @@ def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
             reason=notion.label(),
             observer=i,
             target=j,
-            item=_best_removal(inst, i, alloc.bundles[j]),
+            # the item of A_j worth most to i, the lowest index on ties
+            item=max(sorted(alloc.bundles[j]), key=inst.valuations[i].__getitem__, default=None),
         ),
     )
 

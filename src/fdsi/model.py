@@ -126,7 +126,10 @@ class Instance(Frozen):
         _set(self, "valuations", tuple(tuple(row) for row in valuations))
         _set(self, "impacts", tuple(tuple(row) for row in impacts))
         _set(self, "weights", tuple(weights))
-        _set(self, "aware", tuple(bool(a) for a in aware))
+        # a flag is a bool or the int 0 or 1; anything else is kept as given,
+        # so that validation refuses it
+        flags = (bool(a) if isinstance(a, int) and a in (0, 1) else a for a in aware)
+        _set(self, "aware", tuple(flags))
         errors = _validate(self)
         if errors:
             raise ValidationError("; ".join(errors))
@@ -198,6 +201,8 @@ def _validate(inst: Instance) -> list[str]:
         errors.append("weights must be integers >= 1")
     if len(inst.aware) != n:
         errors.append(f"aware has {len(inst.aware)} entries, expected {n}")
+    elif not all(type(a) is bool for a in inst.aware):
+        errors.append("aware flags must be booleans or the ints 0 and 1")
     return errors
 
 

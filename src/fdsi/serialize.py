@@ -11,7 +11,8 @@ Instance file::
       "impacts": [[...], ...]
     }
 
-``weight`` defaults to 1 and ``aware`` to true; unknown keys are rejected.
+``weight`` defaults to 1 and ``aware`` to true; unknown keys are rejected,
+and so is a key given twice in one object of either file.
 
 Allocation file::
 
@@ -190,14 +191,26 @@ def dumps(obj: dict) -> str:
     return _encode(obj, "") + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice (``json`` alone
+    keeps its last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str | PathLike):
     """Parse a UTF-8 JSON file.  Every way the text can be malformed raises
     :class:`ValidationError`: bad JSON, bytes that are not UTF-8 (both
-    ``ValueError``), an integer too long to convert (``ValueError``) or
-    nesting too deep to parse (``RecursionError``)."""
+    ``ValueError``), a key given twice in one object, an integer too long to
+    convert (``ValueError``) or nesting too deep to parse
+    (``RecursionError``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 

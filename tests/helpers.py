@@ -30,6 +30,15 @@ def impact_of(inst: Instance, i: int, items_) -> int:
     return total
 
 
+def matrices(inst: Instance, owners) -> tuple[list[list[int]], list[list[int]]]:
+    """``V[i][j] = v_i(A_j)`` and ``S[i][j] = s_i(A_j)`` for the item -> owner
+    map ``owners`` (None marks an unallocated item), summed afresh per pair."""
+    bundles = [[g for g, o in enumerate(owners) if o == j] for j in range(inst.n)]
+    V = [[value_of(inst, i, b) for b in bundles] for i in range(inst.n)]
+    S = [[impact_of(inst, i, b) for b in bundles] for i in range(inst.n)]
+    return V, S
+
+
 def naive_base(inst: Instance, alloc: Allocation, i: int, j: int, base: str) -> bool:
     """Literal definition of one base condition for the ordered pair (i, j).
 

@@ -10,15 +10,22 @@ from fdsi.allocators import (
     sa_weighted_picking,
     two_agent_mixed_fast_path,
 )
-from fdsi.fairness import Notion, check, is_sim, matrices, valid_owners
+from fdsi.fairness import Notion, check, is_sim
 from fdsi.generators import canned, gen_random
-from fdsi.model import Allocation, GoodsOnlyError, all_maximizers, make_instance
+from fdsi.model import (
+    Allocation,
+    GoodsOnlyError,
+    ValidationError,
+    all_maximizers,
+    make_instance,
+)
 from fdsi.search import enumerate_sim_allocations
 
 from helpers import (
     literal_efl,
     literal_efl_partials,
     literal_picking,
+    matrices,
     random_instances,
     random_sim_allocation,
     value_of,
@@ -85,6 +92,13 @@ class TestPicking:
                     inst, weights
                 )
 
+    @pytest.mark.parametrize("weights", [(1.5, True), (1, True), (2.0, 1)])
+    def test_weights_are_positive_ints(self, weights):
+        # the instance's own rule: ints only, no bool, each at least 1
+        inst = make_instance(((5, 3, 2), (5, 1, 4)), ((1, 1, 1), (1, 1, 1)))
+        with pytest.raises(ValidationError, match="positive integers, one per agent"):
+            sa_weighted_picking(inst, weights=weights)
+
     def test_binary_equal_valuation_impact_gives_plain_fairness(self):
         rng = random.Random(34)
         for _ in range(150):
@@ -98,7 +112,7 @@ class TestPicking:
 
 
 def _envy_matrices(inst, alloc):
-    return matrices(inst, valid_owners(inst, alloc))
+    return matrices(inst, alloc.owners(inst.m))
 
 
 def _arcs(inst, alloc, vertices):

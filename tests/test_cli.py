@@ -757,6 +757,32 @@ class TestCommands:
         assert capsys.readouterr() == ("", f"error: {err}\n")
 
     @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("allocation", '{"bundles": {"a1": ["g1"], "a2": ["g2", "g3"], "a1": ["g1"]}}', "a1"),
+            ("allocation", '{"bundles": {"a1": ["g1"], "a2": ["g2"], "a1": []}}', "a1"),
+            ("instance", '{"agents": [{"id": "a1", "weight": 1, "weight": 2}], "items": [],'
+             ' "valuations": [[]], "impacts": [[]]}', "weight"),
+            ("instance", '{"agents": [{"id": "a1"}], "items": [], "valuations": [[]],'
+             ' "impacts": [[]], "valuations": [[]]}', "valuations"),
+        ],
+        ids=["agent-twice-same", "agent-twice-other", "weight-twice", "valuations-twice"],
+    )
+    def test_duplicate_key_exit_2(self, tmp_path, capsys, kind, text, key):
+        # json keeps the last value of a repeated key; fdsi refuses the file
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if kind == "instance":
+            argv = ["solve", str(bad), "ef1"]
+        else:
+            inst, _ = self._gen(tmp_path, "wsa-nonexistence")
+            argv = ["check", str(inst), str(bad), "ef1"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = f"error: malformed JSON in {bad}: duplicate key {key!r}\n"
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
         "value, err", [("0", "positive"), ("-1", "positive"), ("x", "an integer")]
     )
     def test_bad_state_budget_env_exit_2(self, tmp_path, monkeypatch, capsys, value, err):

@@ -11,7 +11,6 @@ from fdsi.fairness import (
     certify,
     check,
     is_sim,
-    matrices,
 )
 from fdsi.generators import canned
 from fdsi.model import (
@@ -23,6 +22,7 @@ from fdsi.model import (
 
 from helpers import (
     impact_of,
+    matrices,
     naive_base,
     naive_check,
     naive_override,

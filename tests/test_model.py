@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi.fairness import Notion, Verdict, Witness, check, is_sim, matrices
+from fdsi.fairness import Notion, Sums, Verdict, Witness, check, is_sim
 from fdsi.generators import CannedExample, RX3CInput, canned, gen_random
 from fdsi.model import (
     Allocation,
@@ -34,23 +34,26 @@ BILL_JOE = canned("bill-joe")
 
 
 class TestBundleArithmetic:
-    # bundle sums are V[i][j] = v_i(A_j) and S[i][j] = s_i(A_j) of
-    # fairness.matrices over an item -> owner map
+    # bundle sums v_i(A_j) and s_i(A_j), packed by fairness.Sums from an
+    # item -> owner map, and read back through the (shift, mask) of a field
+
+    SA = Sums(WSA, Notion("ef1", "sa"))
 
     def test_empty_bundle_is_zero(self):
-        V, S = matrices(WSA, [None] * WSA.m)
-        assert V == S == [[0, 0], [0, 0]]
+        assert self.SA.pack([None] * WSA.m) == 0
 
     def test_wsa_example_values(self):
         # items are (g1, g2, g3); agent 1 sees bundle {g3, g2} as 5 + 5
-        V, _ = matrices(WSA, [0, 1, 1])
-        assert V[0][1] == 10
-        assert V[0][0] == 1
+        P = self.SA.pack([0, 1, 1])
+        (s01, m01), (s00, m00) = self.SA.V[0][1], self.SA.V[0][0]
+        assert P >> s01 & m01 == 10
+        assert P >> s00 & m00 == 1
 
     def test_wsa_example_impacts(self):
-        _, S = matrices(WSA, [0, 1, 1])
-        assert S[1][1] == 2
-        assert S[0][1] == 1
+        P = self.SA.pack([0, 1, 1])
+        (s11, m11), (s01, m01) = self.SA.S[1][1], self.SA.S[0][1]
+        assert P >> s11 & m11 == 2
+        assert P >> s01 & m01 == 1
 
     def test_unknown_item_rejected(self):
         with pytest.raises(ValidationError):
@@ -407,6 +410,12 @@ class TestValueClassContracts:
         assert repr(Notion("ef1", "alpha", "1/2")) == (
             "Notion(base='ef1', awareness='alpha', alpha=Fraction(1, 2))"
         )
+
+    @pytest.mark.parametrize("flags", [["no", "no"], [2, 1], [1.0, True], [None, False]])
+    def test_awareness_flags_are_bools_or_0_or_1(self, flags):
+        # bool() would read every one of these as a flag; none of them is one
+        with pytest.raises(ValidationError, match="aware flags must be booleans"):
+            make_instance(((1, 2), (3, 4)), ((1, 0), (0, 1)), aware=flags)
 
     def test_instance_replace_normalises_awareness(self):
         inst = make_instance(((1, 2), (3, 4)), ((1, 0), (0, 1)))

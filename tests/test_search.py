@@ -31,6 +31,7 @@ from fdsi.search import (
 )
 
 from helpers import (
+    matrices,
     naive_check,
     naive_target,
     pack_key,
@@ -133,7 +134,7 @@ class TestSuccessorStates:
 
 class TestKeyLayout:
     """Fields at their widest: every path's key holds the value matrix of
-    ``fairness.matrices`` in x, and the running maximum or the value set in
+    ``helpers.matrices`` in x, and the running maximum or the value set in
     y, with no field spilling into the next."""
 
     @pytest.mark.parametrize("k", (3, 30))
@@ -149,7 +150,7 @@ class TestKeyLayout:
             layout = _layout(inst, base)
             assert [mask for _, mask in layout.x] == [2**k - 1] * 2 + [2 ** (k + 1) - 1] * 2
             for owners in product(range(2), repeat=3):
-                V = fairness.matrices(inst, owners)[0]
+                V = matrices(inst, owners)[0]
                 for branch in (0, 1):
                     x, y, _ = unpack_key(inst, layout, _replay(inst, layout, owners, branch))
                     assert x == tuple(v for row in V for v in row), (base, owners)
@@ -170,7 +171,7 @@ class TestKeyLayout:
         assert [mask for _, mask in layout.x] == [2**32 - 1] * 2 + [2**30 - 1] * 2
         for owners in product(range(2), repeat=4):
             x, y, _ = unpack_key(inst, layout, _replay(inst, layout, owners))
-            V = fairness.matrices(inst, owners)[0]
+            V = matrices(inst, owners)[0]
             assert x == tuple(v for row in V for v in row), owners
             assert y == tuple(
                 frozenset(inst.valuations[a][g] for g in range(4) if owners[g] == b) - {0}
@@ -825,6 +826,11 @@ def _assert_check_is_naive(inst, notion):
         assert check(inst, alloc, notion).fair == want, (notion.label(), owners)
 
 
+def _packed(sums):
+    """Which of V and S ``sums`` packs: does any of their fields have a mask?"""
+    return tuple(any(mask for row in M for _, mask in row) for M in (sums.V, sums.S))
+
+
 class TestPackedSums:
     """The fields of ``fairness.Sums`` at their widest, through ``check``
     and both oracle entry points, each against ``helpers.naive_check`` over
@@ -835,7 +841,7 @@ class TestPackedSums:
     def test_value_fields(self, scale, base):
         inst = _edge_instance(scale, 7)
         notion = Notion(base)
-        assert fairness.reads(inst, notion) == (True, False)
+        assert _packed(fairness.Sums(inst, notion)) == (True, False)
         _assert_check_is_naive(inst, notion)
         _assert_oracle_is_naive(inst, notion, require_sim=False)
 
@@ -845,7 +851,7 @@ class TestPackedSums:
         inst = _edge_instance(scale, 8)
         for mode, alpha in _EXCUSE_MODES:
             notion = Notion(base, mode, alpha)
-            assert fairness.reads(inst, notion) == (True, True)
+            assert _packed(fairness.Sums(inst, notion)) == (True, True)
             _assert_check_is_naive(inst, notion)
             _assert_oracle_is_naive(inst, notion, require_sim=False)
 
@@ -858,10 +864,29 @@ class TestPackedSums:
         rng = random.Random(m)
         inst = inst.replace(valuations=[[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
         notion = Notion("sa-empty")
-        assert fairness.reads(inst, notion) == (False, True)
+        assert _packed(fairness.Sums(inst, notion)) == (False, True)
         assert fairness.Sums(inst, notion).V == [[(0, 0)] * n] * n
         _assert_check_is_naive(inst, notion)
         _assert_oracle_is_naive(inst, notion, require_sim=False)
+
+    @pytest.mark.parametrize("base", BASES + ("sa-empty",))
+    def test_pack_is_the_sum_of_add(self, base):
+        # the packed sums of an owner map, None entries included, are what
+        # adding its items one at a time gives; sa-empty gets negative values
+        rng = random.Random(31)
+        modes = ((None, None),) if base == "sa-empty" else ((None, None),) + _EXCUSE_MODES
+        for inst in random_instances(30, 32, 1, 4, 0, 7, 9, 5, 3):
+            aware = [rng.random() < 0.6 for _ in range(inst.n)]
+            inst = inst.replace(aware=aware)
+            if base == "sa-empty":
+                rows = [[rng.randint(-5, 5) for _ in range(inst.m)] for _ in range(inst.n)]
+                inst = inst.replace(valuations=rows)
+            for mode, alpha in modes:
+                sums = fairness.Sums(inst, Notion(base, mode, alpha))
+                for _ in range(4):
+                    owners = [rng.choice((None, *range(inst.n))) for _ in range(inst.m)]
+                    added = sum(sums.add(g, c) for g, c in enumerate(owners) if c is not None)
+                    assert sums.pack(owners) == added, (base, mode, owners)
 
 
 def _columns_instance(columns, n, seed):
