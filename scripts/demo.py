@@ -5,9 +5,8 @@ verdict table.  No arguments; everything is deterministic."""
 from fractions import Fraction
 
 from fdsi.allocators import sa_efl_allocate, sa_weighted_picking
-from fdsi.cli import CANNED_NAMES
 from fdsi.fairness import Notion, check, is_sim
-from fdsi.generators import canned
+from fdsi.generators import CANNED, canned
 from fdsi.model import is_goods
 from fdsi.search import brute_force_solve
 
@@ -23,7 +22,7 @@ NOTIONS = (
 
 
 def main() -> None:
-    for name in CANNED_NAMES:
+    for name in CANNED:
         example = canned(name)
         inst = example.instance
         print(f"\n=== {name}  ({inst.n} agents, {inst.m} items) ===")

@@ -18,7 +18,6 @@ _EXPORTS = {
     "Instance": "model",
     "InternalError": "model",
     "ValidationError": "model",
-    "compute_types": "model",
     "impact_maximizers": "model",
     "is_goods": "model",
     "make_instance": "model",
@@ -39,6 +38,7 @@ _EXPORTS = {
     "brute_force_solve": "search",
     "enumerate_sim_allocations": "search",
     "exact_solve": "search",
+    "compute_types": "sa_empty",
     "solve_sa_empty": "sa_empty",
 }
 

@@ -2,7 +2,8 @@
 
 Subcommands: ``check`` (verdict for an allocation), ``solve`` (find an
 allocation, each solver called from ``_solve_with`` alone), ``gen`` (write
-the instance one row of ``_GENERATORS`` builds), ``brute`` (oracle scan).
+the instance one row of ``generators._GENERATORS`` builds; the command lives
+in that module), ``brute`` (oracle scan).
 Exit codes: 0 fair/found, 1 unfair/none, 2 validation error, 3 resource
 budget exceeded or memory exhausted, 4 internal error (an answer failed its
 own re-check, or any other crash: a crash never exits 1).  All randomness is
@@ -13,7 +14,9 @@ environment variable overrides the default state budget of the exact solver.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import os
 import sys
 
 from . import serialize
@@ -33,18 +36,6 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-# the examples ``generators.canned`` builds, in the order of its builders; kept
-# here, not in the generators, so that building the parser does not import them
-CANNED_NAMES = (
-    "bill-joe",
-    "unaware-nonexistence",
-    "alpha-nonexistence",
-    "wsa-nonexistence",
-    "tef1-vs-ef1",
-    "sim-unfair",
-    "chores-roundrobin",
-)
 
 
 def _witness_obj(inst: Instance, verdict: Verdict):
@@ -174,90 +165,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _int_rows(text: str, what: str, single: bool = False):
-    """The ";"-separated rows of comma-separated integers in ``text``, empty
-    rows skipped; with ``single``, the one row ``text`` is (no ";")."""
-    rows = text.split(";")
-    try:
-        if single and len(rows) > 1:
-            raise ValueError(text)
-        ints = tuple(tuple(int(v) for v in row.split(",")) for row in rows if row or single)
-    except ValueError as exc:
-        raise ValidationError(f"bad {what} {text!r}") from exc
-    return ints[0] if single else ints
-
-
-def _weights(args) -> tuple[int, ...]:
-    return _int_rows(args.weights, "weight list", single=True)
-
-
-_WEIGHTS = ("--weights", {"required": True, "help": "comma-separated integers"})
-_REQUIRED_INT = {"type": int, "required": True}
-
-# generator -> (its flags in help order, each a name and its add_argument
-# keywords; what it builds from the generators module and the parsed flags:
-# an instance, or for ``example`` the canned example with its allocation)
-_GENERATORS = {
-    "partition-ef1": ([_WEIGHTS], lambda gen, a: gen.gen_partition_ef1(_weights(a))),
-    "mixed": ([_WEIGHTS], lambda gen, a: gen.gen_mixed_awareness(_weights(a))),
-    "wsa": ([_WEIGHTS], lambda gen, a: gen.gen_wsa(_weights(a))),
-    "alpha": (
-        [_WEIGHTS, ("--alpha", {"required": True, "help": "rational P/Q in (0,1)"})],
-        lambda gen, a: gen.gen_alpha_sa(_weights(a), exact_rational(a.alpha, "rational")),
-    ),
-    "x3c": (
-        [
-            ("--universe", _REQUIRED_INT),
-            ("--triples", {"required": True, "help": '"0,1,2;3,4,5;..."'}),
-            ("--strict", {"action": "store_true"}),
-        ],
-        lambda gen, a: gen.gen_x3c_sa_empty(
-            gen.RX3CInput(a.universe, _int_rows(a.triples, "triple list")), strict=a.strict
-        ),
-    ),
-    "ef-embedding": (
-        [
-            ("--valuations", {"required": True, "help": 'binary rows "1,0;0,1"'}),
-            ("--tef1", {"action": "store_true"}),
-        ],
-        lambda gen, a: gen.gen_ef_embedding(_int_rows(a.valuations, "matrix"), tef1=a.tef1),
-    ),
-    "example": (
-        [
-            ("name", {"choices": CANNED_NAMES}),
-            ("--alpha", {"default": "1/2", "help": "rational for the alpha example"}),
-            ("--allocation-out", {"help": "write the reference allocation here"}),
-        ],
-        lambda gen, a: gen.canned(a.name, alpha=exact_rational(a.alpha, "rational")),
-    ),
-    "random": (
-        [
-            *((flag, _REQUIRED_INT) for flag in ("--agents", "--items", "--v-max", "--s-max")),
-            ("--w-max", {"type": int, "default": 1}),
-            ("--seed", _REQUIRED_INT),
-        ],
-        lambda gen, a: gen.gen_random(a.agents, a.items, a.v_max, a.s_max, a.w_max, a.seed),
-    ),
-}
-
-
-def _cmd_gen(args) -> int:
-    from . import generators  # only this command needs it; keeps startup lean
-
-    built = _GENERATORS[args.generator][1](generators, args)
-    inst = built.instance if isinstance(built, generators.CannedExample) else built
-    text = serialize.dumps(serialize.instance_to_obj(inst))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    if getattr(args, "allocation_out", None):  # only an example has the flag
-        with open(args.allocation_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(serialize.allocation_to_obj(inst, built.allocation)))
-    return EXIT_OK
-
-
 def _cmd_brute(args) -> int:
     from . import search
 
@@ -308,15 +215,9 @@ def _add_solve(sub) -> None:
 
 
 def _add_gen(sub) -> None:
-    gen_sub = sub.add_parser("gen", help="generate an instance file").add_subparsers(
-        dest="generator", required=True
-    )
-    for name, (flags, _) in _GENERATORS.items():
-        g = gen_sub.add_parser(name)
-        for flag, keywords in flags:
-            g.add_argument(flag, **keywords)
-        g.add_argument("-o", "--output")
-        g.set_defaults(func=_cmd_gen)
+    from . import generators  # only gen and the full parser need its table
+
+    generators.add_gen_parser(sub)
 
 
 def _add_brute(sub) -> None:
@@ -376,10 +277,37 @@ def main(argv=None) -> int:
     return EXIT_BUDGET
 
 
+def _watched() -> bool:
+    """Does the interpreter still have work after the script: a trace or
+    profile hook, or on 3.12+ a ``sys.monitoring`` tool (cProfile, coverage),
+    that writes its results at exit, or ``-i``, which then goes interactive?"""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(
+        sys.gettrace()
+        or sys.getprofile()
+        or sys.flags.inspect
+        or monitoring and any(monitoring.get_tool(i) for i in range(6))
+    )
+
+
 def entry() -> None:
     """The ``fdsi`` script and ``python -m fdsi``.  What is loaded by now
-    lives until exit, so it is frozen: neither the collections during the
-    call nor those at shutdown walk it again.  ``main`` never freezes, because
-    a long-lived caller would then never collect what it froze."""
+    lives until exit, so it is frozen: the collections during the call do
+    not walk it again.  ``main`` never freezes, because a long-lived caller
+    would then never collect what it froze.
+
+    Once the answer is flushed, the ``atexit`` callbacks run and the process
+    ends at once, without tearing down its modules.  The normal exit stays
+    when a flush fails (so a reader that has gone away sees the usual exit
+    code and message) and when ``_watched``."""
     gc.freeze()
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a reader that has gone, a closed stream
+        raise SystemExit(code)
+    if _watched():
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    os._exit(code)

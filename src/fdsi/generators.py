@@ -1,4 +1,5 @@
-"""Instance builders: reduction gadgets, canned examples, random instances.
+"""Instance builders: reduction gadgets, canned examples, random instances,
+and the ``gen`` command that writes each of them.
 
 Each ``gen_*`` constructor embeds a small source problem into a fair-division
 instance so that the source is solvable exactly when the generated instance
@@ -286,8 +287,8 @@ def _alpha_nonexistence(alpha) -> tuple:
     return make_instance(((1, 1), (1, 1)), ((q, q), (p, p))), ({0, 1}, ())
 
 
-# name -> builder of (instance, reference bundles) from the alpha argument,
-# in the order of ``cli.CANNED_NAMES``
+# name -> builder of (instance, reference bundles) from the alpha argument;
+# ``gen example`` lists the names in this order
 CANNED = {
     "bill-joe": lambda alpha: (
         make_instance(((1, 1), (1, 1)), ((10, 10), (1, 1)), agents=("bill", "joe")),
@@ -443,3 +444,105 @@ def ef_allocation_exists(valuations) -> bool:
         ):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the ``gen`` command, kept here so that no other command compiles it
+
+
+def _int_rows(text: str, what: str, single: bool = False):
+    """The ";"-separated rows of comma-separated integers in ``text``, empty
+    rows skipped; with ``single``, the one row ``text`` is (no ";")."""
+    rows = text.split(";")
+    try:
+        if single and len(rows) > 1:
+            raise ValueError(text)
+        ints = tuple(tuple(int(v) for v in row.split(",")) for row in rows if row or single)
+    except ValueError as exc:
+        raise ValidationError(f"bad {what} {text!r}") from exc
+    return ints[0] if single else ints
+
+
+def _weights(args) -> tuple[int, ...]:
+    return _int_rows(args.weights, "weight list", single=True)
+
+
+_WEIGHTS = ("--weights", {"required": True, "help": "comma-separated integers"})
+_REQUIRED_INT = {"type": int, "required": True}
+
+# generator -> (its flags in help order, each a name and its add_argument
+# keywords; what it builds from the parsed flags: an instance, or for
+# ``example`` the canned example with its allocation)
+_GENERATORS = {
+    "partition-ef1": ([_WEIGHTS], lambda a: gen_partition_ef1(_weights(a))),
+    "mixed": ([_WEIGHTS], lambda a: gen_mixed_awareness(_weights(a))),
+    "wsa": ([_WEIGHTS], lambda a: gen_wsa(_weights(a))),
+    "alpha": (
+        [_WEIGHTS, ("--alpha", {"required": True, "help": "rational P/Q in (0,1)"})],
+        lambda a: gen_alpha_sa(_weights(a), exact_rational(a.alpha, "rational")),
+    ),
+    "x3c": (
+        [
+            ("--universe", _REQUIRED_INT),
+            ("--triples", {"required": True, "help": '"0,1,2;3,4,5;..."'}),
+            ("--strict", {"action": "store_true"}),
+        ],
+        lambda a: gen_x3c_sa_empty(
+            RX3CInput(a.universe, _int_rows(a.triples, "triple list")), strict=a.strict
+        ),
+    ),
+    "ef-embedding": (
+        [
+            ("--valuations", {"required": True, "help": 'binary rows "1,0;0,1"'}),
+            ("--tef1", {"action": "store_true"}),
+        ],
+        lambda a: gen_ef_embedding(_int_rows(a.valuations, "matrix"), tef1=a.tef1),
+    ),
+    "example": (
+        [
+            ("name", {"choices": tuple(CANNED)}),
+            ("--alpha", {"default": "1/2", "help": "rational for the alpha example"}),
+            ("--allocation-out", {"help": "write the reference allocation here"}),
+        ],
+        lambda a: canned(a.name, alpha=exact_rational(a.alpha, "rational")),
+    ),
+    "random": (
+        [
+            *((flag, _REQUIRED_INT) for flag in ("--agents", "--items", "--v-max", "--s-max")),
+            ("--w-max", {"type": int, "default": 1}),
+            ("--seed", _REQUIRED_INT),
+        ],
+        lambda a: gen_random(a.agents, a.items, a.v_max, a.s_max, a.w_max, a.seed),
+    ),
+}
+
+
+def _cmd_gen(args) -> int:
+    from . import serialize  # importing the generators alone does not load it
+
+    built = _GENERATORS[args.generator][1](args)
+    inst = built.instance if isinstance(built, CannedExample) else built
+    text = serialize.dumps(serialize.instance_to_obj(inst))
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+    if getattr(args, "allocation_out", None):  # only an example has the flag
+        with open(args.allocation_out, "w", encoding="utf-8") as fh:
+            fh.write(serialize.dumps(serialize.allocation_to_obj(inst, built.allocation)))
+    return 0
+
+
+def add_gen_parser(sub) -> None:
+    """Add the ``gen`` command to the subparsers ``sub`` of the ``fdsi``
+    parser: one subparser per row of ``_GENERATORS``, each with ``-o``."""
+    gen_sub = sub.add_parser("gen", help="generate an instance file").add_subparsers(
+        dest="generator", required=True
+    )
+    for name, (flags, _) in _GENERATORS.items():
+        g = gen_sub.add_parser(name)
+        for flag, keywords in flags:
+            g.add_argument(flag, **keywords)
+        g.add_argument("-o", "--output")
+        g.set_defaults(func=_cmd_gen)

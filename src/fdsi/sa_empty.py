@@ -34,14 +34,56 @@ from . import fairness
 from .model import (
     Allocation,
     BudgetExceededError,
+    Frozen,
     Instance,
     InternalError,
-    TypePartition,
-    compute_types,
+    _set,
+    all_maximizers,
     require_budget,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
+
+
+class TypePartition(Frozen):
+    """Items grouped by identical maximizer sets, agents by identical maximized item sets.
+
+    ``maximizer_sets[t]`` is the agent set shared by every item in
+    ``item_types[t]``.
+    """
+
+    __slots__ = ("item_types", "agent_types", "maximizer_sets")
+    item_types: tuple[tuple[int, ...], ...]
+    agent_types: tuple[tuple[int, ...], ...]
+    maximizer_sets: tuple[frozenset[int], ...]
+
+    def __init__(self, item_types, agent_types, maximizer_sets) -> None:
+        _set(self, "item_types", item_types)
+        _set(self, "agent_types", agent_types)
+        _set(self, "maximizer_sets", maximizer_sets)
+
+
+def compute_types(inst: Instance) -> TypePartition:
+    """Partition items and agents into types (first-occurrence order).
+
+    Two items share a type iff their impact-maximizer sets are equal; two
+    agents share a type iff they maximize impact for exactly the same items.
+    Depends only on maximizer sets, so raw and normalized impacts give the
+    same partition.
+    """
+    maxsets = all_maximizers(inst)
+    item_groups: dict[frozenset[int], list[int]] = {}
+    for g in range(inst.m):
+        item_groups.setdefault(maxsets[g], []).append(g)
+    agent_groups: dict[frozenset[int], list[int]] = {}
+    for i in range(inst.n):
+        maximized = frozenset(g for g in range(inst.m) if i in maxsets[g])
+        agent_groups.setdefault(maximized, []).append(i)
+    return TypePartition(
+        item_types=tuple(tuple(v) for v in item_groups.values()),
+        agent_types=tuple(tuple(v) for v in agent_groups.values()),
+        maximizer_sets=tuple(item_groups.keys()),
+    )
 
 
 def unique_type_agents(types: TypePartition) -> frozenset[int]:

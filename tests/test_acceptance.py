@@ -24,8 +24,8 @@ from fdsi.generators import (
     gen_x3c_sa_empty,
     partition_solvable,
 )
-from fdsi.model import Allocation, compute_types, make_instance, normalize_impacts
-from fdsi.sa_empty import solve_sa_empty
+from fdsi.model import Allocation, make_instance, normalize_impacts
+from fdsi.sa_empty import compute_types, solve_sa_empty
 from fdsi.search import (
     brute_force_count,
     brute_force_solve,

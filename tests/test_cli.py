@@ -1,4 +1,5 @@
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi import cli, fairness, generators, search
-from fdsi.cli import CANNED_NAMES, build_parser, main
+from fdsi import cli, fairness, search
+from fdsi.cli import build_parser, main
 from fdsi.fairness import Notion, Verdict, Witness, certify, check, is_sim
-from fdsi.generators import canned, gen_partition_ef1, gen_random
+from fdsi.generators import CANNED, canned, gen_partition_ef1, gen_random
 from fdsi.model import Allocation, ValidationError, exact_rational, make_instance
 from fdsi.serialize import (
     allocation_from_obj,
@@ -266,7 +267,7 @@ class TestCommands:
             g = gen_random(3, 6, 5, 5, 2, seed=66)
             assert g.weights == (1, 2, 1)
             inst = make_instance(g.valuations, g.impacts, weights=g.weights, aware=(False,) * 3)
-        elif key in CANNED_NAMES:
+        elif key in CANNED:
             inst = canned(key).instance
         elif key.startswith("binary"):
             aware = (key == "binary-aware",) * 3
@@ -557,11 +558,8 @@ class TestCommands:
         assert main(["gen", *argv, without, "-o", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
-    def test_canned_names_match_the_builders(self):
-        assert CANNED_NAMES == tuple(generators.CANNED)
-
     def test_every_canned_example_generates(self, tmp_path, capsys):
-        for name in CANNED_NAMES:
+        for name in CANNED:
             out, alloc_out = tmp_path / f"{name}.json", tmp_path / f"{name}-alloc.json"
             argv = ["gen", "example", name, "-o", str(out), "--allocation-out", str(alloc_out)]
             assert main(argv) == 0
@@ -575,7 +573,7 @@ class TestCommands:
             main(["gen", "example", "--help"])
         assert exc.value.code == 0
         help_text = capsys.readouterr().out
-        for name in CANNED_NAMES:
+        for name in CANNED:
             assert name in help_text
         with pytest.raises(SystemExit) as exc:
             main(["gen", "example", "no-such-example"])
@@ -594,10 +592,12 @@ class TestCommands:
         "generators": "import sys, fdsi.generators\n"
         "print([m for m in ('fdsi.cli', 'fdsi.search', 'fdsi.serialize') if m in sys.modules])",
     }
-    # the exact, brute and check routes leave the polynomial allocators, the
-    # sa-empty solver and the generators unloaded; check and gen also leave
-    # the search unloaded
-    _LEAN = ("fdsi.allocators", "fdsi.sa_empty", "fdsi.generators")
+    # no solve, check or brute call loads the generators (the gen command
+    # lives there), and only an sa-empty call loads the sa-empty solver
+    _NOT_GEN = ("fdsi.generators", "fdsi.sa_empty")
+    # the exact, brute and check routes also leave the polynomial allocators
+    # unloaded; check and gen also leave the search unloaded
+    _LEAN = ("fdsi.allocators", *_NOT_GEN)
     # no command loads these (inspect comes with dataclasses), except that
     # a rational alpha needs fractions
     _STDLIB = ("dataclasses", "inspect", "fractions")
@@ -611,14 +611,24 @@ class TestCommands:
         "solve-exact": (["solve", "{inst}", "ef1", "--method", "exact"], _LEAN + _STDLIB, ()),
         # the picking allocator's answer is certified, so no search runs
         "solve-sa": (
-            ["solve", "{inst}", "ef1", "--sa"], _STDLIB + ("fdsi.search",), ("fdsi.allocators",)
+            ["solve", "{inst}", "ef1", "--sa"],
+            _NOT_GEN + _STDLIB + ("fdsi.search",),
+            ("fdsi.allocators",),
         ),
         # and so it is with no awareness at all, where picking is fair on
         # {random} (a 3-agent, 8-item random instance)
         "solve-unaware": (
-            ["solve", "{random}", "ef1"], _STDLIB + ("fdsi.search",), ("fdsi.allocators",)
+            ["solve", "{random}", "ef1"],
+            _NOT_GEN + _STDLIB + ("fdsi.search",),
+            ("fdsi.allocators",),
         ),
-        "solve-alpha": (["solve", "{inst}", "ef1", "--alpha", "1/2"], (), ("fractions",)),
+        "solve-alpha": (["solve", "{inst}", "ef1", "--alpha", "1/2"], _NOT_GEN, ("fractions",)),
+        # auto sends sa-empty straight to its type solver
+        "solve-sa-empty": (
+            ["solve", "{inst}", "sa-empty"],
+            ("fdsi.allocators", "fdsi.generators", "fdsi.search") + _STDLIB,
+            ("fdsi.sa_empty",),
+        ),
         "brute-count": (["brute", "{inst}", "ef1", "--count"], _LEAN + _STDLIB, ()),
         "check": (
             ["check", "{inst}", "{alloc}", "sa-ef1"], _LEAN + _STDLIB + ("fdsi.search",), ()
@@ -910,14 +920,115 @@ class TestCommands:
 
 
 class TestEntry:
-    def test_entry_freezes_once_before_main(self, monkeypatch):
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """What ``entry`` did, in order, with the process exit and the exit
+        callbacks patched so that nothing leaves or ends the test run."""
         events = []
         monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
         monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+        monkeypatch.setattr(cli, "_watched", lambda: False)
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: events.append("atexit"))
+        monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+        return events
+
+    def test_entry_freezes_once_before_main(self, events):
+        cli.entry()
+        assert events[:2] == ["freeze", "main"]
+        assert events[2:] == ["atexit", ("exit", 3)]
+
+    def test_entry_keeps_the_normal_exit_when_watched(self, events, monkeypatch):
+        monkeypatch.setattr(cli, "_watched", lambda: True)
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == 3
         assert events == ["freeze", "main"]
+
+    def test_entry_keeps_the_normal_exit_when_a_flush_fails(self, events, monkeypatch):
+        class Gone:
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 3
+        assert events == ["freeze", "main"]
+
+    def test_a_profile_hook_is_watching(self):
+        before = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            assert cli._watched()
+        finally:
+            sys.setprofile(before)
+
+    @staticmethod
+    def _spawn(args, env=None, stdout=subprocess.PIPE, stdin=b""):
+        env = dict(os.environ if env is None else env)
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        return subprocess.run(
+            [sys.executable, *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+            env=env, timeout=60,
+        )
+
+    @pytest.fixture
+    def inst(self, tmp_path):
+        path = tmp_path / "r.json"
+        save_instance(gen_random(3, 8, 9, 1, 1, seed=1), path)
+        return path
+
+    def test_exit_callbacks_run_and_teardown_is_skipped(self, inst):
+        # the callback runs; the object's __del__ would only run at teardown
+        code = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print('callback', file=sys.stderr))\n"
+            "class Torn:\n"
+            "    def __del__(self):\n"
+            "        print('teardown', file=sys.stderr)\n"
+            "torn = Torn()\n"
+            "from fdsi.cli import entry\n"
+            f"sys.argv = ['fdsi', 'solve', {str(inst)!r}, 'ef1']\n"
+            "entry()\n"
+        )
+        done = self._spawn(["-c", code])
+        expected = self._spawn(["-m", "fdsi", "solve", str(inst), "ef1"])
+        assert expected.returncode == 0 and expected.stdout
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected.stdout, b"callback\n")
+
+    def test_a_profiler_still_writes_its_file(self, tmp_path, inst):
+        prof = tmp_path / "p.prof"
+        done = self._spawn(["-m", "cProfile", "-o", str(prof), "-m", "fdsi", "solve", str(inst), "ef1"])
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout and prof.stat().st_size > 0
+
+    def test_python_i_still_goes_interactive(self, inst):
+        done = self._spawn(["-i", "-m", "fdsi", "solve", str(inst), "ef1"],
+                           stdin=b"print('interactive')\n")
+        assert done.stdout.startswith(b"{") and done.stdout.endswith(b"}\ninteractive\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("items", [2, 20_000])
+    def test_closed_stdout_exits_as_before(self, buffered, items):
+        # a reader that has gone away: the exit code and stderr of the normal
+        # exit, which is what ``python -m fdsi`` gave before it left early
+        argv = ["gen", "random", "--agents", "2", "--items", str(items), "--v-max", "9",
+                "--s-max", "1", "--seed", "1"]
+        plain = "import sys; from fdsi.cli import main; raise SystemExit(main(sys.argv[1:]))"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        runs = []
+        for args in (["-m", "fdsi", *argv], ["-c", plain, *argv]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = self._spawn(args, env, stdout=write)
+            finally:
+                os.close(write)
+            runs.append((done.returncode, done.stderr))
+        assert runs[0] == runs[1]
+        assert runs[0][0] != 0 and runs[0][1]
 
     def test_main_never_freezes(self, tmp_path, monkeypatch, capsys):
         calls = []

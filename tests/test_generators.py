@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from fdsi.cli import CANNED_NAMES, main
+from fdsi.cli import main
 from fdsi.generators import (
+    CANNED,
     RX3CInput,
     canned,
     ef_allocation_exists,
@@ -188,7 +189,7 @@ class TestCanned:
             canned("nope")
 
     def test_round_trip_serialization(self):
-        for name in CANNED_NAMES:
+        for name in CANNED:
             inst = canned(name).instance
             assert instance_from_obj(instance_to_obj(inst)) == inst
 

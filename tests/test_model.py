@@ -14,9 +14,7 @@ from fdsi.model import (
     Frozen,
     IncompleteAllocationError,
     Instance,
-    TypePartition,
     ValidationError,
-    compute_types,
     impact_maximizers,
     is_goods,
     make_instance,
@@ -24,6 +22,7 @@ from fdsi.model import (
     total_social_impact,
     validate_allocation,
 )
+from fdsi.sa_empty import TypePartition, compute_types
 from fdsi.search import brute_force_solve, exact_solve
 
 from helpers import impact_of, random_instances

@@ -454,7 +454,8 @@ class TestWalkCount:
     @pytest.mark.parametrize("base", ["ef", "ef1", "wef1", "tef1", "efl"])
     def test_count_matches_brute(self, base):
         rng = random.Random(2)
-        sizes = [(n, m) for n in (2, 3) for m in range(3, 8) for _ in range(6)] + [(4, 9)] * 4
+        sizes = [(n, m) for n in (2, 3) for m in range(3, 8) for _ in range(6)]
+        sizes += [(4, 9)] * 4 + [(4, 10)] * 4 + [(5, 9)] * 4
         for k, (n, m) in enumerate(sizes):
             # s_max 0 makes every agent maximize every item: n**m candidates
             s_max = rng.randint(0, 2) if n < 4 else 2

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi.cli import CANNED_NAMES, main
+from fdsi.cli import main
+from fdsi.generators import CANNED
 from fdsi.serialize import dumps
 
 
@@ -93,7 +94,7 @@ class TestDumps:
 
 
 class TestCommandOutput:
-    @pytest.mark.parametrize("name", CANNED_NAMES)
+    @pytest.mark.parametrize("name", CANNED)
     def test_canned_example_files(self, tmp_path, name):
         inst, alloc = tmp_path / "i.json", tmp_path / "a.json"
         assert main(["gen", "example", name, "-o", str(inst), "--allocation-out", str(alloc)]) == 0
