@@ -2,8 +2,8 @@
 
 Subcommands: ``check`` (verdict for an allocation), ``solve`` (find an
 allocation, each solver called from ``_solve_with`` alone), ``gen`` (write
-the instance one row of ``generators._GENERATORS`` builds; the command lives
-in that module), ``brute`` (oracle scan).
+the instance one row of ``generators._GENERATORS`` builds; its flags live in
+that module), ``brute`` (oracle scan).
 Exit codes: 0 fair/found, 1 unfair/none, 2 validation error, 3 resource
 budget exceeded or memory exhausted, 4 internal error (an answer failed its
 own re-check, or any other crash: a crash never exits 1).  All randomness is
@@ -165,6 +165,23 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _cmd_gen(args) -> int:
+    from .generators import CannedExample  # loaded already: it built the parser
+
+    built = args.build(args)
+    inst = built.instance if isinstance(built, CannedExample) else built
+    text = serialize.dumps(serialize.instance_to_obj(inst))
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+    if getattr(args, "allocation_out", None):  # only an example has the flag
+        with open(args.allocation_out, "w", encoding="utf-8") as fh:
+            fh.write(serialize.dumps(serialize.allocation_to_obj(inst, built.allocation)))
+    return EXIT_OK
+
+
 def _cmd_brute(args) -> int:
     from . import search
 
@@ -217,7 +234,7 @@ def _add_solve(sub) -> None:
 def _add_gen(sub) -> None:
     from . import generators  # only gen and the full parser need its table
 
-    generators.add_gen_parser(sub)
+    generators.add_gen_parser(sub, _cmd_gen)
 
 
 def _add_brute(sub) -> None:
@@ -303,8 +320,9 @@ def entry() -> None:
     gc.freeze()
     code = main()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the descriptor was closed at startup
+                stream.flush()
     except (OSError, ValueError):  # a reader that has gone, a closed stream
         raise SystemExit(code)
     if _watched():

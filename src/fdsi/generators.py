@@ -1,5 +1,5 @@
 """Instance builders: reduction gadgets, canned examples, random instances,
-and the ``gen`` command that writes each of them.
+and the flags of the ``gen`` command that builds each of them.
 
 Each ``gen_*`` constructor embeds a small source problem into a fair-division
 instance so that the source is solvable exactly when the generated instance
@@ -447,7 +447,7 @@ def ef_allocation_exists(valuations) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the ``gen`` command, kept here so that no other command compiles it
+# the ``gen`` command's flags, kept here so that no other command compiles them
 
 
 def _int_rows(text: str, what: str, single: bool = False):
@@ -517,32 +517,17 @@ _GENERATORS = {
 }
 
 
-def _cmd_gen(args) -> int:
-    from . import serialize  # importing the generators alone does not load it
-
-    built = _GENERATORS[args.generator][1](args)
-    inst = built.instance if isinstance(built, CannedExample) else built
-    text = serialize.dumps(serialize.instance_to_obj(inst))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    if getattr(args, "allocation_out", None):  # only an example has the flag
-        with open(args.allocation_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(serialize.allocation_to_obj(inst, built.allocation)))
-    return 0
-
-
-def add_gen_parser(sub) -> None:
+def add_gen_parser(sub, handler) -> None:
     """Add the ``gen`` command to the subparsers ``sub`` of the ``fdsi``
-    parser: one subparser per row of ``_GENERATORS``, each with ``-o``."""
+    parser: one subparser per row of ``_GENERATORS``, each with ``-o``.  A
+    parsed call carries the row's builder as ``build`` and ``handler`` as
+    ``func``, which writes what ``build`` returns."""
     gen_sub = sub.add_parser("gen", help="generate an instance file").add_subparsers(
         dest="generator", required=True
     )
-    for name, (flags, _) in _GENERATORS.items():
+    for name, (flags, build) in _GENERATORS.items():
         g = gen_sub.add_parser(name)
         for flag, keywords in flags:
             g.add_argument(flag, **keywords)
         g.add_argument("-o", "--output")
-        g.set_defaults(func=_cmd_gen)
+        g.set_defaults(func=handler, build=build)

@@ -964,12 +964,12 @@ class TestEntry:
             sys.setprofile(before)
 
     @staticmethod
-    def _spawn(args, env=None, stdout=subprocess.PIPE, stdin=b""):
+    def _spawn(args, env=None, stdout=subprocess.PIPE, stdin=b"", preexec_fn=None):
         env = dict(os.environ if env is None else env)
         env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
         return subprocess.run(
             [sys.executable, *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
-            env=env, timeout=60,
+            env=env, timeout=60, preexec_fn=preexec_fn,
         )
 
     @pytest.fixture
@@ -1029,6 +1029,26 @@ class TestEntry:
             runs.append((done.returncode, done.stderr))
         assert runs[0] == runs[1]
         assert runs[0][0] != 0 and runs[0][1]
+
+    @pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+    @pytest.mark.parametrize("case", ["solve", "check", "invalid"])
+    def test_a_stream_closed_at_startup_exits_as_before(self, tmp_path, inst, case, fd, capsys):
+        # Python sets the stream to None and print() writes nothing; the
+        # exit code is still the answer's, as with the normal exit
+        alloc = tmp_path / "a.json"
+        assert main(["solve", str(inst), "ef1"]) == 0
+        alloc.write_text(capsys.readouterr().out, encoding="utf-8")
+        argv = {
+            "solve": ["solve", str(inst), "ef1"],
+            "check": ["check", str(inst), str(alloc), "ef1"],
+            "invalid": ["solve", str(tmp_path / "missing.json"), "ef1"],
+        }[case]
+        plain = "import sys; from fdsi.cli import main; raise SystemExit(main(sys.argv[1:]))"
+        runs = [
+            self._spawn(args, preexec_fn=lambda: os.close(fd)).returncode
+            for args in (["-m", "fdsi", *argv], ["-c", plain, *argv])
+        ]
+        assert runs[0] == runs[1] == (2 if case == "invalid" else 0)
 
     def test_main_never_freezes(self, tmp_path, monkeypatch, capsys):
         calls = []
