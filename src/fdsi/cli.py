@@ -13,11 +13,12 @@ environment variable overrides the default state budget of the exact solver.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
+import io
 import os
 import sys
+from types import SimpleNamespace
 
 from . import serialize
 from .fairness import BASES, SA_EMPTY, WEIGHTED_BASES, Notion, Verdict, certify, is_sim
@@ -69,13 +70,9 @@ def _positive_int(text: str) -> int:
             return value
     except ValueError:
         pass
+    import argparse  # a refused value falls back to argparse, which reports it
+
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-
-
-def _add_notion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sa", action="store_true", help="awareness override")
-    parser.add_argument("--alpha", metavar="P/Q", help="alpha-scaled awareness")
-    parser.add_argument("--wsa", action="store_true", help="proportional awareness")
 
 
 def _cmd_check(args) -> int:
@@ -203,53 +200,123 @@ def _cmd_brute(args) -> int:
     return EXIT_OK
 
 
-def _add_check(sub) -> None:
-    p = sub.add_parser("check", help="verdict for an instance + allocation")
-    for name in ("instance", "allocation", "notion"):
-        p.add_argument(name)
-    _add_notion_flags(p)
-    p.add_argument(
-        "--require-sim",
-        action="store_true",
-        help="also require impact maximization for exit code 0",
-    )
-    p.set_defaults(func=_cmd_check)
+_NOTION_FLAGS = [
+    ("--sa", {"action": "store_true", "help": "awareness override"}),
+    ("--alpha", {"metavar": "P/Q", "help": "alpha-scaled awareness"}),
+    ("--wsa", {"action": "store_true", "help": "proportional awareness"}),
+]
+_BUDGET = {"type": _positive_int, "default": None}
+
+# command -> (its help line; its handler; its arguments in help order, each a
+# name and its add_argument keywords).  ``gen``'s flags live in
+# ``generators._GENERATORS``.
+_COMMANDS = {
+    "check": (
+        "verdict for an instance + allocation",
+        _cmd_check,
+        [
+            ("instance", {}),
+            ("allocation", {}),
+            ("notion", {}),
+            *_NOTION_FLAGS,
+            ("--require-sim", {
+                "action": "store_true",
+                "help": "also require impact maximization for exit code 0",
+            }),
+        ],
+    ),
+    "solve": (
+        "find a fair impact-maximizing allocation",
+        _cmd_solve,
+        [
+            ("instance", {}),
+            ("notion", {}),
+            *_NOTION_FLAGS,
+            ("--method", {
+                "choices": ("auto", "picking", "efl", "exact", "brute", "sa-empty"),
+                "default": "auto",
+            }),
+            *((flag, _BUDGET) for flag in ("--state-budget", "--brute-cap", "--node-budget")),
+        ],
+    ),
+    "brute": (
+        "oracle scan over candidate allocations",
+        _cmd_brute,
+        [
+            ("instance", {}),
+            ("notion", {"help": 'a notion spec or "any"'}),
+            *_NOTION_FLAGS,
+            ("--count", {"action": "store_true"}),
+            ("--cap", _BUDGET),
+            ("--no-require-sim", {"dest": "require_sim", "action": "store_false"}),
+        ],
+    ),
+}
+# every subcommand, in the order the help lists them
+_SUBCOMMANDS = ("check", "solve", "gen", "brute")
 
 
-def _add_solve(sub) -> None:
-    p = sub.add_parser("solve", help="find a fair impact-maximizing allocation")
-    p.add_argument("instance")
-    p.add_argument("notion")
-    _add_notion_flags(p)
-    p.add_argument(
-        "--method",
-        choices=("auto", "picking", "efl", "exact", "brute", "sa-empty"),
-        default="auto",
-    )
-    for flag in ("--state-budget", "--brute-cap", "--node-budget"):
-        p.add_argument(flag, type=_positive_int, default=None)
-    p.set_defaults(func=_cmd_solve)
+def _read_argv(argv):
+    """The namespace that argparse builds from ``argv`` when it is a
+    well-formed ``check``, ``solve`` or ``brute`` call, read off
+    ``_COMMANDS`` without loading argparse; else None, and argparse reads
+    it.  Only exact long flags and the exact positional count are read: a
+    token that starts with "-" and is no flag of the command (``-h``,
+    ``--``, an abbreviation, ``--flag=value``, a negative number), a value
+    that starts with "-" or that ``type`` or ``choices`` refuses, is None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    values, flags, positionals = {}, {}, []
+    for name, keywords in arguments:
+        dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+        # argparse's defaults: False for store_true, True for store_false
+        implied = {"store_true": False, "store_false": True}.get(keywords.get("action"))
+        values[dest] = keywords.get("default", implied)
+        if name.startswith("-"):
+            flags[name] = dest, keywords
+        else:
+            positionals.append(dest)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, keywords = flags[token]
+        action = keywords.get("action")
+        if action:
+            values[dest] = action == "store_true"
+            continue
+        text = next(tokens, "-")  # a missing value reads as one that starts with "-"
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse reports it
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
-def _add_gen(sub) -> None:
-    from . import generators  # only gen and the full parser need its table
+def _add_command(sub, name: str) -> None:
+    if name == "gen":
+        from . import generators  # only gen and the full parser need its table
 
-    generators.add_gen_parser(sub, _cmd_gen)
-
-
-def _add_brute(sub) -> None:
-    p = sub.add_parser("brute", help="oracle scan over candidate allocations")
-    p.add_argument("instance")
-    p.add_argument("notion", help='a notion spec or "any"')
-    _add_notion_flags(p)
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--cap", type=_positive_int, default=None)
-    p.add_argument("--no-require-sim", dest="require_sim", action="store_false")
-    p.set_defaults(func=_cmd_brute, require_sim=True)
-
-
-# each subcommand's parser builder, in the order the help lists them
-_SUBCOMMANDS = {"check": _add_check, "solve": _add_solve, "gen": _add_gen, "brute": _add_brute}
+        generators.add_gen_parser(sub, _cmd_gen)
+        return
+    help_line, func, arguments = _COMMANDS[name]
+    p = sub.add_parser(name, help=help_line)
+    for flag, keywords in arguments:
+        p.add_argument(flag, **keywords)
+    p.set_defaults(func=func)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -257,6 +324,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     so that a call pays for one subparser, else all of them (no argv,
     ``--help``, an unknown command), whose help texts and usage errors are
     then the full parser's."""
+    import argparse  # only a call that ``_read_argv`` cannot read loads it
+
     parser = argparse.ArgumentParser(
         prog="fdsi",
         description="Fair division with social impact: checkers, solvers, gadgets.",
@@ -266,32 +335,40 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     # with one built, an "unrecognized arguments" usage line still names all
     every = "{" + ",".join(_SUBCOMMANDS) + "}" if lone else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for add in [_SUBCOMMANDS[name]] if lone else _SUBCOMMANDS.values():
-        add(sub)
+    for each in [name] if lone else _SUBCOMMANDS:
+        _add_command(sub, each)
     return parser
+
+
+def _report(code: int, message: str) -> int:
+    """Print ``message`` on stderr and return ``code``, also when stderr
+    cannot be written (read-only, a bad descriptor): a failed report is no
+    reason for another exit code, least of all 1."""
+    try:
+        print(message, file=sys.stderr)
+    except (OSError, ValueError):
+        pass
+    return code
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _report(EXIT_BUDGET, f"error: {exc}")
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(EXIT_INTERNAL, f"internal error: {exc}")
     except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _report(EXIT_INVALID, f"error: {exc}")
     except MemoryError:
         pass  # reported after the handler, whose traceback holds the call's memory
     except Exception as exc:  # a crash is no verdict: exit 1 would read "none"
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    print("error: out of memory", file=sys.stderr)
-    return EXIT_BUDGET
+        return _report(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
+    return _report(EXIT_BUDGET, "error: out of memory")
 
 
 def _watched() -> bool:
@@ -316,7 +393,19 @@ def entry() -> None:
     Once the answer is flushed, the ``atexit`` callbacks run and the process
     ends at once, without tearing down its modules.  The normal exit stays
     when a flush fails (so a reader that has gone away sees the usual exit
-    code and message) and when ``_watched``."""
+    code and message) and when ``_watched``.
+
+    Under ``python -u`` or ``PYTHONUNBUFFERED`` stdout's text layer writes
+    straight to the file and drops the short count of a write that a
+    closing reader cut off, so a cut answer would exit 0.  Its writes then
+    go through a buffered writer of one byte, which writes the rest or
+    raises, as buffered stdout does."""
+    out = sys.stdout
+    if out is not None and isinstance(getattr(out, "buffer", None), io.FileIO):
+        raw = io.FileIO(out.fileno(), "w", closefd=False)  # the fd stays stdout's
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(raw, 1), out.encoding, out.errors, write_through=True
+        )
     gc.freeze()
     code = main()
     try:

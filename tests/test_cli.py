@@ -1,6 +1,8 @@
 import argparse
 import atexit
+import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -601,6 +603,9 @@ class TestCommands:
     # no command loads these (inspect comes with dataclasses), except that
     # a rational alpha needs fractions
     _STDLIB = ("dataclasses", "inspect", "fractions")
+    # a well-formed solve, check or brute call is read without argparse,
+    # which would bring gettext and, with its first help text, locale
+    _PARSER = ("argparse", "gettext", "locale")
     # argv, modules the call must not add, modules it must load
     _COMMANDS = {
         "gen": (
@@ -608,30 +613,36 @@ class TestCommands:
             ("fdsi.allocators", "fdsi.sa_empty", "fdsi.search"),
             ("fdsi.generators",),
         ),
-        "solve-exact": (["solve", "{inst}", "ef1", "--method", "exact"], _LEAN + _STDLIB, ()),
+        "solve-exact": (
+            ["solve", "{inst}", "ef1", "--method", "exact"], _LEAN + _STDLIB + _PARSER, ()
+        ),
         # the picking allocator's answer is certified, so no search runs
         "solve-sa": (
             ["solve", "{inst}", "ef1", "--sa"],
-            _NOT_GEN + _STDLIB + ("fdsi.search",),
+            _NOT_GEN + _STDLIB + _PARSER + ("fdsi.search",),
             ("fdsi.allocators",),
         ),
         # and so it is with no awareness at all, where picking is fair on
         # {random} (a 3-agent, 8-item random instance)
         "solve-unaware": (
             ["solve", "{random}", "ef1"],
-            _NOT_GEN + _STDLIB + ("fdsi.search",),
+            _NOT_GEN + _STDLIB + _PARSER + ("fdsi.search",),
             ("fdsi.allocators",),
         ),
-        "solve-alpha": (["solve", "{inst}", "ef1", "--alpha", "1/2"], _NOT_GEN, ("fractions",)),
+        "solve-alpha": (
+            ["solve", "{inst}", "ef1", "--alpha", "1/2"], _NOT_GEN + _PARSER, ("fractions",)
+        ),
         # auto sends sa-empty straight to its type solver
         "solve-sa-empty": (
             ["solve", "{inst}", "sa-empty"],
-            ("fdsi.allocators", "fdsi.generators", "fdsi.search") + _STDLIB,
+            ("fdsi.allocators", "fdsi.generators", "fdsi.search") + _STDLIB + _PARSER,
             ("fdsi.sa_empty",),
         ),
-        "brute-count": (["brute", "{inst}", "ef1", "--count"], _LEAN + _STDLIB, ()),
+        "brute-count": (["brute", "{inst}", "ef1", "--count"], _LEAN + _STDLIB + _PARSER, ()),
         "check": (
-            ["check", "{inst}", "{alloc}", "sa-ef1"], _LEAN + _STDLIB + ("fdsi.search",), ()
+            ["check", "{inst}", "{alloc}", "sa-ef1"],
+            _LEAN + _STDLIB + _PARSER + ("fdsi.search",),
+            (),
         ),
     }
 
@@ -925,6 +936,7 @@ class TestEntry:
         """What ``entry`` did, in order, with the process exit and the exit
         callbacks patched so that nothing leaves or ends the test run."""
         events = []
+        monkeypatch.setattr(sys, "stdout", sys.stdout)  # entry may wrap it
         monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
         monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
         monkeypatch.setattr(cli, "_watched", lambda: False)
@@ -964,11 +976,12 @@ class TestEntry:
             sys.setprofile(before)
 
     @staticmethod
-    def _spawn(args, env=None, stdout=subprocess.PIPE, stdin=b"", preexec_fn=None):
+    def _spawn(args, env=None, stdout=subprocess.PIPE, stdin=b"", preexec_fn=None,
+               stderr=subprocess.PIPE):
         env = dict(os.environ if env is None else env)
         env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
         return subprocess.run(
-            [sys.executable, *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+            [sys.executable, *args], input=stdin, stdout=stdout, stderr=stderr,
             env=env, timeout=60, preexec_fn=preexec_fn,
         )
 
@@ -1050,6 +1063,43 @@ class TestEntry:
         ]
         assert runs[0] == runs[1] == (2 if case == "invalid" else 0)
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_leaves_mid_answer_exits_2(self, tmp_path, buffered):
+        # `fdsi gen random ... | head -c 1`: the reader takes one byte of an
+        # answer that overflows the pipe and leaves while fdsi still writes;
+        # unbuffered, the text layer used to drop the short count and exit 0
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        err = tmp_path / "err.txt"
+        argv = ["gen", "random", "--agents", "2", "--items", "20000", "--v-max", "9",
+                "--s-max", "1", "--seed", "1"]
+        with open(err, "wb") as err_file, subprocess.Popen(
+            [sys.executable, "-m", "fdsi", *argv], stdout=subprocess.PIPE, stderr=err_file,
+            env=env,
+        ) as proc:
+            first = proc.stdout.read(1)
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        assert (first, code, err.read_bytes()) == (b"{", 2, b"error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("case", ["invalid", "budget"])
+    def test_an_unwritable_stderr_keeps_the_exit_code(self, tmp_path, inst, case):
+        # stderr open but read-only: the report fails, the exit code stands
+        code, argv = {
+            "invalid": (2, ["solve", str(tmp_path / "missing.json"), "ef1"]),
+            "budget": (3, ["solve", str(inst), "ef1", "--method", "exact", "--state-budget", "1"]),
+        }[case]
+        read_only = tmp_path / "stderr.txt"
+        read_only.write_bytes(b"")
+        plain = "import sys; from fdsi.cli import main; raise SystemExit(main(sys.argv[1:]))"
+        codes = []
+        for args in (["-m", "fdsi", *argv], ["-c", plain, *argv]):
+            with open(read_only, "rb") as stderr:
+                codes.append(self._spawn(args, stderr=stderr).returncode)
+        assert codes == [code, code]
+
     def test_main_never_freezes(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
@@ -1069,8 +1119,10 @@ def _subcommands(parser):
 
 
 class TestPerCommandParser:
-    """``main`` builds only the subparser that ``argv[0]`` names.  What a
-    call prints and returns must be exactly what the full parser gives."""
+    """``main`` reads a well-formed ``check``, ``solve`` or ``brute`` call
+    off ``cli._COMMANDS`` and otherwise builds only the subparser that
+    ``argv[0]`` names.  What a call prints and returns must be exactly what
+    the full parser gives."""
 
     # case: (exit code, argv)
     _ARGV = {
@@ -1098,6 +1150,12 @@ class TestPerCommandParser:
         "zero-budget": (2, ["solve", "{inst}", "ef1", "--state-budget", "0"]),
         # the top-level parser reports these, with its own usage line
         "unrecognized-flag": (2, ["check", "{inst}", "{alloc}", "ef1", "--no-such-flag"]),
+        # well-formed for argparse, but not read off the table
+        "abbreviated-flag": (0, ["solve", "{inst}", "sa-ef1", "--meth", "exact"]),
+        "flag-equals-value": (0, ["solve", "{inst}", "sa-ef1", "--state-budget=1000"]),
+        "repeated-flag": (0, ["solve", "{inst}", "sa-ef1", "--method", "brute", "--method", "exact"]),
+        "double-dash": (0, ["solve", "--", "{inst}", "sa-ef1"]),
+        "help-after-positionals": (0, ["solve", "{inst}", "sa-ef1", "-h"]),
     }
 
     @staticmethod
@@ -1119,6 +1177,7 @@ class TestPerCommandParser:
         argv = [a.format(inst=inst, alloc=alloc) for a in argv]
         lone = self._run(argv, capsys)
         full = build_parser
+        monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
         monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
         assert self._run(argv, capsys) == lone
         assert lone[0] == code and lone[1 if code == 0 else 2]
@@ -1129,3 +1188,90 @@ class TestPerCommandParser:
         every = ["check", "solve", "gen", "brute"]
         for argv in (None, [], ["--help"], ["-h"], ["bogus"]):
             assert _subcommands(build_parser(argv)) == every
+
+
+# tokens that no well-formed call holds, or that argparse reads otherwise;
+# "--s" and "--c" are ambiguous abbreviations in solve and brute
+_JUNK = ["-h", "--", "-", "-1", "--meth", "--s", "--c", "--sa=1", "--state-budget=5",
+         "0", " 7", "+3", "bogus", ""]
+# positionals and flag values, good and bad
+_VALUES = ["i.json", "ef1", "sa-ef1", "1/2", "exact", "5", "0", " 7", "+3", "-1", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """A ``check``, ``solve`` or ``brute`` argv: the command's positionals
+    (one more or one fewer at times) and some of its flags, each with a
+    value if it takes one, in any order, with up to two tokens inserted."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    arguments = cli._COMMANDS[name][2]
+    units = []
+    for flag, keywords in arguments:
+        if not flag.startswith("-"):
+            units.append([draw(st.sampled_from(_VALUES))])
+        elif draw(st.booleans()):
+            value = st.sampled_from([*keywords.get("choices", ()), *_VALUES])
+            units.append([flag] if "action" in keywords else [flag, draw(value)])
+    extra = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if extra > 0:
+        units.append([draw(st.sampled_from(_VALUES))])
+    elif extra < 0:
+        units.pop(0)
+    tokens = [token for unit in draw(st.permutations(units)) for token in unit]
+    flags = [flag for flag, _ in arguments if flag.startswith("-")]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from([*_JUNK, *_VALUES, *flags])))
+    return [name, *tokens]
+
+
+class TestReadArgv:
+    """``cli._read_argv`` reads a well-formed call without argparse, and
+    anything else is None, so that argparse reports it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_argvs())
+    def test_never_differs_from_argparse(self, argv):
+        read = cli._read_argv(argv)
+        if read is None:
+            return
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = build_parser(None).parse_args(argv)
+            except SystemExit:
+                parsed = None
+        assert parsed is not None, f"read an argv that argparse refuses: {argv}"
+        assert vars(read) == vars(parsed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "i.json", "a.json", "sa-ef1", "--require-sim"],
+            ["solve", "i.json", "ef1", "--alpha", "1/2"],
+            ["solve", "i.json", "--method", "exact", "sef1", "--state-budget", "1000"],
+            ["brute", "i.json", "any", "--count", "--no-require-sim", "--cap", "+3"],
+        ],
+    )
+    def test_reads_a_well_formed_call(self, argv):
+        assert vars(cli._read_argv(argv)) == vars(build_parser(None).parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["gen", "example", "bill-joe"],
+            ["solve", "-h"],
+            ["solve", "--", "i.json", "ef1"],
+            ["solve", "-", "ef1"],
+            ["solve", "i.json", "ef1", "--meth", "exact"],
+            ["solve", "i.json", "ef1", "--method=exact"],
+            ["solve", "i.json", "ef1", "--alpha", "-1"],
+            ["solve", "i.json", "ef1", "--state-budget", "0"],
+            ["solve", "i.json", "ef1", "--method", "bogus"],
+            ["solve", "i.json", "ef1", "--method"],
+            ["solve", "i.json"],
+            ["solve", "i.json", "ef1", "extra"],
+        ],
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
