@@ -37,7 +37,9 @@ the ordered pairs i != j once, each with what it reads: the fields of its
 sums, the pair's weights and the observer's items ranked by value, largest
 first, so the best removal from A_j is the first ranked item j holds.
 ``check`` packs the sums of one allocation; the brute-force oracle adds the
-packed sums of its items, so a candidate costs one integer add.
+packed sums of its items, and decides most candidates in bulk from the same
+sums and the per-base removal counts of ``REMOVALS``, calling the decider
+only on those its bit sets cannot settle.
 
 All comparisons are exact integer arithmetic (rational thresholds are
 applied by cross multiplication).
@@ -231,27 +233,29 @@ def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
 
 # -- per-notion formulas -------------------------------------------------------
 #
-# Base condition of an envious ordered pair (i, j): ``own = v_i(A_i)``,
-# ``other = v_i(A_j)``, the pair's weights and ``largest``, the value to i
-# of A_j's most valuable item, which the decider reads as the first item of
-# ``ranked`` that j holds.  ``ranked`` lists the items i values positively
-# as (item, value) pairs, largest value first and ties by index
+# An envious ordered pair (i, j) passes the removal test with k removals when
+# ``v_i(A_i) * w_j >= (v_i(A_j) - k * largest) * w_i``, with ``largest`` the
+# value to i of A_j's most valuable item, which the decider reads as the
+# first item of ``ranked`` that j holds.  ``ranked`` lists the items i values
+# positively as (item, value) pairs, largest value first and ties by index
 # (``_ranked``), and item g lies in A_j when ``owners[g] == j``.  Envy needs
-# a positive item, so A_j holds at least one ranked item.  A base whose
-# condition no envious pair meets (``ef``) has no formula: the decider fails
-# such a pair outright.
+# a positive item, so A_j holds at least one ranked item.  ``REMOVALS`` states
+# k per base: the test is the base itself for ``EXACT_REMOVAL`` (ef 0, ef1
+# and wef1 1, tef1 2: moving the item to A_i counts it twice), and for the
+# other bases k = 1 is a test every passing pair meets (efl and sef1 imply
+# ef1, swef1 implies wef1), which ``efl`` and the universal-item bases then
+# refine.  The brute-force oracle decides its candidates in bulk from the
+# same table.
+
+REMOVALS = {"ef": 0, "ef1": 1, "wef1": 1, "tef1": 2, "efl": 1, "sef1": 1, "swef1": 1}
+EXACT_REMOVAL = ("ef", "ef1", "wef1", "tef1")
 
 
 def _ranked(row: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(((g, v) for g, v in enumerate(row) if v > 0), key=lambda gv: -gv[1]))
 
 
-def _one_removal(own, other, wi, wj, largest, ranked, owners: Owners, j: int) -> bool:
-    # ef1 (unit weights) and wef1: v_i(A_i) / w_i >= (v_i(A_j) - max) / w_j
-    return own * wj >= (other - largest) * wi
-
-
-def _efl(own, other, wi, wj, largest, ranked, owners: Owners, j: int) -> bool:
+def _efl(own, other, ranked, owners: Owners, j: int) -> bool:
     # at most one positive item, or a removal that kills the envy and is not
     # itself worth more than A_i.  The first value v <= own of A_j decides:
     # no later one is larger, and if v is too small A_j holds a second
@@ -263,20 +267,6 @@ def _efl(own, other, wi, wj, largest, ranked, owners: Owners, j: int) -> bool:
                 return v >= other - own
             held += 1
     return held <= 1
-
-
-def _tef1(own, other, wi, wj, largest, ranked, owners: Owners, j: int) -> bool:
-    # moving the best item from A_j to A_i kills the envy
-    return own + 2 * largest >= other
-
-
-_ENVIOUS_PAIR_OK = {
-    "ef": None,
-    "ef1": _one_removal,
-    "wef1": _one_removal,
-    "efl": _efl,
-    "tef1": _tef1,
-}
 
 
 def _excuse(inst: Instance, notion: Notion, S) -> list[list]:
@@ -382,7 +372,7 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
             return first
 
         return sums, fails
-    ok = _ENVIOUS_PAIR_OK[notion.base]
+    k, efl = REMOVALS[notion.base], notion.base == "efl"
     rows = [
         (*V[i][i], wt[i], rankings[i],
          [(pair[i][j], j, *V[i][j], excuse[i][j], wt[j]) for j in rng if j != i])
@@ -396,11 +386,14 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
                 other = P >> s_oth & m_oth
                 if own * wj >= other * wi or ex and ex(P, own, other):  # not envious, or excused
                     continue
-                if ok is not None:
+                if efl:
+                    if _efl(own, other, ranked, owners, j):
+                        continue
+                elif k:  # ef has no removal
                     for g, largest in ranked:
                         if owners[g] == j:
                             break
-                    if ok(own, other, wi, wj, largest, ranked, owners, j):
+                    if own * wj >= (other - k * largest) * wi:
                         continue
                 return ij
         return None

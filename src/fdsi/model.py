@@ -338,9 +338,18 @@ def impact_maximizers(inst: Instance, g: int) -> frozenset[int]:
     return frozenset(i for i, s in enumerate(column) if s == top)
 
 
+# the instance last asked for and its maximizer sets: a solve, the certify
+# of its answer and the allocators ask for the same instance's sets
+_last_maximizers: list = [None, ()]
+
+
 def all_maximizers(inst: Instance) -> tuple[frozenset[int], ...]:
-    """Per-item maximizer sets, in item order."""
-    return tuple(impact_maximizers(inst, g) for g in range(inst.m))
+    """Per-item maximizer sets, in item order.  They are kept for the
+    instance last asked for (by identity: an ``Instance`` is immutable), so
+    asking again for the same instance computes nothing."""
+    if _last_maximizers[0] is not inst:
+        _last_maximizers[:] = inst, tuple(impact_maximizers(inst, g) for g in range(inst.m))
+    return _last_maximizers[1]
 
 
 def normalize_impacts(inst: Instance) -> Instance:

@@ -35,16 +35,23 @@ unflagged pair passes the base's closed-form test on (x, y).
 
 The brute-force oracle is independent of that encoding.  It scans candidate
 owner tuples in ``itertools.product`` order (per item, the impact maximizers
-ascending, or every agent without the impact restriction) and decides each
-from one int, the bundle sums that ``fairness.decider`` reads packed as
-``fairness.Sums`` lays them out (its own layout, which shares nothing with
-``_Layout``).  Those sums are additive over items, so the scan splits the
-items into a head and a tail, lists every tail once with its sums, and
-gives each candidate ``head + tail`` the sum of the two: one integer add
-before the same decider that ``check`` uses.  It builds an
-:class:`Allocation` only for the answer it returns.  ``brute_force_solve``
-and ``brute_force_count`` share that one scan, and the candidate cap bounds
-the candidate set on every path, ``notion=None`` included.
+ascending, or every agent without the impact restriction), from the bundle
+sums that ``fairness.decider`` reads packed into one int as ``fairness.Sums``
+lays them out (its own layout, which shares nothing with ``_Layout``).
+Those sums are additive over items, so the scan splits the items into a
+head and a tail (a meet in the middle, as in Horowitz and Sahni's sorted
+halves) and decides all the tails of one head at once, as a bit set
+(``masks``, which only a scan imports): per ordered pair, each test of the
+notion that is linear in the sums (envy, the removal test with
+``fairness.REMOVALS`` removals, an ``sa``/``alpha`` excuse, the
+``sa-empty`` impact test) sets a threshold on a key sorted once per tail,
+and one bisect gives the tails that meet it.  The tails the bit sets cannot
+settle (``efl``, and ``sef1`` and ``swef1`` past two agents, with an envious
+pair; ``wsa``'s bilinear excuse) go one by one through the same decider
+that ``check`` uses.  It builds an :class:`Allocation` only for the answer
+it returns.  ``brute_force_solve`` and ``brute_force_count`` share that one
+scan, and the candidate cap bounds the candidate set on every path,
+``notion=None`` included.
 
 The walk keeps one set of created states per layer and never enters a state
 twice, and it tries successors in a fixed order, so the allocation it returns
@@ -59,7 +66,6 @@ from __future__ import annotations
 import math
 import os
 from itertools import product
-from operator import getitem
 
 from . import fairness
 from .fairness import BASES, SA_EMPTY, WEIGHTED_BASES, Notion
@@ -366,33 +372,27 @@ def _capped_columns(inst: Instance, require_sim: bool, cap: int | None):
 
 
 def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int | None):
-    """Yield the owner tuple of every candidate passing the notion, in
-    ``itertools.product`` order over the candidate columns.
+    """The candidates passing the notion, as (tails, passing): ``passing``
+    yields, per head in ``itertools.product`` order over the candidate
+    columns, (head, the bit set of the tails t with which ``head +
+    tails[t]`` passes).  Bit t is candidate ``head + tails[t]`` of the
+    product order, so the lowest bit of the first non-empty set is the
+    first passing candidate.
 
     The items split into a head and a tail: the tail is the longest suffix
     of columns whose candidate count is at most the square root of the
-    whole count.  Every tail is listed once with its packed bundle sums
-    (``fairness.Sums``); each head in turn gets its own sums, and a
-    candidate, ``head + tail``, costs one integer add before the same
-    ``fairness.decider`` as ``check`` decides it.
+    whole count.  ``masks.head_sets`` decides each head's tails.
     """
+    from .masks import head_sets  # compiled only by the calls that scan
+
     if notion.base != SA_EMPTY:
         require_goods(inst)
     columns, count = _capped_columns(inst, require_sim, cap)
-    sums, fails = fairness.decider(inst, notion)
-    adds = [{c: sums.add(g, c) for c in col} for g, col in enumerate(columns)]
     k, size, root = len(columns), 1, math.isqrt(count)
     while k and size * len(columns[k - 1]) <= root:
         k -= 1
         size *= len(columns[k])
-    head_adds, tail_adds = adds[:k], adds[k:]
-    tails = [(tail, sum(map(getitem, tail_adds, tail))) for tail in product(*columns[k:])]
-    for head in product(*columns[:k]):
-        head_sums = sum(map(getitem, head_adds, head))
-        for tail, tail_sums in tails:
-            owners = head + tail
-            if fails(head_sums + tail_sums, owners) is None:
-                yield owners
+    return head_sets(inst, notion, columns, k)
 
 
 def brute_force_solve(
@@ -414,9 +414,13 @@ def brute_force_solve(
     """
     if notion is None:
         owners = [col[0] for col in _capped_columns(inst, require_sim, cap)[0]]
-    else:
-        owners = next(_scan(inst, notion, require_sim, cap), None)
-    return None if owners is None else Allocation.from_assignment(inst.n, owners)
+        return Allocation.from_assignment(inst.n, owners)
+    tails, passing = _scan(inst, notion, require_sim, cap)
+    for head, passed in passing:
+        if passed:
+            owners = head + tails[(passed & -passed).bit_length() - 1]
+            return Allocation.from_assignment(inst.n, owners)
+    return None
 
 
 def brute_force_count(
@@ -432,4 +436,4 @@ def brute_force_count(
     count exceeds ``cap`` (None: ``DEFAULT_BRUTE_CAP``)."""
     if notion is None:
         return _capped_columns(inst, require_sim, cap)[1]
-    return sum(1 for _ in _scan(inst, notion, require_sim, cap))
+    return sum(passed.bit_count() for _, passed in _scan(inst, notion, require_sim, cap)[1])

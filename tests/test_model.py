@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdsi import model
 from fdsi.fairness import Notion, Sums, Verdict, Witness, check, is_sim
 from fdsi.generators import CannedExample, RX3CInput, canned, gen_random
 from fdsi.model import (
@@ -15,6 +16,7 @@ from fdsi.model import (
     IncompleteAllocationError,
     Instance,
     ValidationError,
+    all_maximizers,
     impact_maximizers,
     is_goods,
     make_instance,
@@ -98,6 +100,20 @@ class TestMaximizers:
         gadget = gen_partition_ef1((1, 1))
         assert impact_maximizers(gadget, 0) == frozenset({0})
         assert impact_maximizers(gadget, 1) == frozenset({1})
+
+    def test_all_maximizers_once_per_instance(self, monkeypatch):
+        # asked for again, an instance's sets are not computed again; an
+        # equal instance built apart, or a replaced one, gets its own
+        calls = []
+        real = model.impact_maximizers
+        monkeypatch.setattr(model, "impact_maximizers", lambda inst, g: calls.append(g) or real(inst, g))
+        inst = make_instance(((1, 2), (3, 4)), ((5, 1), (5, 2)))
+        first = all_maximizers(inst)
+        assert first == (frozenset({0, 1}), frozenset({1}))
+        assert all_maximizers(inst) is first and calls == [0, 1]
+        assert all_maximizers(inst.replace(impacts=((1, 2), (5, 2)))) == (frozenset({1}), frozenset({0, 1}))
+        assert all_maximizers(make_instance(((1, 2), (3, 4)), ((5, 1), (5, 2)))) == first
+        assert all_maximizers(inst) == first and len(calls) == 8
 
 
 class TestNormalization:

@@ -942,3 +942,44 @@ class TestScanSplit:
         for inst in random_instances(3, 10 * n + m, n, n, m, m, 4, 2, 3):
             for notion in self.NOTIONS:
                 _assert_oracle_is_naive(inst, notion, require_sim=False)
+
+
+# every awareness mode the oracle decides: plain, sa, alpha 0, 1/2 and 1, wsa
+_WIDE_MODES = ((None, None), ("sa", None), ("alpha", Fraction(0)), ("alpha", Fraction(1, 2)),
+               ("alpha", Fraction(1)), ("wsa", None))
+_WIDE_NOTIONS = [Notion(base, *mode) for base in BASES for mode in _WIDE_MODES] + [Notion("sa-empty")]
+
+
+class TestWideOracle:
+    """The bit-set scan against the naive product-order scan on shapes wider
+    than the drawn ensembles, with mixed ``aware`` flags and weights, with
+    and without the impact restriction, and on the edge cases of the split."""
+
+    @pytest.mark.parametrize("shape, n, m", ((0, 4, 6), (1, 2, 12), (2, 5, 5)))
+    def test_count_and_first_answer(self, shape, n, m):
+        # notion k of _WIDE_NOTIONS goes to shape (k + k // 6) % 3, so each
+        # shape sees every awareness mode and the three see every notion;
+        # impacts 0/1 tie often, so the impact restriction leaves a scan
+        rng = random.Random(n * m)
+        mine = [notion for k, notion in enumerate(_WIDE_NOTIONS) if (k + k // 6) % 3 == shape]
+        for k, notion in enumerate(mine):
+            inst = gen_random(n, m, 3, 1, 3, rng.randrange(1000))
+            inst = inst.replace(aware=[rng.random() < 0.6 for _ in range(n)])
+            _assert_oracle_is_naive(inst, notion, require_sim=k % 4 < 2)
+
+    @pytest.mark.parametrize("edge", ("no items", "one tail", "zero rows"))
+    def test_edge_cases(self, edge):
+        for seed in range(2):
+            if edge == "no items":
+                inst = gen_random(3, 0, 3, 1, 3, seed)
+            elif edge == "one tail":
+                # the last column (3 owners) is wider than isqrt(6): every
+                # head meets the one empty tail
+                inst = _columns_instance([(0, 1), (0, 1, 2)], 3, seed)
+            else:
+                inst = gen_random(3, 5, 3, 1, 3, seed)
+                inst = inst.replace(valuations=[(0,) * 5, inst.valuations[1], (0,) * 5])
+            inst = inst.replace(aware=(True, False, True))
+            for notion in _WIDE_NOTIONS:
+                for require_sim in (True, False):
+                    _assert_oracle_is_naive(inst, notion, require_sim)
