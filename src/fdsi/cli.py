@@ -21,7 +21,7 @@ import sys
 from types import SimpleNamespace
 
 from . import serialize
-from .fairness import BASES, SA_EMPTY, WEIGHTED_BASES, Notion, Verdict, certify, is_sim
+from .fairness import BASES, SA_EMPTY, Notion, Verdict, certify, is_sim
 from .fairness import check as check_notion
 from .model import (
     Allocation,
@@ -90,7 +90,7 @@ def _cmd_check(args) -> int:
 def _solve_with(method, inst: Instance, notion: Notion, args) -> Allocation | None:
     """The one call of each solver, for ``--method`` and ``auto`` alike; each
     is read off its module, imported here, at call time.  Picking weighs the
-    agents by the instance weights under a weighted base, else equally."""
+    agents by the notion's weights (``Notion.weights``)."""
     if method in ("exact", "brute"):
         from . import search
 
@@ -105,8 +105,7 @@ def _solve_with(method, inst: Instance, notion: Notion, args) -> Allocation | No
 
     if method == "efl":
         return allocators.sa_efl_allocate(inst)
-    weights = None if notion.base in WEIGHTED_BASES else (1,) * inst.n
-    return allocators.sa_weighted_picking(inst, weights=weights)
+    return allocators.sa_weighted_picking(inst, weights=notion.weights(inst))
 
 
 def _certified(method, inst: Instance, notion: Notion, args) -> Allocation | None:
@@ -252,8 +251,6 @@ _COMMANDS = {
         ],
     ),
 }
-# every subcommand, in the order the help lists them
-_SUBCOMMANDS = ("check", "solve", "gen", "brute")
 
 
 def _read_argv(argv):
@@ -306,37 +303,28 @@ def _read_argv(argv):
     return SimpleNamespace(command=argv[0], func=func, **values)
 
 
-def _add_command(sub, name: str) -> None:
-    if name == "gen":
-        from . import generators  # only gen and the full parser need its table
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, ``gen``'s from
+    ``generators._GENERATORS``, for the calls that ``_read_argv`` cannot
+    read: help, usage errors, abbreviations, ``--flag=value`` and ``gen``."""
+    import argparse
 
-        generators.add_gen_parser(sub, _cmd_gen)
-        return
-    help_line, func, arguments = _COMMANDS[name]
-    p = sub.add_parser(name, help=help_line)
-    for flag, keywords in arguments:
-        p.add_argument(flag, **keywords)
-    p.set_defaults(func=func)
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only the subcommand that ``argv[0]`` names,
-    so that a call pays for one subparser, else all of them (no argv,
-    ``--help``, an unknown command), whose help texts and usage errors are
-    then the full parser's."""
-    import argparse  # only a call that ``_read_argv`` cannot read loads it
+    from . import generators
 
     parser = argparse.ArgumentParser(
         prog="fdsi",
         description="Fair division with social impact: checkers, solvers, gadgets.",
     )
-    name = argv[0] if argv else None
-    lone = name in _SUBCOMMANDS
-    # with one built, an "unrecognized arguments" usage line still names all
-    every = "{" + ",".join(_SUBCOMMANDS) + "}" if lone else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for each in [name] if lone else _SUBCOMMANDS:
-        _add_command(sub, each)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("check", "solve", "gen", "brute"):
+        if name == "gen":
+            generators.add_gen_parser(sub, _cmd_gen)
+            continue
+        help_line, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -355,7 +343,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

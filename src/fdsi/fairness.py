@@ -24,8 +24,11 @@ ordered pair (i, j) with i != j, A_j is empty or s_i(A_j) < s_j(A_j).
 
 Every notion is stated once, over bundle sums: ``V[i][j] = v_i(A_j)`` and
 ``S[i][j] = s_i(A_j)``.  An ordered pair (i, j) is *envious* when
-``V[i][i] * w_j < V[i][j] * w_i`` (unit weights except for ``wef1`` and
-``swef1``); a pair that is not envious passes every base.  Envious pairs are
+``V[i][i] * w_j < V[i][j] * w_i``; a pair that is not envious passes every
+base.  Per pair, the notions differ only in the weights (``Notion.weights``),
+the removals (``REMOVALS``) and the observers an awareness mode may excuse,
+and at what ratio (``Notion.excusable``, ``Notion.ratio``); the checker, the
+oracle's bit sets and the exact walk all read them from here.  Envious pairs are
 decided from V, S and, only then, the values in i's eyes of the items of
 A_j: the largest removal, the positive values for ``efl``, or the per-item
 test of the universal-item bases.  ``decider`` compiles a notion once per
@@ -37,9 +40,8 @@ the ordered pairs i != j once, each with what it reads: the fields of its
 sums, the pair's weights and the observer's items ranked by value, largest
 first, so the best removal from A_j is the first ranked item j holds.
 ``check`` packs the sums of one allocation; the brute-force oracle adds the
-packed sums of its items, and decides most candidates in bulk from the same
-sums and the per-base removal counts of ``REMOVALS``, calling the decider
-only on those its bit sets cannot settle.
+packed sums of its items, decides most candidates in bulk from the same
+sums, and calls the decider only on those its bit sets cannot settle.
 
 All comparisons are exact integer arithmetic (rational thresholds are
 applied by cross multiplication).
@@ -78,7 +80,10 @@ class Notion(Frozen):
     ``alpha`` must be given exactly when ``awareness == "alpha"`` and must lie
     in [0, 1].  It is stored as a ``Fraction`` and given as anything
     :func:`~fdsi.model.exact_rational` accepts, so not as a ``float``.  The
-    standalone notion ``sa-empty`` takes no awareness mode.
+    standalone notion ``sa-empty`` takes no awareness mode.  What a notion
+    reads of an instance is stated here, for every layer and for picking:
+    its :meth:`weights`, the :meth:`excusable` observers and the excuse
+    :meth:`ratio`.
     """
 
     __slots__ = ("base", "awareness", "alpha")
@@ -103,12 +108,26 @@ class Notion(Frozen):
         _set(self, "awareness", awareness)
         _set(self, "alpha", alpha)
 
+    def weights(self, inst: Instance) -> tuple[int, ...]:
+        """The instance's weights under ``wef1``/``swef1``, ones otherwise."""
+        return inst.weights if self.base in WEIGHTED_BASES else (1,) * inst.n
+
+    def excusable(self, inst: Instance) -> tuple[bool, ...]:
+        """The ``aware`` flags under an awareness mode, none otherwise."""
+        return inst.aware if self.awareness else (False,) * inst.n
+
+    def ratio(self) -> tuple[int, int]:
+        """(p, q) of the impact excuse q * s_i(A_j) < p * s_j(A_j): alpha,
+        and 1/1 otherwise (``sa``, and ``sa-empty``'s impact test)."""
+        alpha = 1 if self.alpha is None else self.alpha
+        return alpha.numerator, alpha.denominator
+
     def label(self) -> str:
         if self.base == SA_EMPTY or self.awareness is None:
             return self.base
         if self.awareness == "alpha":
-            a = self.alpha
-            return f"{a.numerator}/{a.denominator}-sa-{self.base}"
+            p, q = self.ratio()
+            return f"{p}/{q}-sa-{self.base}"
         return f"{self.awareness}-{self.base}"
 
 
@@ -193,7 +212,7 @@ class Sums:
 
     def __init__(self, inst: Instance, notion: Notion) -> None:
         sa_empty = notion.base == SA_EMPTY
-        read_s = sa_empty or notion.awareness is not None and any(inst.aware)
+        read_s = sa_empty or any(notion.excusable(inst))
         n, shift = inst.n, 0
         # the per-item rows summed: values and impacts per observer, then ones
         self._rows, self._fields = inst.valuations + inst.impacts + ((1,) * inst.m,), []
@@ -244,8 +263,8 @@ def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
 # and wef1 1, tef1 2: moving the item to A_i counts it twice), and for the
 # other bases k = 1 is a test every passing pair meets (efl and sef1 imply
 # ef1, swef1 implies wef1), which ``efl`` and the universal-item bases then
-# refine.  The brute-force oracle decides its candidates in bulk from the
-# same table.
+# refine.  The brute-force oracle's bit sets and the exact walk's leaf read
+# the same table.
 
 REMOVALS = {"ef": 0, "ef1": 1, "wef1": 1, "tef1": 2, "efl": 1, "sef1": 1, "swef1": 1}
 EXACT_REMOVAL = ("ef", "ef1", "wef1", "tef1")
@@ -274,8 +293,7 @@ def _excuse(inst: Instance, notion: Notion, S) -> list[list]:
     mode, with ``own = v_i(A_i)``, ``other = v_i(A_j)`` and the impact sums
     read from the packed sums P through the fields ``S``; None when i can
     never be excused toward j."""
-    alpha = 1 if notion.alpha is None else notion.alpha
-    p, q = alpha.numerator, alpha.denominator
+    p, q = notion.ratio()
 
     def excused(i: int, j: int):
         (s_ij, m_ij), (s_jj, m_jj) = S[i][j], S[j][j]
@@ -286,8 +304,8 @@ def _excuse(inst: Instance, notion: Notion, S) -> list[list]:
         return lambda P, own, other: (P >> s_ij & m_ij) * q < p * (P >> s_jj & m_jj)
 
     rng = range(inst.n)
-    aware = inst.aware if notion.awareness else (False,) * inst.n
-    return [[excused(i, j) if aware[i] else None for j in rng] for i in rng]
+    excusable = notion.excusable(inst)
+    return [[excused(i, j) if excusable[i] else None for j in rng] for i in rng]
 
 
 def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
@@ -319,7 +337,7 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
 
         return sums, fails
     excuse = _excuse(inst, notion, S)
-    wt = inst.weights if notion.base in WEIGHTED_BASES else (1,) * inst.n
+    wt = notion.weights(inst)
     rankings = [_ranked(row) for row in inst.valuations]
     if notion.base in TARGET_BASES:
         # per target j: j, w_j and its observers i != j ascending, each with

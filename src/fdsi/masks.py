@@ -21,7 +21,6 @@ from .fairness import (
     REMOVALS,
     SA_EMPTY,
     TARGET_BASES,
-    WEIGHTED_BASES,
     Notion,
     Sums,
     decider,
@@ -71,14 +70,16 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, k: int, tails, packe
     is not the base (``efl``, and ``sef1``/``swef1`` past two agents) only
     an envy-free or excused pair surely passes, and under ``wsa``, whose
     excuse is bilinear, an aware observer's pair may pass with every tail.
+    The weights, the observers that may be excused and the excuse ratio are
+    the notion's own (``Notion.weights``, ``excusable``, ``ratio``); under
+    ``sa-empty`` every observer's impact test is an excuse at ratio 1/1.
     """
     base = notion.base
     sa_empty, every = base == SA_EMPTY, (1 << len(tails)) - 1
     exact = sa_empty or base in EXACT_REMOVAL or base in TARGET_BASES and inst.n == 2
-    wt = inst.weights if base in WEIGHTED_BASES else (1,) * inst.n
-    aware = (True,) * inst.n if sa_empty else inst.aware if notion.awareness else (False,) * inst.n
-    alpha = 1 if notion.alpha is None else notion.alpha
-    p, q = alpha.numerator, alpha.denominator
+    wt = notion.weights(inst)
+    excusable = (True,) * inst.n if sa_empty else notion.excusable(inst)
+    p, q = notion.ratio()
 
     def field(shift_mask):
         shift, mask = shift_mask
@@ -88,7 +89,7 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, k: int, tails, packe
         (s_own, m_own), (s_oth, m_oth) = sums.V[i][i], sums.V[i][j]
         (s_ij, m_ij), (s_jj, m_jj) = sums.S[i][j], sums.S[j][j]
         wi, wj, row = wt[i], wt[j], inst.valuations[i]
-        excuse = aware[i] and notion.awareness != "wsa" and _at_least(
+        excuse = excusable[i] and notion.awareness != "wsa" and _at_least(
             [p * b - q * a for a, b in zip(field(sums.S[i][j]), field(sums.S[j][j]))]
         )
         if sa_empty:
@@ -104,7 +105,7 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, k: int, tails, packe
         d = [a * wj - b * wi for a, b in zip(field(sums.V[i][i]), field(sums.V[i][j]))]
         envy_free = _at_least(d)
         removal = kw and _at_least([x + kw * _largest(row, t, j, k) for x, t in zip(d, tails)])
-        bilinear = notion.awareness == "wsa" and aware[i]
+        bilinear = notion.awareness == "wsa" and excusable[i]
 
         def test(P: int, head: tuple):
             e = (P >> s_oth & m_oth) * wi - (P >> s_own & m_own) * wj

@@ -9,9 +9,9 @@ and a state records for every ordered agent pair (a, b):
   (a tracked removal value, or for ``efl`` the set of values, see below);
 * a flag when a is an aware observer, set once b received an item with
   strictly higher impact for b than for a (which on impact-maximizing
-  allocations is exactly when the ``sa`` override fires).  Awareness is read
-  from the instance's ``aware`` flags under an ``sa`` notion only, so mixed
-  awareness is an instance with some flags off.
+  allocations is exactly when the ``sa`` override fires).  The observers
+  that carry flags are ``Notion.excusable``: the instance's ``aware`` flags
+  under ``sa``, so mixed awareness is an instance with some flags off.
 
 A state is one ``int``.  ``_Layout`` states where each pair's fields lie:
 fixed bit offsets, each field as wide as the largest entry it can hold on the
@@ -21,17 +21,20 @@ an item to an agent is an integer add and an OR, then a per-observer maximum
 over one column of ``y``, or a second successor with that column replaced.
 
 Assigning an item only ever goes to one of its impact maximizers, so every
-path encodes an impact-maximizing allocation.  How ``y`` moves, and what a
-leaf (layer m) tests per pair, is one entry per base of ``_ENCODING``: the
-one-removal family keeps a running maximum, and the universal-item family
-branches on whether the new item becomes the single tracked removal for the
-whole bundle.  The one-less-preferred notion keeps, per pair, the set of
-distinct positive values, in a's eyes, of the items in b's bundle, one bit per
-distinct positive value in a's row, so its width does not grow with how
-large the values are; assigning an item sets one bit per observer and never
-branches.  The set loses nothing the sink test reads (a zero value could only
-pass a pair without envy, which passes anyway).  A leaf accepts when every
-unflagged pair passes the base's closed-form test on (x, y).
+path encodes an impact-maximizing allocation.  How ``y`` moves is one entry
+per base of ``_ENCODING``: the one-removal family keeps a running maximum,
+and the universal-item family branches on whether the new item becomes the
+single tracked removal for the whole bundle.  The one-less-preferred notion
+keeps, per pair, the set of distinct positive values, in a's eyes, of the
+items in b's bundle, one bit per distinct positive value in a's row, so its
+width does not grow with how large the values are; assigning an item sets
+one bit per observer and never branches.  The set loses nothing the sink
+test reads (a zero value could only pass a pair without envy, which passes
+anyway).  A leaf (layer m) accepts when every unflagged pair passes one
+removal test, ``x_aa * w_b >= (x_ab - k * y_ab) * w_a``, with the notion's
+weights (``Notion.weights``) and k = ``fairness.REMOVALS`` of the base (ef
+0, where y is absent and reads 0; tef1 2); only ``efl`` tests its value set
+instead.
 
 The brute-force oracle is independent of that encoding.  It scans candidate
 owner tuples in ``itertools.product`` order (per item, the impact maximizers
@@ -68,7 +71,7 @@ import os
 from itertools import product
 
 from . import fairness
-from .fairness import BASES, SA_EMPTY, WEIGHTED_BASES, Notion
+from .fairness import BASES, REMOVALS, SA_EMPTY, Notion
 from .model import (
     Allocation,
     BudgetExceededError,
@@ -108,40 +111,18 @@ def default_state_budget() -> int:
 # How column c of ``y`` moves when c receives an item: not at all (no ``y``),
 # "bits" (each observer's value joins its set), "max" (a running maximum per
 # observer) or "set" (keep ``y``, or make the item every observer's removal).
-# A leaf test decides one ordered pair (a, b) from ``x_aa``, ``x_ab``, the
-# raw ``y_ab`` field, the pair's weights and a's distinct positive values
-# ascending (which a "bits" field indexes).
+# A leaf decides every pair by the removal test with ``fairness.REMOVALS``
+# removals of ``y_ab``, but for ``efl``, which reads the set of values.
+
+_ENCODING = {"ef": None, "ef1": "max", "wef1": "max", "tef1": "max",
+             "sef1": "set", "swef1": "set", "efl": "bits"}
 
 
-def _no_envy(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
-    return xaa >= xab
-
-
-def _weighted_removal(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
-    return xaa * wb >= (xab - yab) * wa
-
-
-def _transfer(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
-    return xaa + yab >= xab - yab
-
-
-def _less_preferred(xaa: int, xab: int, yab: int, wa: int, wb: int, values: list[int]) -> bool:
+def _less_preferred(xaa: int, xab: int, yab: int, values: list[int]) -> bool:
     # no envy, one item carries all of b's bundle value for a (at most one
     # positive item), or some value v in the set with x_ab - x_aa <= v <= x_aa
     held = [v for i, v in enumerate(values) if yab >> i & 1]
     return xaa >= xab or xab in held or any(xab - xaa <= v <= xaa for v in held)
-
-
-# base -> (how y moves, leaf test)
-_ENCODING = {
-    "ef": (None, _no_envy),
-    "ef1": ("max", _weighted_removal),
-    "wef1": ("max", _weighted_removal),
-    "tef1": ("max", _transfer),
-    "sef1": ("set", _weighted_removal),
-    "swef1": ("set", _weighted_removal),
-    "efl": ("bits", _less_preferred),
-}
 
 
 class _Layout:
@@ -152,18 +133,21 @@ class _Layout:
     ``x[p]``, ``y[p]`` and ``flag[p]``: ``x_ab``, as wide as a's row sum;
     ``y_ab``, as wide as a's largest value, or for "bits" one bit per distinct
     positive value in a's row (bit i for ``values[a][i]``, the i-th smallest);
-    and a 1-bit flag when a is an aware observer of b != a.  A field of width
-    0 (mask 0) is absent: no ``y`` under ``ef``, no flag outside ``sa``, so
-    the root is 0 for every base.  The diagonal ``y_aa`` is never read, but it
-    is kept, so the walk creates the same states whatever the encoding.
+    and a 1-bit flag when a is an excusable observer of b != a.  A field of
+    width 0 (mask 0) is absent: no ``y`` under ``ef``, no flag outside
+    ``sa``, so the root is 0 for every base.  The diagonal ``y_aa`` is never
+    read, but it is kept, so the walk creates the same states whatever the
+    encoding.
 
-    ``moves[g]`` lists, per impact maximizer c of item g ascending, what
-    giving g to c does, as one tuple for every base: (c, the int that adds
-    the item's values to column c of x, the OR mask of the flags and value
-    bits it sets, the raises, the reset).  The raises are, for "max", the
-    (mask, value) of each ``y_ac`` field that the item's positive value for
-    a may raise, and empty otherwise; the reset is, for "set", the mask of
-    column c of y and the item's values placed in it, and None otherwise.
+    ``moves[g]`` lists, per impact maximizer c of item g in the order of
+    ``candidate_columns``, what giving g to c does, as one tuple for every
+    base: (c, the int that adds the item's values to column c of x, the OR
+    mask of the flags and value bits it sets, the raises, the reset).  The
+    raises are, for "max", the (mask, value) of each ``y_ac`` field that the
+    item's positive value for a may raise, and empty otherwise; the reset
+    is, for "set", the mask of column c of y and the item's values placed in
+    it, and None otherwise.  What a leaf tests per pair is ``k``, the
+    base's ``fairness.REMOVALS``, or for ``efl`` its value set.
     """
 
     def __init__(self, inst: Instance, notion: Notion):
@@ -180,9 +164,8 @@ class _Layout:
             )
         n = self.n = inst.n
         rows = inst.valuations
-        self.ymove, self.test = _ENCODING[notion.base]
-        w = inst.weights if notion.base in WEIGHTED_BASES else (1,) * n
-        aware = inst.aware if notion.awareness == "sa" else (False,) * n
+        self.ymove, self.k = _ENCODING[notion.base], REMOVALS[notion.base]
+        w, excusable = notion.weights(inst), notion.excusable(inst)
         self.values = [sorted(set(row) - {0}) for row in rows]
         self.x, self.y, self.flag = [], [], []
         shift = 0
@@ -197,23 +180,24 @@ class _Layout:
                 for fields, width in (
                     (self.x, sum(row).bit_length()),
                     (self.y, y_width),
-                    (self.flag, int(aware[a] and a != b)),
+                    (self.flag, int(excusable[a] and a != b)),
                 ):
                     fields.append((shift, (1 << width) - 1))
                     shift += width
         self.moves = [
-            [self._move(inst, g, c) for c in sorted(maxset)]
-            for g, maxset in enumerate(all_maximizers(inst))
+            [self._move(inst, g, c) for c in column]
+            for g, column in enumerate(candidate_columns(inst))
         ]
         # the leaf's pairs off the diagonal: the flag bit, the fields of
-        # x_aa, x_ab and y_ab, the pair's weights and a's values
+        # x_aa, x_ab and y_ab, the pair's weights and, under "bits", a's values
         self.pairs = []
         for a, b in product(range(n), repeat=2):
             if a != b:
                 p = a * n + b
                 shift, mask = self.flag[p]
+                values = self.values[a] if self.ymove == "bits" else None
                 self.pairs.append(
-                    (mask << shift, self.x[a * n + a], self.x[p], self.y[p], w[a], w[b], self.values[a])
+                    (mask << shift, self.x[a * n + a], self.x[p], self.y[p], w[a], w[b], values)
                 )
 
     def _move(self, inst: Instance, g: int, c: int) -> tuple:
@@ -258,15 +242,20 @@ class _Layout:
         """Sink condition: does the final key satisfy the base for every
         ordered pair?
 
-        A flagged pair passes (only aware observers carry a flag); every
-        other pair must pass the base's leaf test, with the instance weights
-        for ``wef1``/``swef1`` and ones otherwise.
+        A flagged pair passes (only excusable observers carry a flag); every
+        other pair must pass the removal test ``x_aa * w_b >= (x_ab - k *
+        y_ab) * w_a`` with the notion's weights and k removals, or under
+        ``efl`` the test of the value set.
         """
-        test = self.test
+        k = self.k
         for flag, (s_aa, m_aa), (s_ab, m_ab), (s_y, m_y), wa, wb, values in self.pairs:
             if key & flag:
                 continue
-            if not test(key >> s_aa & m_aa, key >> s_ab & m_ab, key >> s_y & m_y, wa, wb, values):
+            xaa, xab, yab = key >> s_aa & m_aa, key >> s_ab & m_ab, key >> s_y & m_y
+            if values is None:
+                if xaa * wb < (xab - k * yab) * wa:
+                    return False
+            elif not _less_preferred(xaa, xab, yab, values):
                 return False
         return True
 

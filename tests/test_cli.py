@@ -1,4 +1,3 @@
-import argparse
 import atexit
 import contextlib
 import gc
@@ -594,8 +593,9 @@ class TestCommands:
         "generators": "import sys, fdsi.generators\n"
         "print([m for m in ('fdsi.cli', 'fdsi.search', 'fdsi.serialize') if m in sys.modules])",
     }
-    # no solve, check or brute call loads the generators (the gen command
-    # lives there), and only an sa-empty call loads the sa-empty solver
+    # no well-formed solve, check or brute call loads the generators (the
+    # gen command lives there, and argparse's parser builds it), and only
+    # an sa-empty call loads the sa-empty solver
     _NOT_GEN = ("fdsi.generators", "fdsi.sa_empty")
     # the exact, brute and check routes also leave the polynomial allocators
     # unloaded; check and gen also leave the search unloaded
@@ -1113,16 +1113,10 @@ class TestEntry:
         assert calls == []
 
 
-def _subcommands(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
-
-
 class TestPerCommandParser:
     """``main`` reads a well-formed ``check``, ``solve`` or ``brute`` call
-    off ``cli._COMMANDS`` and otherwise builds only the subparser that
-    ``argv[0]`` names.  What a call prints and returns must be exactly what
-    the full parser gives."""
+    off ``cli._COMMANDS`` and hands any other argv to argparse.  What a call
+    prints and returns must be exactly what argparse alone gives."""
 
     # case: (exit code, argv)
     _ARGV = {
@@ -1175,19 +1169,10 @@ class TestPerCommandParser:
         alloc.write_text(json.dumps(allocation_to_obj(ex.instance, ex.allocation)))
         code, argv = self._ARGV[case]
         argv = [a.format(inst=inst, alloc=alloc) for a in argv]
-        lone = self._run(argv, capsys)
-        full = build_parser
+        read = self._run(argv, capsys)
         monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
-        monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
-        assert self._run(argv, capsys) == lone
-        assert lone[0] == code and lone[1 if code == 0 else 2]
-
-    def test_builds_only_the_named_subcommand(self):
-        assert _subcommands(build_parser(["solve", "i.json", "ef1"])) == ["solve"]
-        assert _subcommands(build_parser(["gen", "random"])) == ["gen"]
-        every = ["check", "solve", "gen", "brute"]
-        for argv in (None, [], ["--help"], ["-h"], ["bogus"]):
-            assert _subcommands(build_parser(argv)) == every
+        assert self._run(argv, capsys) == read
+        assert read[0] == code and read[1 if code == 0 else 2]
 
 
 # tokens that no well-formed call holds, or that argparse reads otherwise;
@@ -1237,7 +1222,7 @@ class TestReadArgv:
             return
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                parsed = build_parser(None).parse_args(argv)
+                parsed = build_parser().parse_args(argv)
             except SystemExit:
                 parsed = None
         assert parsed is not None, f"read an argv that argparse refuses: {argv}"
@@ -1253,7 +1238,7 @@ class TestReadArgv:
         ],
     )
     def test_reads_a_well_formed_call(self, argv):
-        assert vars(cli._read_argv(argv)) == vars(build_parser(None).parse_args(argv))
+        assert vars(cli._read_argv(argv)) == vars(build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",

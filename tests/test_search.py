@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fdsi import fairness, sa_empty, search
 from fdsi.fairness import BASES, TARGET_BASES, Notion, Verdict, Witness, certify, check, is_sim
-from fdsi.generators import canned, gen_partition_ef1, gen_random
+from fdsi.generators import canned, gen_mixed_awareness, gen_partition_ef1, gen_random
 from fdsi.model import (
     Allocation,
     BudgetExceededError,
@@ -18,6 +18,7 @@ from fdsi.model import (
     ValidationError,
     all_maximizers,
     make_instance,
+    normalize_impacts,
 )
 from fdsi.sa_empty import solve_sa_empty
 from fdsi.search import (
@@ -446,12 +447,15 @@ class TestExactDifferential:
         assert stats["visited"] == 28
 
 
+# the walk's graph has one path per impact-maximizing owner tuple under
+# every base but sef1/swef1, so its accepting paths are the oracle's count
+_COUNTED = ("ef", "ef1", "wef1", "tef1", "efl")
+
+
 class TestWalkCount:
-    # the walk's graph has one path per impact-maximizing owner tuple under
-    # every base but sef1/swef1, so its accepting paths are the oracle's
-    # count: a prune or a dropped successor that removes some fair
-    # allocations, though not all, shows here and not in a verdict
-    @pytest.mark.parametrize("base", ["ef", "ef1", "wef1", "tef1", "efl"])
+    # a prune or a dropped successor that removes some fair allocations,
+    # though not all, shows in the count and not in a verdict
+    @pytest.mark.parametrize("base", _COUNTED)
     def test_count_matches_brute(self, base):
         rng = random.Random(2)
         sizes = [(n, m) for n in (2, 3) for m in range(3, 8) for _ in range(6)]
@@ -540,6 +544,88 @@ class TestMetamorphic:
             for other in transforms:
                 assert (exact_solve(other, notion) is not None) == found, notion.label()
                 assert brute_force_count(other, notion) == count, notion.label()
+
+
+def _family_instances(seed: int):
+    """Seeded instances shaped like the exact-search benchmark's: the
+    partition and mixed-awareness gadgets on 10 weights up to 2 with an even
+    total, and 3x8, 3x9 and 4x7 random instances with impacts and weights up
+    to 2 and a mixed awareness profile."""
+    rng = random.Random(seed)
+    weights = []
+    while len(weights) < 2:
+        w = [rng.randint(1, 2) for _ in range(10)]
+        if sum(w) % 2 == 0 and max(w) < sum(w) // 2:
+            weights.append(w)
+    yield "partition", gen_partition_ef1(weights[0])
+    yield "mixed", gen_mixed_awareness(weights[1])
+    for n, m, v_max in ((3, 8, 5), (3, 9, 5), (4, 7, 9)):
+        raw = gen_random(n, m, v_max, 2, 2, rng.randrange(2**32))
+        aware = [i % 2 == 0 for i in range(n)]
+        rng.shuffle(aware)
+        yield f"random-{n}x{m}", make_instance(
+            raw.valuations, raw.impacts, weights=raw.weights, aware=aware
+        )
+
+
+_FAMILIES = {f"{name}-{seed}": inst for seed in (1, 2) for name, inst in _family_instances(seed)}
+
+
+def _rewrites(inst, rng):
+    """(name, rewritten instance): agents permuted with their weights and
+    ``aware`` flags, items permuted, and the impacts normalized."""
+    agents = rng.sample(range(inst.n), inst.n)
+    items = rng.sample(range(inst.m), inst.m)
+    yield "agents", make_instance(
+        [inst.valuations[i] for i in agents],
+        [inst.impacts[i] for i in agents],
+        weights=[inst.weights[i] for i in agents],
+        aware=[inst.aware[i] for i in agents],
+    )
+    yield "items", make_instance(
+        [[row[g] for g in items] for row in inst.valuations],
+        [[row[g] for g in items] for row in inst.impacts],
+        weights=inst.weights,
+        aware=inst.aware,
+    )
+    yield "normalized", normalize_impacts(inst)
+
+
+def _answers(inst, notion):
+    """What a rewrite must keep: the oracle's count, the walk's verdict and
+    its count of accepting paths where the base is counted (None where the
+    walk does not run), and the sa-empty solver's verdict."""
+    count = brute_force_count(inst, notion)
+    if notion.base == "sa-empty":
+        return count, solve_sa_empty(inst) is not None
+    if notion.awareness in ("alpha", "wsa"):
+        return count, None, None
+    paths = walk_count(inst, notion) if notion.base in _COUNTED else None
+    return count, exact_solve(inst, notion) is not None, paths
+
+
+class TestMetamorphicFamilies:
+    """Permuting agents or items, or normalizing the impacts, keeps every
+    answer on the benchmark-shaped instances.  ``normalize_impacts`` keeps
+    the maximizer sets and which agent maximizes what, so it keeps the plain
+    notions, ``sa`` and ``sa-empty``; ``alpha`` and ``wsa`` read the size of
+    the impacts, so only the permutations apply to them."""
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_rewrites_keep_every_answer(self, family):
+        inst = _FAMILIES[family]
+        notions = [Notion("sa-empty")] + [
+            Notion(base, *mode)
+            for base in BASES
+            for mode in ((), ("sa",), ("alpha", Fraction(1, 2)), ("wsa",))
+        ]
+        want = {notion: _answers(inst, notion) for notion in notions}
+        assert any(count for count, *_ in want.values())  # some notion has fair allocations
+        for name, other in _rewrites(inst, random.Random(family)):
+            for notion in notions:
+                if name == "normalized" and notion.awareness in ("alpha", "wsa"):
+                    continue
+                assert _answers(other, notion) == want[notion], (name, notion.label())
 
 
 class TestPathReplay:
