@@ -348,8 +348,7 @@ def walk_count(inst: Instance, notion) -> int:
     """The number of paths from the exact walk's root to an accepting leaf,
     over ``successors`` and ``accepts`` of ``search._Layout(inst, notion)``,
     with no state skipped: per (layer, key), the accepting leaves below the
-    key, memoized.  A path is an owner tuple, except under "set", whose
-    y-branches reach one allocation by several paths."""
+    key, memoized.  A path is an owner tuple."""
     from fdsi.search import _Layout
 
     layout = _Layout(inst, notion)
@@ -406,7 +405,9 @@ def unpack_key(inst: Instance, layout, key: int):
     """The (x, y, flags) of a search key as row-major n*n tuples, read from
     the fields ``layout`` states (absent fields read 0).  Under a value-set
     layout ("bits") each y entry is the frozenset of the values whose bits
-    are set.  The key must hold no bit above its fields."""
+    are set; under "pareto" each diagonal entry y_bb is b's Pareto set, the
+    frozenset of its class vectors.  The key must hold no bit above its
+    fields."""
     n = inst.n
     x, y, flags = (
         tuple(key >> shift & mask for shift, mask in fields)
@@ -417,6 +418,8 @@ def unpack_key(inst: Instance, layout, key: int):
             frozenset(v for i, v in enumerate(_value_bits(inst, p // n)) if y[p] >> i & 1)
             for p in range(n * n)
         )
+    elif layout.ymove == "pareto":
+        y = tuple(layout.sets[y[p]] if p % (n + 1) == 0 else y[p] for p in range(n * n))
     top = max((shift + mask.bit_length() for fields in (layout.x, layout.y, layout.flag)
                for shift, mask in fields), default=0)
     if key >> top:

@@ -908,6 +908,27 @@ class TestCommands:
         )
         assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
 
+    def test_wide_sef1_walk_runs_out_of_states(self, tmp_path):
+        # 2 agents, 20,000 items, values up to 10**6: the walk must reach its
+        # budget well inside 96 MiB and a minute, so a Pareto set must stay
+        # one id, never a bit per item class or a table over class pairs
+        inst = tmp_path / "wide.json"
+        save_instance(gen_random(2, 20000, 10**6, 1, 2, 1), inst)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        code = (
+            "import resource, sys\n"
+            "from fdsi.cli import main\n"
+            "cap = 96 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            f"sys.exit(main(['solve', {str(inst)!r}, 'sef1', '--method', 'exact',"
+            " '--state-budget', '1000']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.startswith("error: state budget of 1000 exceeded"), done.stderr
+
     def test_solve_under_python_O_same_output(self, tmp_path):
         # the final re-check is not an assert, so -O must not change anything
         inst = tmp_path / "r.json"
@@ -1118,38 +1139,40 @@ class TestPerCommandParser:
     off ``cli._COMMANDS`` and hands any other argv to argparse.  What a call
     prints and returns must be exactly what argparse alone gives."""
 
-    # case: (exit code, argv)
+    # case: (exit code, whether ``_read_argv`` reads it, argv)
     _ARGV = {
-        "check": (0, ["check", "{inst}", "{alloc}", "sa-ef1"]),
-        "solve": (0, ["solve", "{inst}", "ef1", "--sa"]),
-        "solve-exact": (0, ["solve", "{inst}", "sa-ef1", "--method", "exact"]),
-        "brute": (0, ["brute", "{inst}", "ef1", "--count"]),
-        "gen-partition-ef1": (0, ["gen", "partition-ef1", "--weights", "1,1,2"]),
-        "gen-mixed": (0, ["gen", "mixed", "--weights", "2,2,2"]),
-        "gen-wsa": (0, ["gen", "wsa", "--weights", ",".join("1" * 10)]),
-        "gen-alpha": (0, ["gen", "alpha", "--weights", "1,1,2", "--alpha", "1/2"]),
-        "gen-x3c": (0, ["gen", "x3c", "--universe", "3", "--triples", "0,1,2"]),
-        "gen-ef-embedding": (0, ["gen", "ef-embedding", "--valuations", "1,0;0,1"]),
-        "gen-example": (0, ["gen", "example", "bill-joe"]),
-        "gen-random": (0, ["gen", "random", "--agents", "2", "--items", "3", "--v-max", "3",
-                           "--s-max", "2", "--seed", "1"]),
-        "help": (0, ["--help"]),
-        "solve-help": (0, ["solve", "--help"]),
-        "gen-random-help": (0, ["gen", "random", "--help"]),
-        "no-command": (2, []),
-        "unknown-command": (2, ["bogus", "x"]),
-        "missing-positionals": (2, ["solve"]),
-        "missing-generator": (2, ["gen"]),
-        "bad-method": (2, ["solve", "{inst}", "ef1", "--method", "bogus"]),
-        "zero-budget": (2, ["solve", "{inst}", "ef1", "--state-budget", "0"]),
+        "check": (0, True, ["check", "{inst}", "{alloc}", "sa-ef1"]),
+        "solve": (0, True, ["solve", "{inst}", "ef1", "--sa"]),
+        "solve-exact": (0, True, ["solve", "{inst}", "sa-ef1", "--method", "exact"]),
+        "brute": (0, True, ["brute", "{inst}", "ef1", "--count"]),
+        # the last value wins, as in argparse
+        "repeated-flag": (0, True, ["solve", "{inst}", "sa-ef1", "--method", "brute", "--method",
+                                    "exact"]),
+        "gen-partition-ef1": (0, False, ["gen", "partition-ef1", "--weights", "1,1,2"]),
+        "gen-mixed": (0, False, ["gen", "mixed", "--weights", "2,2,2"]),
+        "gen-wsa": (0, False, ["gen", "wsa", "--weights", ",".join("1" * 10)]),
+        "gen-alpha": (0, False, ["gen", "alpha", "--weights", "1,1,2", "--alpha", "1/2"]),
+        "gen-x3c": (0, False, ["gen", "x3c", "--universe", "3", "--triples", "0,1,2"]),
+        "gen-ef-embedding": (0, False, ["gen", "ef-embedding", "--valuations", "1,0;0,1"]),
+        "gen-example": (0, False, ["gen", "example", "bill-joe"]),
+        "gen-random": (0, False, ["gen", "random", "--agents", "2", "--items", "3", "--v-max", "3",
+                                  "--s-max", "2", "--seed", "1"]),
+        "help": (0, False, ["--help"]),
+        "solve-help": (0, False, ["solve", "--help"]),
+        "gen-random-help": (0, False, ["gen", "random", "--help"]),
+        "no-command": (2, False, []),
+        "unknown-command": (2, False, ["bogus", "x"]),
+        "missing-positionals": (2, False, ["solve"]),
+        "missing-generator": (2, False, ["gen"]),
+        "bad-method": (2, False, ["solve", "{inst}", "ef1", "--method", "bogus"]),
+        "zero-budget": (2, False, ["solve", "{inst}", "ef1", "--state-budget", "0"]),
         # the top-level parser reports these, with its own usage line
-        "unrecognized-flag": (2, ["check", "{inst}", "{alloc}", "ef1", "--no-such-flag"]),
+        "unrecognized-flag": (2, False, ["check", "{inst}", "{alloc}", "ef1", "--no-such-flag"]),
         # well-formed for argparse, but not read off the table
-        "abbreviated-flag": (0, ["solve", "{inst}", "sa-ef1", "--meth", "exact"]),
-        "flag-equals-value": (0, ["solve", "{inst}", "sa-ef1", "--state-budget=1000"]),
-        "repeated-flag": (0, ["solve", "{inst}", "sa-ef1", "--method", "brute", "--method", "exact"]),
-        "double-dash": (0, ["solve", "--", "{inst}", "sa-ef1"]),
-        "help-after-positionals": (0, ["solve", "{inst}", "sa-ef1", "-h"]),
+        "abbreviated-flag": (0, False, ["solve", "{inst}", "sa-ef1", "--meth", "exact"]),
+        "flag-equals-value": (0, False, ["solve", "{inst}", "sa-ef1", "--state-budget=1000"]),
+        "double-dash": (0, False, ["solve", "--", "{inst}", "sa-ef1"]),
+        "help-after-positionals": (0, False, ["solve", "{inst}", "sa-ef1", "-h"]),
     }
 
     @staticmethod
@@ -1167,8 +1190,11 @@ class TestPerCommandParser:
         ex = canned("wsa-nonexistence")
         save_instance(ex.instance, inst)
         alloc.write_text(json.dumps(allocation_to_obj(ex.instance, ex.allocation)))
-        code, argv = self._ARGV[case]
+        code, reads, argv = self._ARGV[case]
         argv = [a.format(inst=inst, alloc=alloc) for a in argv]
+        # a read case compares the reader with argparse, the rest argparse
+        # with itself
+        assert (cli._read_argv(argv) is not None) == reads
         read = self._run(argv, capsys)
         monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
         assert self._run(argv, capsys) == read

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdsi import fairness, sa_empty, search
-from fdsi.fairness import BASES, TARGET_BASES, Notion, Verdict, Witness, certify, check, is_sim
+from fdsi.fairness import BASES, Notion, Verdict, Witness, certify, check, is_sim
 from fdsi.generators import canned, gen_mixed_awareness, gen_partition_ef1, gen_random
 from fdsi.model import (
     Allocation,
@@ -46,14 +46,12 @@ def _layout(inst, base, sa=False):
     return _Layout(inst, Notion(base, "sa" if sa else None))
 
 
-def _replay(inst, layout, owners, branch=0):
-    """The key after giving item g to ``owners[g]`` for every g, taking each
-    assignee's ``branch``-th successor (under "set", 0 keeps y and 1 sets
-    it, when the two differ)."""
+def _replay(inst, layout, owners):
+    """The key after giving item g to ``owners[g]`` for every g: each
+    assignee has exactly one successor."""
     key = 0
     for g, owner in enumerate(owners):
-        keys = [k for k, c in layout.successors(key, g) if c == owner]
-        key = keys[min(branch, len(keys) - 1)]
+        (key,) = [k for k, c in layout.successors(key, g) if c == owner]
     return key
 
 
@@ -67,7 +65,7 @@ class TestSuccessorStates:
         assert assignee == 0
         x, y, _ = unpack_key(inst, layout, key)
         assert x == (4,)
-        assert y == (4,)
+        assert y == (0,)  # no leaf reads a y_aa, so it is absent
 
     def test_update_rule_both_maximize(self):
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
@@ -76,45 +74,86 @@ class TestSuccessorStates:
         assert [assignee for _, assignee in succ] == [0, 1]
         x, y, _ = unpack_key(inst, layout, dict((a, k) for k, a in succ)[1])
         assert x == (0, 3, 0, 5)  # x[0][1] += 3, x[1][1] += 5
-        assert y == (0, 3, 0, 5)
+        assert y == (0, 3, 0, 0)  # y[0][1] = 3; y[1][1] is absent
 
     def test_unique_maximizer_single_branch(self):
         inst = make_instance(((3, 0), (5, 0)), ((2, 1), (1, 1)))
         succ = _layout(inst, "ef1").successors(0, 0)
         assert len(succ) == 1 and succ[0][1] == 0
 
-    def test_universal_branching(self):
+    def test_pareto_join(self):
+        # agent 0 is the only maximizer of every item, so each item joins
+        # its Pareto set: the classes (value columns, 0 in agent 0's row) of
+        # its items that no other held class equals or beats for agents 1, 2
+        def sets_after(*columns):
+            rows = [[0] * len(columns)] + [list(row) for row in zip(*columns)]
+            inst = make_instance(rows, [[1] * len(columns)] + [[0] * len(columns)] * 2)
+            layout = _layout(inst, "sef1")
+            key, sets = 0, []
+            for g in range(len(columns)):
+                ((key, _),) = layout.successors(key, g)
+                y = unpack_key(inst, layout, key)[1]
+                assert y[4] == y[8] == frozenset({(0, 0, 0)})  # agents 1, 2 hold nothing
+                sets.append(y[0])
+            return sets
+
+        # one successor per assignee, and the empty bundle's set is the zero class
         inst = make_instance(((3, 4), (5, 2)), ((1, 1), (1, 1)))
         layout = _layout(inst, "sef1")
         succ = layout.successors(0, 0)
-        # per assignee: keep y, or set the universal removal to this item
-        assert [assignee for _, assignee in succ] == [0, 0, 1, 1]
-        assert len({k for k, _ in succ}) == 4
-        assert unpack_key(inst, layout, succ[0][0])[1] == (0, 0, 0, 0)  # the kept y first
-        # setting the removal again replaces the whole column: (3, 5) -> (4, 2)
-        key = succ[1][0]
-        assert unpack_key(inst, layout, key)[1] == (3, 0, 5, 0)
-        kept, replaced = (k for k, c in layout.successors(key, 1) if c == 0)
-        assert unpack_key(inst, layout, kept)[1] == (3, 0, 5, 0)
-        assert unpack_key(inst, layout, replaced) == ((7, 0, 7, 0), (4, 0, 2, 0), (0,) * 4)
+        assert [assignee for _, assignee in succ] == [0, 1]
+        assert unpack_key(inst, layout, succ[0][0])[1] == (
+            frozenset({(0, 5)}), 0, 0, frozenset({(0, 0)})
+        )
+        # a dominated class leaves the set unchanged
+        assert sets_after((4, 4), (4, 2), (1, 1)) == [frozenset({(0, 4, 4)})] * 3
+        # a dominating class evicts what it beats, and only that
+        assert sets_after((1, 4), (4, 1), (4, 2), (5, 5)) == [
+            frozenset({(0, 1, 4)}),
+            frozenset({(0, 1, 4), (0, 4, 1)}),
+            frozenset({(0, 1, 4), (0, 4, 2)}),
+            frozenset({(0, 5, 5)}),
+        ]
+        # items that agents 1 and 2 value alike are one class, one set id
+        rows = ((7, 9), (2, 2), (3, 3))
+        inst = make_instance(rows, ((1, 1), (0, 0), (0, 0)))
+        layout = _layout(inst, "sef1")
+        ((key, _),) = layout.successors(0, 0)
+        ((again, _),) = layout.successors(key, 1)
+        assert unpack_key(inst, layout, again)[1] == unpack_key(inst, layout, key)[1]
+        assert layout.sets == [frozenset({(0, 0, 0)}), frozenset({(0, 2, 3)})]
+
+    def test_pareto_id_never_carries(self):
+        # each item beats the last for both observers, so each makes a new
+        # set; with a budget of 1 the id field holds ids up to 3 (n*budget)
+        inst = make_instance(
+            ((0,) * 5, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5)), ((1,) * 5, (0,) * 5, (0,) * 5)
+        )
+        layout = _Layout(inst, Notion("sef1"), 1)
+        assert layout.y[0][1] == 0b11
+        key = 0
+        for g in range(3):
+            ((key, _),) = layout.successors(key, g)
+        with pytest.raises(InternalError, match="Pareto set id 4 does not fit"):
+            layout.successors(key, 3)
 
     def test_per_observer_branching(self):
         inst = make_instance(((3, 0), (5, 0)), ((1, 1), (1, 1)))
         layout = _layout(inst, "efl")
         succ = layout.successors(0, 0)
-        # one successor per assignee; each observer's value joins its set
+        # one successor per assignee; each other observer's value joins its set
         assert [assignee for _, assignee in succ] == [0, 1]
         by_assignee = dict((a, unpack_key(inst, layout, k)[1]) for k, a in succ)
         empty = frozenset()
-        assert by_assignee[0] == (frozenset({3}), empty, frozenset({5}), empty)
-        assert by_assignee[1] == (empty, frozenset({3}), empty, frozenset({5}))
+        assert by_assignee[0] == (empty, empty, frozenset({5}), empty)
+        assert by_assignee[1] == (empty, frozenset({3}), empty, empty)
         # a repeated value leaves the set as it is, a zero value is not kept
         inst = make_instance(((3, 3, 0), (0, 5, 7)), ((1, 1, 1), (0, 0, 0)))
         layout = _layout(inst, "efl")
         key = 0
         for g in range(3):
             (key, _), = layout.successors(key, g)
-        assert unpack_key(inst, layout, key)[1] == (frozenset({3}), empty, frozenset({5, 7}), empty)
+        assert unpack_key(inst, layout, key)[1] == (empty, empty, frozenset({5, 7}), empty)
 
     def test_flags_follow_strict_impact(self):
         def flags_after_item_0(aware):
@@ -133,10 +172,23 @@ class TestSuccessorStates:
         assert flags_after_item_0((True, False)) == (0, 0, 0, 0)
 
 
+def _maxima(inst, owners, b):
+    """b's Pareto set by its definition: the classes (value columns with b's
+    row 0) of b's items, or the zero class when b holds none, that no other
+    such class equals or beats in every row."""
+    held = {
+        tuple(0 if a == b else row[g] for a, row in enumerate(inst.valuations))
+        for g, owner in enumerate(owners) if owner == b
+    } or {(0,) * inst.n}
+    return frozenset(
+        c for c in held if not any(d != c and all(map(int.__ge__, d, c)) for d in held)
+    )
+
+
 class TestKeyLayout:
     """Fields at their widest: every path's key holds the value matrix of
-    ``helpers.matrices`` in x, and the running maximum or the value set in
-    y, with no field spilling into the next."""
+    ``helpers.matrices`` in x, and the running maximum, the value set or the
+    Pareto set in y, with no field spilling into the next."""
 
     @pytest.mark.parametrize("k", (3, 30))
     def test_row_sums_at_a_power_of_two(self, k):
@@ -152,14 +204,34 @@ class TestKeyLayout:
             assert [mask for _, mask in layout.x] == [2**k - 1] * 2 + [2 ** (k + 1) - 1] * 2
             for owners in product(range(2), repeat=3):
                 V = matrices(inst, owners)[0]
-                for branch in (0, 1):
-                    x, y, _ = unpack_key(inst, layout, _replay(inst, layout, owners, branch))
-                    assert x == tuple(v for row in V for v in row), (base, owners)
-                    if base == "ef1":
-                        assert y == tuple(
-                            max((inst.valuations[a][g] for g in range(3) if owners[g] == b), default=0)
-                            for a in range(2) for b in range(2)
-                        ), owners
+                x, y, _ = unpack_key(inst, layout, _replay(inst, layout, owners))
+                assert x == tuple(v for row in V for v in row), (base, owners)
+                if base == "ef1":
+                    assert y == tuple(
+                        max((inst.valuations[a][g] for g in range(3) if owners[g] == b), default=0)
+                        * (a != b)
+                        for a in range(2) for b in range(2)
+                    ), owners
+                if base == "sef1":
+                    assert y == (_maxima(inst, owners, 0), 0, 0, _maxima(inst, owners, 1)), owners
+
+    def test_pareto_sets_are_the_maxima(self):
+        # every owner tuple of 3- and 4-agent instances on which every agent
+        # maximizes every item (s_max 0), so agents hold any mix of classes
+        for seed, (n, m) in enumerate([(3, 5)] * 4 + [(4, 4)] * 4):
+            inst = gen_random(n, m, 3, 0, 1, seed)
+            layout = _layout(inst, "sef1")
+            for owners in product(range(n), repeat=m):
+                y = unpack_key(inst, layout, _replay(inst, layout, owners))[1]
+                assert y[:: n + 1] == tuple(_maxima(inst, owners, b) for b in range(n)), owners
+
+    def test_wide_sef1_key(self):
+        # 2 x 5,000 items, values up to 10**6: four 32-bit x fields and two
+        # Pareto set ids sized for the default budget; a bit per item class
+        # would not fit
+        layout = _Layout(gen_random(2, 5000, 10**6, 1, 2, 1), Notion("sef1"))
+        fields = layout.x + layout.y + layout.flag
+        assert max(shift + mask.bit_length() for shift, mask in fields) <= 208
 
     def test_efl_values_near_a_billion(self):
         inst = make_instance(
@@ -167,15 +239,17 @@ class TestKeyLayout:
             ((1, 1, 1, 1), (1, 1, 1, 1)),
         )
         layout = _layout(inst, "efl")
-        # one bit per distinct positive value, however large the values
-        assert [mask for _, mask in layout.y] == [0b111] * 4
+        # one bit per distinct positive value, however large the values, and
+        # no y_aa
+        assert [mask for _, mask in layout.y] == [0, 0b111, 0b111, 0]
         assert [mask for _, mask in layout.x] == [2**32 - 1] * 2 + [2**30 - 1] * 2
         for owners in product(range(2), repeat=4):
             x, y, _ = unpack_key(inst, layout, _replay(inst, layout, owners))
             V = matrices(inst, owners)[0]
             assert x == tuple(v for row in V for v in row), owners
             assert y == tuple(
-                frozenset(inst.valuations[a][g] for g in range(4) if owners[g] == b) - {0}
+                frozenset(inst.valuations[a][g] for g in range(4) if owners[g] == b and a != b)
+                - {0}
                 for a in range(2) for b in range(2)
             ), owners
 
@@ -195,8 +269,7 @@ def _accepts(rows, base, x, y=None, flags=None, weights=None):
 class TestAcceptingState:
     def test_single_agent_always_accepts(self):
         for base in BASES:
-            y = None if base == "ef" else [[{2} if base == "efl" else 2]]
-            assert _accepts([[7, 2]], base, [[7]], y)
+            assert _accepts([[7, 2]], base, [[7]])
 
     def test_ef1_fails_tef1_holds(self):
         rows, x, y = [[1, 1], [1, 1]], [[0, 2], [2, 0]], [[0, 1], [1, 0]]
@@ -226,6 +299,27 @@ class TestAcceptingState:
         assert accepts(5, 9, {4, 5})
         # the only value large enough to kill the envy (6 >= 8 - 5) exceeds x_aa
         assert not accepts(5, 8, {1, 6})
+
+    def test_pareto_observers_share_one_class(self):
+        # agent 0 holds items A and B; agent 1 values A at 5 and B at 1,
+        # agent 2 the reverse, and each holds an item it values at 1: each
+        # observer's best removal kills its envy (ef1), but no one removal
+        # serves both (sef1), unless the envious observer left is one
+        valuations = ((1, 1, 0, 0), (5, 1, 1, 0), (1, 5, 0, 1))
+        impacts = ((2, 2, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1))
+        owners = (0, 0, 1, 2)
+        for aware, fair in (((False,) * 3, False), ((False, False, True), True),
+                            ((False, True, False), True)):
+            inst = make_instance(valuations, impacts, aware=aware)
+            alloc = Allocation.from_assignment(3, owners)
+            for base in ("ef1", "sef1", "swef1"):
+                # agent 0 got A and B by strictly higher impact, so an aware
+                # 1 or 2 carries a flag toward 0 under sa
+                for notion in (Notion(base), Notion(base, "sa")):
+                    layout = _Layout(inst, notion)
+                    want = base == "ef1" or fair and notion.awareness == "sa"
+                    assert layout.accepts(_replay(inst, layout, owners)) == want, (aware, notion)
+                    assert certify(inst, alloc, notion).fair == want
 
     def test_flag_exemption(self):
         # a flagged pair passes; the walk flags aware observers only
@@ -430,16 +524,8 @@ class TestExactDifferential:
     def test_exact_matches_brute(self, inst):
         for base, mode in product(BASES, (None, "sa")):
             notion = Notion(base, mode)
-            exact = exact_solve(inst, notion)
-            brute = brute_force_solve(inst, notion)
-            if base not in TARGET_BASES:
-                # both return the lexicographically first passing owners
-                assert exact == brute, notion.label()
-                continue
-            assert (exact is None) == (brute is None), notion.label()
-            if exact is not None:
-                assert is_sim(inst, exact).fair
-                assert check(inst, exact, notion).fair
+            # both return the lexicographically first passing owners
+            assert exact_solve(inst, notion) == brute_force_solve(inst, notion), notion.label()
 
     def test_unaware_flags_merge(self):
         stats = {}
@@ -447,15 +533,12 @@ class TestExactDifferential:
         assert stats["visited"] == 28
 
 
-# the walk's graph has one path per impact-maximizing owner tuple under
-# every base but sef1/swef1, so its accepting paths are the oracle's count
-_COUNTED = ("ef", "ef1", "wef1", "tef1", "efl")
-
-
 class TestWalkCount:
-    # a prune or a dropped successor that removes some fair allocations,
-    # though not all, shows in the count and not in a verdict
-    @pytest.mark.parametrize("base", _COUNTED)
+    # the walk's graph has one path per impact-maximizing owner tuple, so its
+    # accepting paths are the oracle's count; a prune or a dropped successor
+    # that removes some fair allocations, though not all, shows in the count
+    # and not in a verdict
+    @pytest.mark.parametrize("base", BASES)
     def test_count_matches_brute(self, base):
         rng = random.Random(2)
         sizes = [(n, m) for n in (2, 3) for m in range(3, 8) for _ in range(6)]
@@ -475,8 +558,9 @@ class TestWalkCount:
 
 # 40 seeded random instances (1-4 agents, 0-9 items, values up to 3, 7, 15
 # or 10**6, random weights and aware flags) with, per base, plain and under
-# sa, the walk's visited count, layer sizes and owners (null: no answer), as
-# recorded with the (x, y, flags) tuple keys the packed layout replaced
+# sa, the walk's visited count, layer sizes and owners (null: no answer).
+# The owners are the oracle's for every base; the counts are those of the
+# key without y_aa and with sef1/swef1's Pareto set ids
 _PINNED = json.loads((Path(__file__).parent / "pinned_walks.json").read_text())
 
 
@@ -593,15 +677,14 @@ def _rewrites(inst, rng):
 
 def _answers(inst, notion):
     """What a rewrite must keep: the oracle's count, the walk's verdict and
-    its count of accepting paths where the base is counted (None where the
-    walk does not run), and the sa-empty solver's verdict."""
+    its count of accepting paths (None where the walk does not run), and the
+    sa-empty solver's verdict."""
     count = brute_force_count(inst, notion)
     if notion.base == "sa-empty":
         return count, solve_sa_empty(inst) is not None
     if notion.awareness in ("alpha", "wsa"):
         return count, None, None
-    paths = walk_count(inst, notion) if notion.base in _COUNTED else None
-    return count, exact_solve(inst, notion) is not None, paths
+    return count, exact_solve(inst, notion) is not None, walk_count(inst, notion)
 
 
 class TestMetamorphicFamilies:
@@ -710,17 +793,9 @@ class TestOracleEquivalenceSmoke:
             mixed = inst.replace(aware=profile)
             for base, (judged, mode) in product(BASES, ((inst, None), (mixed, "sa"))):
                 notion = Notion(base, mode)
+                # both return the lexicographically first passing owners
                 exact = exact_solve(judged, notion)
-                brute = brute_force_solve(judged, notion)
-                if base not in TARGET_BASES:
-                    # both return the lexicographically first passing owners
-                    assert exact == brute, (k, notion)
-                    continue
-                # the y-branches of sef1/swef1 reorder the walk's paths
-                assert (exact is None) == (brute is None), (k, notion)
-                if exact is not None:
-                    assert is_sim(inst, exact).fair
-                    assert check(judged, exact, notion).fair, (k, notion)
+                assert exact == brute_force_solve(judged, notion), (k, notion)
 
     def test_eight_items_all_notions(self):
         # wider than the ensembles above: 3 agents, 8 items, every item
@@ -733,12 +808,8 @@ class TestOracleEquivalenceSmoke:
             for base, (judged, mode) in product(BASES, ((inst, None), (mixed, "sa"))):
                 notion = Notion(base, mode)
                 exact = exact_solve(judged, notion)
-                brute = brute_force_solve(judged, notion)
-                assert (exact is None) == (brute is None), (seed, s_max, notion)
-                if base not in TARGET_BASES:
-                    assert exact == brute, (seed, s_max, notion)
-                elif exact is not None:
-                    assert certify(judged, exact, notion).fair
+                assert exact == brute_force_solve(judged, notion), (seed, s_max, notion)
+                assert exact is None or certify(judged, exact, notion).fair
                 pairs += 1
         assert pairs == 616
 
