@@ -8,7 +8,7 @@ from fdsi.allocators import sa_efl_allocate, sa_weighted_picking
 from fdsi.fairness import Notion, check, is_sim
 from fdsi.generators import CANNED, canned
 from fdsi.model import is_goods
-from fdsi.search import brute_force_solve
+from fdsi.oracle import brute_force_solve
 
 
 NOTIONS = (

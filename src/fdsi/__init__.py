@@ -34,10 +34,10 @@ _EXPORTS = {
     "sa_weighted_picking": "allocators",
     "two_agent_mixed_fast_path": "allocators",
     "UnsupportedNotionError": "search",
-    "brute_force_count": "search",
-    "brute_force_solve": "search",
     "enumerate_sim_allocations": "search",
     "exact_solve": "search",
+    "brute_force_count": "oracle",
+    "brute_force_solve": "oracle",
     "compute_types": "sa_empty",
     "solve_sa_empty": "sa_empty",
 }

@@ -91,12 +91,14 @@ def _solve_with(method, inst: Instance, notion: Notion, args) -> Allocation | No
     """The one call of each solver, for ``--method`` and ``auto`` alike; each
     is read off its module, imported here, at call time.  Picking weighs the
     agents by the notion's weights (``Notion.weights``)."""
-    if method in ("exact", "brute"):
+    if method == "exact":
         from . import search
 
-        if method == "exact":
-            return search.exact_solve(inst, notion, state_budget=args.state_budget)
-        return search.brute_force_solve(inst, notion, cap=args.brute_cap)
+        return search.exact_solve(inst, notion, state_budget=args.state_budget)
+    if method == "brute":
+        from . import oracle
+
+        return oracle.brute_force_solve(inst, notion, cap=args.brute_cap)
     if method == "sa-empty":
         from . import sa_empty
 
@@ -179,7 +181,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    from . import search
+    from . import oracle
 
     inst = serialize.load_instance(args.instance)
     # "any" accepts every candidate, so it needs no scan and takes no modifier
@@ -187,12 +189,12 @@ def _cmd_brute(args) -> int:
     if notion is None and (args.sa or args.wsa or args.alpha is not None):
         raise ValidationError("notion any takes no awareness modifier")
     if args.count:
-        total = search.brute_force_count(
+        total = oracle.brute_force_count(
             inst, notion, require_sim=args.require_sim, cap=args.cap
         )
         print(serialize.dumps({"count": total}), end="")
         return EXIT_OK
-    alloc = search.brute_force_solve(inst, notion, require_sim=args.require_sim, cap=args.cap)
+    alloc = oracle.brute_force_solve(inst, notion, require_sim=args.require_sim, cap=args.cap)
     if alloc is None:
         return EXIT_NEGATIVE
     print(serialize.dumps(serialize.allocation_to_obj(inst, alloc)), end="")

@@ -352,6 +352,14 @@ def all_maximizers(inst: Instance) -> tuple[frozenset[int], ...]:
     return _last_maximizers[1]
 
 
+def candidate_columns(inst: Instance, require_sim: bool = True) -> list[tuple[int, ...]]:
+    """Owner choices per item, in the order both exact solvers try them: the
+    impact maximizers ascending or, without ``require_sim``, every agent."""
+    if require_sim:
+        return [tuple(sorted(s)) for s in all_maximizers(inst)]
+    return [tuple(range(inst.n))] * inst.m
+
+
 def normalize_impacts(inst: Instance) -> Instance:
     """Replace every impact entry by the 0/1 indicator of maximizer membership.
 

@@ -1,17 +1,33 @@
-"""The bit-set tests of the brute-force oracle's head x tail scan.
+"""Brute-force oracle: the ground truth, independent of the state walk.
 
-``search._scan`` splits the items into a head and a tail; ``head_sets``
-lists every tail (the owners of the last items) once with its packed bundle
-sums, and gives each head the tails that pass with it.  Per ordered pair,
-every test of a notion that is linear in the bundle sums compares a key of
-the tail with a threshold the head sets, so the tails sorted by key once
-give the tails meeting any threshold by one bisect, as a bit set (bit t for
-the t-th tail).  Only the scan imports this module, so a call that never
-scans does not compile it.
+It scans candidate owner tuples in ``itertools.product`` order
+(``model.candidate_columns``: per item, the impact maximizers ascending, or
+every agent without the impact restriction), from the bundle sums that
+``fairness.decider`` reads packed into one int as ``fairness.Sums`` lays them
+out (its own layout, which shares nothing with ``search._Layout``).  Those
+sums are additive over items, so ``_scan`` splits the items into a head and
+a tail (a meet in the middle, as in Horowitz and Sahni's sorted halves) and
+decides all the tails of one head at once, as a bit set.  Per ordered pair,
+every test of the notion that is linear in the sums (envy, the removal test
+with ``fairness.REMOVALS`` removals, an ``sa``/``alpha`` excuse, the
+``sa-empty`` impact test) compares a key of the tail with a threshold the
+head sets, so the tails sorted by key once give the tails meeting any
+threshold by one bisect.  The tails the bit sets cannot settle (``efl``, and
+``sef1`` and ``swef1`` past two agents, with an envious pair; ``wsa``'s
+bilinear excuse) go one by one through the same decider that ``check``
+uses.  It builds an :class:`Allocation` only for the answer it returns.
+``brute_force_solve`` and ``brute_force_count`` share that one scan, and the
+candidate cap bounds the candidate set on every path, ``notion=None``
+included.
+
+The walk (``search``) and the oracle import nothing of each other, so a
+``brute`` call or an alpha/wsa solve compiles no walk, and an exact solve no
+oracle.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from itertools import permutations, product
 from operator import getitem
@@ -25,7 +41,16 @@ from .fairness import (
     Sums,
     decider,
 )
-from .model import Instance
+from .model import (
+    Allocation,
+    BudgetExceededError,
+    Instance,
+    candidate_columns,
+    require_budget,
+    require_goods,
+)
+
+DEFAULT_BRUTE_CAP = 10**7
 
 _bit = (1).__lshift__
 
@@ -121,21 +146,43 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, k: int, tails, packe
     return [test_of(i, j) for i, j in permutations(range(inst.n), 2)]
 
 
-def head_sets(inst: Instance, notion: Notion, columns, k: int):
-    """``search._scan`` with the items split before item k: (tails,
-    passing), where ``tails`` lists the owners of the items from k on in
-    ``itertools.product`` order over ``columns``, and ``passing`` yields, per
-    head (the owners of the first k items) in that order, (head, the bit set
-    of the tails t with which ``head + tails[t]`` passes the notion).
+def _capped_columns(inst: Instance, require_sim: bool, cap: int | None):
+    cap = DEFAULT_BRUTE_CAP if cap is None else cap
+    require_budget(cap, "cap")
+    columns = candidate_columns(inst, require_sim)
+    count = math.prod(len(c) for c in columns)
+    if count > cap:
+        kind = "impact-maximizing allocations" if require_sim else "allocations"
+        raise BudgetExceededError(f"{count} {kind} exceed the cap of {cap}")
+    return columns, count
 
-    Every tail is listed once with its packed bundle sums (``fairness.Sums``)
-    and its keys per pair (``_pair_tests``); each head then gets its own
-    sums, and per pair two bit sets: the tails with which the pair surely
-    passes and those with which it may.  The AND over pairs of each leaves
-    the tails that may pass and are not sure; only those candidates are
-    decided one by one, from the sum of the two packed sums, by the same
-    ``fairness.decider`` as ``check``.
+
+def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int | None):
+    """The candidates passing the notion, as (tails, passing): ``tails``
+    lists the owners of the tail items in ``itertools.product`` order over
+    their candidate columns, and ``passing`` yields, per head (the owners of
+    the first items) in that order, (head, the bit set of the tails t with
+    which ``head + tails[t]`` passes).  Bit t is candidate ``head +
+    tails[t]`` of the product order, so the lowest bit of the first
+    non-empty set is the first passing candidate.
+
+    The tail is the longest suffix of columns whose candidate count is at
+    most the square root of the whole count.  Every tail is listed once with
+    its packed bundle sums (``fairness.Sums``) and its keys per pair
+    (``_pair_tests``); each head then gets its own sums, and per pair two
+    bit sets: the tails with which the pair surely passes and those with
+    which it may.  The AND over pairs of each leaves the tails that may pass
+    and are not sure; only those candidates are decided one by one, from the
+    sum of the two packed sums, by the same ``fairness.decider`` as
+    ``check``.
     """
+    if notion.base != SA_EMPTY:
+        require_goods(inst)
+    columns, count = _capped_columns(inst, require_sim, cap)
+    k, size, root = len(columns), 1, math.isqrt(count)
+    while k and size * len(columns[k - 1]) <= root:
+        k -= 1
+        size *= len(columns[k])
     sums, fails = decider(inst, notion)
     adds = [{c: sums.add(g, c) for c in col} for g, col in enumerate(columns)]
     head_adds, tail_adds = adds[:k], adds[k:]
@@ -164,3 +211,47 @@ def head_sets(inst: Instance, notion: Notion, columns, k: int):
             yield head, sure
 
     return tails, passing()
+
+
+def brute_force_solve(
+    inst: Instance,
+    notion: Notion | None,
+    *,
+    require_sim: bool = True,
+    cap: int | None = None,
+) -> Allocation | None:
+    """Ground-truth oracle: scan candidate allocations and return the first
+    one passing the notion check.
+
+    With ``require_sim`` (the default) only impact-maximizing allocations are
+    scanned, so the result is impact maximizing by construction; otherwise
+    all n**m complete allocations are scanned and only the fairness check is
+    applied.  ``notion=None`` accepts every candidate, so the first one is
+    returned without a scan.  Raises :class:`BudgetExceededError` when the
+    candidate count exceeds ``cap`` (None: the default), with or without one.
+    """
+    if notion is None:
+        owners = [col[0] for col in _capped_columns(inst, require_sim, cap)[0]]
+        return Allocation.from_assignment(inst.n, owners)
+    tails, passing = _scan(inst, notion, require_sim, cap)
+    for head, passed in passing:
+        if passed:
+            owners = head + tails[(passed & -passed).bit_length() - 1]
+            return Allocation.from_assignment(inst.n, owners)
+    return None
+
+
+def brute_force_count(
+    inst: Instance,
+    notion: Notion | None,
+    *,
+    require_sim: bool = True,
+    cap: int | None = None,
+) -> int:
+    """Number of candidate allocations passing the notion, over the same scan
+    as :func:`brute_force_solve`; ``notion=None`` counts every candidate
+    without a scan.  Raises :class:`BudgetExceededError` when the candidate
+    count exceeds ``cap`` (None: ``DEFAULT_BRUTE_CAP``)."""
+    if notion is None:
+        return _capped_columns(inst, require_sim, cap)[1]
+    return sum(passed.bit_count() for _, passed in _scan(inst, notion, require_sim, cap)[1])

@@ -1,4 +1,4 @@
-"""Exact existence solvers: layered state-graph search and brute force.
+"""Exact existence solver: the layered state-graph search.
 
 The exact solver walks a layered directed acyclic graph depth first.  Layer k
 holds the states reachable after assigning the first k items (input order),
@@ -39,56 +39,36 @@ weights (``Notion.weights``) and k = ``fairness.REMOVALS`` of the base (ef
 a's value of one member of b's set that all of b's observers share); only
 ``efl`` tests its value set instead.
 
-The brute-force oracle is independent of that encoding.  It scans candidate
-owner tuples in ``itertools.product`` order (per item, the impact maximizers
-ascending, or every agent without the impact restriction), from the bundle
-sums that ``fairness.decider`` reads packed into one int as ``fairness.Sums``
-lays them out (its own layout, which shares nothing with ``_Layout``).
-Those sums are additive over items, so the scan splits the items into a
-head and a tail (a meet in the middle, as in Horowitz and Sahni's sorted
-halves) and decides all the tails of one head at once, as a bit set
-(``masks``, which only a scan imports): per ordered pair, each test of the
-notion that is linear in the sums (envy, the removal test with
-``fairness.REMOVALS`` removals, an ``sa``/``alpha`` excuse, the
-``sa-empty`` impact test) sets a threshold on a key sorted once per tail,
-and one bisect gives the tails that meet it.  The tails the bit sets cannot
-settle (``efl``, and ``sef1`` and ``swef1`` past two agents, with an envious
-pair; ``wsa``'s bilinear excuse) go one by one through the same decider
-that ``check`` uses.  It builds an :class:`Allocation` only for the answer
-it returns.  ``brute_force_solve`` and ``brute_force_count`` share that one
-scan, and the candidate cap bounds the candidate set on every path,
-``notion=None`` included.
-
 The walk keeps one set of created states per layer and never enters a state
 twice, and it tries assignees ascending, so the allocation it returns is the
-first accepting owner tuple in ``itertools.product`` order: the oracle's
-answer, for every base.  That allocation is always re-checked by
-``fairness.certify``, and a failed re-check raises :class:`InternalError`
-(not an assert, so it also holds under ``python -O``); a negative answer
-means no accepting path exists.
+first accepting owner tuple in ``itertools.product`` order: the answer of
+the brute-force oracle (``oracle``, which shares no code with the walk), for
+every base.  That allocation is always re-checked by ``fairness.certify``,
+and a failed re-check raises :class:`InternalError` (not an assert, so it
+also holds under ``python -O``); a negative answer means no accepting path
+exists.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from itertools import product
 
 from . import fairness
-from .fairness import BASES, REMOVALS, SA_EMPTY, Notion
+from .fairness import BASES, REMOVALS, Notion
 from .model import (
     Allocation,
     BudgetExceededError,
     Instance,
     InternalError,
     ValidationError,
-    all_maximizers,
+    all_maximizers,  # not called here; perfbench/tracing.py patches this binding
+    candidate_columns,
     require_budget,
     require_goods,
 )
 
 DEFAULT_STATE_BUDGET = 10**7
-DEFAULT_BRUTE_CAP = 10**7
 STATE_BUDGET_ENV = "FDSI_STATE_BUDGET"
 
 
@@ -308,7 +288,7 @@ def exact_solve(
     skipped, because a layer is only reached from the one before it, so its
     subtree has already failed.  The answer is the accepting leaf with the
     lexicographically smallest path, the first fair owner tuple, as
-    :func:`brute_force_solve` finds it; a negative answer has created every
+    ``oracle.brute_force_solve`` finds it; a negative answer has created every
     reachable state.
 
     Raises :class:`BudgetExceededError` once more than ``state_budget``
@@ -364,14 +344,6 @@ def exact_solve(
     return alloc
 
 
-def candidate_columns(inst: Instance, require_sim: bool = True) -> list[tuple[int, ...]]:
-    """Owner choices per item, in scan order: the impact maximizers ascending
-    or, without ``require_sim``, every agent."""
-    if require_sim:
-        return [tuple(sorted(s)) for s in all_maximizers(inst)]
-    return [tuple(range(inst.n))] * inst.m
-
-
 def enumerate_sim_allocations(inst: Instance):
     """Iterate every impact-maximizing complete allocation in lexicographic
     order (per item, maximizers ascending; item order is input order)."""
@@ -379,80 +351,11 @@ def enumerate_sim_allocations(inst: Instance):
         yield Allocation.from_assignment(inst.n, owners)
 
 
-def _capped_columns(inst: Instance, require_sim: bool, cap: int | None):
-    cap = DEFAULT_BRUTE_CAP if cap is None else cap
-    require_budget(cap, "cap")
-    columns = candidate_columns(inst, require_sim)
-    count = math.prod(len(c) for c in columns)
-    if count > cap:
-        kind = "impact-maximizing allocations" if require_sim else "allocations"
-        raise BudgetExceededError(f"{count} {kind} exceed the cap of {cap}")
-    return columns, count
+def __getattr__(name: str):
+    # the oracle's two solvers still read from here; the first read loads it
+    if name not in ("brute_force_solve", "brute_force_count"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
 
-
-def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int | None):
-    """The candidates passing the notion, as (tails, passing): ``passing``
-    yields, per head in ``itertools.product`` order over the candidate
-    columns, (head, the bit set of the tails t with which ``head +
-    tails[t]`` passes).  Bit t is candidate ``head + tails[t]`` of the
-    product order, so the lowest bit of the first non-empty set is the
-    first passing candidate.
-
-    The items split into a head and a tail: the tail is the longest suffix
-    of columns whose candidate count is at most the square root of the
-    whole count.  ``masks.head_sets`` decides each head's tails.
-    """
-    from .masks import head_sets  # compiled only by the calls that scan
-
-    if notion.base != SA_EMPTY:
-        require_goods(inst)
-    columns, count = _capped_columns(inst, require_sim, cap)
-    k, size, root = len(columns), 1, math.isqrt(count)
-    while k and size * len(columns[k - 1]) <= root:
-        k -= 1
-        size *= len(columns[k])
-    return head_sets(inst, notion, columns, k)
-
-
-def brute_force_solve(
-    inst: Instance,
-    notion: Notion | None,
-    *,
-    require_sim: bool = True,
-    cap: int | None = None,
-) -> Allocation | None:
-    """Ground-truth oracle: scan candidate allocations and return the first
-    one passing the notion check.
-
-    With ``require_sim`` (the default) only impact-maximizing allocations are
-    scanned, so the result is impact maximizing by construction; otherwise
-    all n**m complete allocations are scanned and only the fairness check is
-    applied.  ``notion=None`` accepts every candidate, so the first one is
-    returned without a scan.  Raises :class:`BudgetExceededError` when the
-    candidate count exceeds ``cap`` (None: the default), with or without one.
-    """
-    if notion is None:
-        owners = [col[0] for col in _capped_columns(inst, require_sim, cap)[0]]
-        return Allocation.from_assignment(inst.n, owners)
-    tails, passing = _scan(inst, notion, require_sim, cap)
-    for head, passed in passing:
-        if passed:
-            owners = head + tails[(passed & -passed).bit_length() - 1]
-            return Allocation.from_assignment(inst.n, owners)
-    return None
-
-
-def brute_force_count(
-    inst: Instance,
-    notion: Notion | None,
-    *,
-    require_sim: bool = True,
-    cap: int | None = None,
-) -> int:
-    """Number of candidate allocations passing the notion, over the same scan
-    as :func:`brute_force_solve`; ``notion=None`` counts every candidate
-    without a scan.  Raises :class:`BudgetExceededError` when the candidate
-    count exceeds ``cap`` (None: ``DEFAULT_BRUTE_CAP``)."""
-    if notion is None:
-        return _capped_columns(inst, require_sim, cap)[1]
-    return sum(passed.bit_count() for _, passed in _scan(inst, notion, require_sim, cap)[1])
+    value = globals()[name] = getattr(oracle, name)
+    return value

@@ -26,12 +26,8 @@ from fdsi.generators import (
 )
 from fdsi.model import Allocation, make_instance, normalize_impacts
 from fdsi.sa_empty import compute_types, solve_sa_empty
-from fdsi.search import (
-    brute_force_count,
-    brute_force_solve,
-    enumerate_sim_allocations,
-    exact_solve,
-)
+from fdsi.oracle import brute_force_count, brute_force_solve
+from fdsi.search import enumerate_sim_allocations, exact_solve
 
 from helpers import random_instances, random_sim_allocation
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsi import cli, fairness, search
+from fdsi import cli, fairness, oracle, search
 from fdsi.cli import build_parser, main
 from fdsi.fairness import Notion, Verdict, Witness, certify, check, is_sim
 from fdsi.generators import CANNED, canned, gen_partition_ef1, gen_random
@@ -237,7 +237,7 @@ class TestCommands:
 
     def _record_solvers(self, monkeypatch) -> list:
         """Wrap every solver auto can run, on the module attributes that
-        perfbench/tracing.py also patches, and return the list of runs."""
+        ``cli._solve_with`` reads, and return the list of runs."""
         from fdsi import allocators, sa_empty
 
         ran = []
@@ -245,7 +245,7 @@ class TestCommands:
             (allocators, "sa_weighted_picking"),
             (allocators, "sa_efl_allocate"),
             (search, "exact_solve"),
-            (search, "brute_force_solve"),
+            (oracle, "brute_force_solve"),
             (sa_empty, "solve_sa_empty"),
         ):
             def solver(inst, *args, _real=getattr(module, name), _name=name, **kwargs):
@@ -591,15 +591,18 @@ class TestCommands:
         "print([n for n in fdsi.__all__ if getattr(fdsi, n) is None or n not in dir(fdsi)])",
         # the generators do not pull in the command line
         "generators": "import sys, fdsi.generators\n"
-        "print([m for m in ('fdsi.cli', 'fdsi.search', 'fdsi.serialize') if m in sys.modules])",
+        "print([m for m in ('fdsi.cli', 'fdsi.search', 'fdsi.oracle', 'fdsi.serialize')"
+        " if m in sys.modules])",
     }
     # no well-formed solve, check or brute call loads the generators (the
     # gen command lives there, and argparse's parser builds it), and only
     # an sa-empty call loads the sa-empty solver
     _NOT_GEN = ("fdsi.generators", "fdsi.sa_empty")
     # the exact, brute and check routes also leave the polynomial allocators
-    # unloaded; check and gen also leave the search unloaded
+    # unloaded; check and gen also leave the walk and the oracle unloaded,
+    # and each of those two solvers leaves the other unloaded
     _LEAN = ("fdsi.allocators", *_NOT_GEN)
+    _SOLVERS = ("fdsi.search", "fdsi.oracle")
     # no command loads these (inspect comes with dataclasses), except that
     # a rational alpha needs fractions
     _STDLIB = ("dataclasses", "inspect", "fractions")
@@ -610,38 +613,52 @@ class TestCommands:
     _COMMANDS = {
         "gen": (
             ["gen", "example", "bill-joe", "-o", "{inst}"],
-            ("fdsi.allocators", "fdsi.sa_empty", "fdsi.search"),
+            ("fdsi.allocators", "fdsi.sa_empty", *_SOLVERS),
             ("fdsi.generators",),
         ),
         "solve-exact": (
-            ["solve", "{inst}", "ef1", "--method", "exact"], _LEAN + _STDLIB + _PARSER, ()
+            ["solve", "{inst}", "ef1", "--method", "exact"],
+            _LEAN + _STDLIB + _PARSER + ("fdsi.oracle",),
+            ("fdsi.search",),
         ),
         # the picking allocator's answer is certified, so no search runs
         "solve-sa": (
             ["solve", "{inst}", "ef1", "--sa"],
-            _NOT_GEN + _STDLIB + _PARSER + ("fdsi.search",),
+            _NOT_GEN + _STDLIB + _PARSER + _SOLVERS,
             ("fdsi.allocators",),
         ),
         # and so it is with no awareness at all, where picking is fair on
         # {random} (a 3-agent, 8-item random instance)
         "solve-unaware": (
             ["solve", "{random}", "ef1"],
-            _NOT_GEN + _STDLIB + _PARSER + ("fdsi.search",),
+            _NOT_GEN + _STDLIB + _PARSER + _SOLVERS,
             ("fdsi.allocators",),
         ),
+        # picking fails ef1 under alpha here, so auto falls back to the oracle
         "solve-alpha": (
-            ["solve", "{inst}", "ef1", "--alpha", "1/2"], _NOT_GEN + _PARSER, ("fractions",)
+            ["solve", "{inst}", "ef1", "--alpha", "1/2"],
+            _NOT_GEN + _PARSER + ("fdsi.search",),
+            ("fractions", "fdsi.oracle"),
         ),
         # auto sends sa-empty straight to its type solver
         "solve-sa-empty": (
             ["solve", "{inst}", "sa-empty"],
-            ("fdsi.allocators", "fdsi.generators", "fdsi.search") + _STDLIB + _PARSER,
+            ("fdsi.allocators", "fdsi.generators", *_SOLVERS) + _STDLIB + _PARSER,
             ("fdsi.sa_empty",),
         ),
-        "brute-count": (["brute", "{inst}", "ef1", "--count"], _LEAN + _STDLIB + _PARSER, ()),
+        "brute-count": (
+            ["brute", "{inst}", "ef1", "--count"],
+            _LEAN + _STDLIB + _PARSER + ("fdsi.search",),
+            ("fdsi.oracle",),
+        ),
+        "brute-solve": (
+            ["brute", "{inst}", "ef1"],
+            _LEAN + _STDLIB + _PARSER + ("fdsi.search",),
+            ("fdsi.oracle",),
+        ),
         "check": (
             ["check", "{inst}", "{alloc}", "sa-ef1"],
-            _LEAN + _STDLIB + _PARSER + ("fdsi.search",),
+            _LEAN + _STDLIB + _PARSER + _SOLVERS,
             (),
         ),
     }

@@ -93,7 +93,7 @@ class TestAlphaGadget:
         from itertools import combinations_with_replacement
 
         from fdsi.fairness import Notion
-        from fdsi.search import brute_force_solve
+        from fdsi.oracle import brute_force_solve
 
         for length in (1, 2, 3):
             for weights in combinations_with_replacement(range(1, 6), length):
@@ -208,7 +208,7 @@ class TestRandom:
 
     def test_single_agent_trivially_satisfiable(self):
         from fdsi.fairness import BASES, Notion
-        from fdsi.search import brute_force_solve
+        from fdsi.oracle import brute_force_solve
 
         inst = gen_random(1, 5, 4, 4, 1, seed=7)
         for base in BASES:

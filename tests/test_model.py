@@ -25,7 +25,8 @@ from fdsi.model import (
     validate_allocation,
 )
 from fdsi.sa_empty import TypePartition, compute_types
-from fdsi.search import brute_force_solve, exact_solve
+from fdsi.oracle import brute_force_solve
+from fdsi.search import exact_solve
 
 from helpers import impact_of, random_instances
 

@@ -7,7 +7,8 @@ from fdsi.fairness import Notion, certify, check
 from fdsi.generators import RX3CInput, exact_cover_solvable, gen_random, gen_x3c_sa_empty
 from fdsi.model import Allocation, BudgetExceededError, make_instance
 from fdsi.sa_empty import compute_types, solve_sa_empty, unique_type_agents
-from fdsi.search import brute_force_solve, enumerate_sim_allocations
+from fdsi.oracle import brute_force_solve
+from fdsi.search import enumerate_sim_allocations
 
 from helpers import random_instances
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdsi import fairness, sa_empty, search
+from fdsi import fairness, oracle, sa_empty, search
 from fdsi.fairness import BASES, Notion, Verdict, Witness, certify, check, is_sim
 from fdsi.generators import canned, gen_mixed_awareness, gen_partition_ef1, gen_random
 from fdsi.model import (
@@ -17,19 +20,13 @@ from fdsi.model import (
     InternalError,
     ValidationError,
     all_maximizers,
+    candidate_columns,
     make_instance,
     normalize_impacts,
 )
+from fdsi.oracle import brute_force_count, brute_force_solve
 from fdsi.sa_empty import solve_sa_empty
-from fdsi.search import (
-    UnsupportedNotionError,
-    _Layout,
-    brute_force_count,
-    brute_force_solve,
-    candidate_columns,
-    enumerate_sim_allocations,
-    exact_solve,
-)
+from fdsi.search import UnsupportedNotionError, _Layout, enumerate_sim_allocations, exact_solve
 
 from helpers import (
     matrices,
@@ -382,11 +379,11 @@ class TestExactSolve:
     _DEFAULT_BUDGETS = {
         "exact": (search, "DEFAULT_STATE_BUDGET",
                   lambda inst: exact_solve(inst, Notion("ef1"), state_budget=None)),
-        "brute-solve": (search, "DEFAULT_BRUTE_CAP",
+        "brute-solve": (oracle, "DEFAULT_BRUTE_CAP",
                         lambda inst: brute_force_solve(inst, Notion("ef1"), cap=None)),
-        "brute-count": (search, "DEFAULT_BRUTE_CAP",
+        "brute-count": (oracle, "DEFAULT_BRUTE_CAP",
                         lambda inst: brute_force_count(inst, Notion("ef1"), cap=None)),
-        "brute-count-any": (search, "DEFAULT_BRUTE_CAP",
+        "brute-count-any": (oracle, "DEFAULT_BRUTE_CAP",
                             lambda inst: brute_force_count(inst, None, cap=None)),
         "sa-empty": (sa_empty, "DEFAULT_NODE_BUDGET",
                      lambda inst: solve_sa_empty(inst, node_budget=None)),
@@ -783,6 +780,22 @@ class TestOracles:
         )
         assert alloc is not None
         assert not is_sim(unaware, alloc).fair
+
+    def test_search_still_reads_the_oracle_solvers(self):
+        # the two solvers read from ``fdsi.search`` are the oracle's own; any
+        # other name the walk lacks stays missing, the cap included
+        assert search.brute_force_solve is oracle.brute_force_solve
+        assert search.brute_force_count is oracle.brute_force_count
+        for name in ("no_such_name", "DEFAULT_BRUTE_CAP", "_scan"):
+            with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+                getattr(search, name)
+        # and importing the walk alone loads no oracle
+        code = "import sys, fdsi.search\nprint('fdsi.oracle' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestOracleEquivalenceSmoke:
