@@ -25,6 +25,7 @@ from .model import (
 )
 
 ORACLE_WEIGHT_CAP = 10  # source-problem oracles stay exhaustive below this size
+PARTITION_SUM_CAP = 1 << 24  # partition's bitset has one bit per sum: 2 MiB
 
 
 def _check_weights(weights: tuple[int, ...]) -> int:
@@ -379,11 +380,15 @@ def gen_random(
 # source-problem oracles (independent of the gadgets they verify)
 
 def partition_solvable(weights) -> bool:
-    """Can the multiset split into two equal-sum halves?  Subset-sum bitset."""
+    """Can the multiset split into two equal-sum halves?  Subset-sum bitset,
+    whose width is the weight sum, whatever the number of weights."""
     weights = tuple(weights)
-    if len(weights) > ORACLE_WEIGHT_CAP:
-        raise ValidationError(f"oracle capped at {ORACLE_WEIGHT_CAP} weights")
+    if any(w < 0 for w in weights):
+        # a negative weight would let a huge one past the sum cap
+        raise ValidationError("oracle weights must be non-negative")
     total = sum(weights)
+    if total > PARTITION_SUM_CAP:
+        raise ValidationError(f"oracle capped at weight sum {PARTITION_SUM_CAP}")
     if total % 2:
         return False
     reachable = 1

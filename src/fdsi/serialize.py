@@ -28,8 +28,9 @@ alpha mode is selected via an explicit rational like ``1/2``.
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
+# json.loads and json.dumps run these two C functions; importing them from
+# _json skips the json package's Python layer and its regex compiles
+from _json import encode_basestring_ascii, make_scanner
 
 from .fairness import SA_EMPTY, Notion
 from .model import Allocation, Instance, ValidationError
@@ -202,15 +203,62 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+class _Settings:
+    """The decoder attributes ``_json``'s scanner reads: strict strings,
+    repeated keys refused, numbers and constants as ``json.loads`` parses
+    them (``float("NaN")`` and ``float("-Infinity")`` are its constants)."""
+
+    strict = True
+    object_hook = None
+    object_pairs_hook = staticmethod(_unique_keys)
+    parse_float = float
+    parse_int = int
+    parse_constant = float
+
+
+_scan_once = make_scanner(_Settings())
+_WHITESPACE = " \t\n\r"  # what json skips around the value
+
+
+def _decode_error(msg: str, text: str, pos: int) -> ValueError:
+    from json.decoder import JSONDecodeError  # only an error needs json
+
+    return JSONDecodeError(msg, text, pos)
+
+
+def _loads(text: str):
+    """``json.loads(text, object_pairs_hook=_unique_keys)``: the same value,
+    or the same exception with the same message, from the same C scanner,
+    with the four checks that ``json.loads`` makes in Python around it."""
+    if text.startswith("\ufeff"):
+        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        obj, end = _scan_once(text, start)
+    except StopIteration as err:
+        raise _decode_error("Expecting value", text, err.value) from None
+    except SystemError:
+        # on Python 3.11 the scanner looks JSONDecodeError up in
+        # sys.modules without importing it, so malformed text fails this way
+        # until json.decoder is loaded; then the same scan raises json's error
+        import json.decoder
+
+        obj, end = _scan_once(text, start)
+    end = len(text) - len(text[end:].lstrip(_WHITESPACE))
+    if end != len(text):
+        raise _decode_error("Extra data", text, end)
+    return obj
+
+
 def _read_json(path: str | PathLike):
     """Parse a UTF-8 JSON file.  Every way the text can be malformed raises
-    :class:`ValidationError`: bad JSON, bytes that are not UTF-8 (both
-    ``ValueError``), a key given twice in one object, an integer too long to
-    convert (``ValueError``) or nesting too deep to parse
-    (``RecursionError``)."""
+    :class:`ValidationError`: bad JSON, a leading byte order mark, data after
+    the value, an empty file, bytes that are not UTF-8 (all ``ValueError``),
+    a key given twice in one object, an integer too long to convert
+    (``ValueError``) or nesting too deep to parse (``RecursionError``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return _loads(fh.read())
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 

@@ -604,8 +604,10 @@ class TestCommands:
     _LEAN = ("fdsi.allocators", *_NOT_GEN)
     _SOLVERS = ("fdsi.search", "fdsi.oracle")
     # no command loads these (inspect comes with dataclasses), except that
-    # a rational alpha needs fractions
-    _STDLIB = ("dataclasses", "inspect", "fractions")
+    # a rational alpha needs fractions; files are read and written with
+    # _json's C functions, without the json package around them
+    _JSON = ("json", "json.decoder", "json.scanner", "json.encoder")
+    _STDLIB = ("dataclasses", "inspect", "fractions", *_JSON)
     # a well-formed solve, check or brute call is read without argparse,
     # which would bring gettext and, with its first help text, locale
     _PARSER = ("argparse", "gettext", "locale")
@@ -637,7 +639,7 @@ class TestCommands:
         # picking fails ef1 under alpha here, so auto falls back to the oracle
         "solve-alpha": (
             ["solve", "{inst}", "ef1", "--alpha", "1/2"],
-            _NOT_GEN + _PARSER + ("fdsi.search",),
+            _NOT_GEN + _PARSER + _JSON + ("fdsi.search",),
             ("fractions", "fdsi.oracle"),
         ),
         # auto sends sa-empty straight to its type solver
@@ -693,7 +695,8 @@ class TestCommands:
 
     def test_no_typing_or_pathlib_without_site(self, tmp_path):
         # with the site module off (-S) nothing but fdsi can load them; the
-        # annotations that name typing's aliases are never evaluated
+        # annotations that name typing's aliases are never evaluated, and
+        # only a malformed file needs json
         inst, alloc = self._gen(tmp_path, "wsa-nonexistence", alloc=True)
         calls = [
             ["solve", str(inst), "sa-ef1"],
@@ -706,7 +709,7 @@ class TestCommands:
             "from fdsi.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {calls!r}]\n"
-            "print(codes, [m for m in ('typing', 'pathlib') if m in sys.modules])"
+            "print(codes, [m for m in ('typing', 'pathlib', 'json') if m in sys.modules])"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         done = subprocess.run(

@@ -7,6 +7,7 @@ import pytest
 from fdsi.cli import main
 from fdsi.generators import (
     CANNED,
+    PARTITION_SUM_CAP,
     RX3CInput,
     canned,
     ef_allocation_exists,
@@ -267,8 +268,18 @@ class TestSourceOracles:
         assert partition_solvable((1, 1, 2))
         assert not partition_solvable((1, 1, 4))
         assert not partition_solvable((1, 2))  # odd sum
-        with pytest.raises(ValidationError):
-            partition_solvable((1,) * 11)
+        # the bitset is as wide as the weight sum, so the count is free and
+        # the sum is capped
+        assert partition_solvable((1,) * 40)
+        assert not partition_solvable((4,) * 30 + (2,))  # odd half of an even sum
+        half = PARTITION_SUM_CAP // 2
+        assert partition_solvable((half, half))
+        with pytest.raises(ValidationError, match="weight sum"):
+            partition_solvable((half, half, 2))
+        with pytest.raises(ValidationError, match="weight sum"):
+            partition_solvable((10**9,) * 10)
+        with pytest.raises(ValidationError, match="non-negative"):
+            partition_solvable((10**10, -(10**10)))
 
     def test_partition_matches_exhaustive(self):
         from itertools import combinations_with_replacement
@@ -293,6 +304,9 @@ class TestSourceOracles:
         assert equitable_partition_solvable((1, 1, 1, 1))
         assert not equitable_partition_solvable((2, 2, 2, 2, 2, 2, 2, 4, 4, 4))
         assert not equitable_partition_solvable((1, 1, 1))  # odd size
+        # exhaustive, so it keeps its count cap
+        with pytest.raises(ValidationError):
+            equitable_partition_solvable((1,) * 12)
 
     def test_exact_cover(self):
         assert exact_cover_solvable(6, ({0, 1, 2}, {3, 4, 5}, {0, 3, 5}))

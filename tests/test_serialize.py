@@ -1,9 +1,11 @@
 """The canonical writer: ``serialize.dumps`` is exactly
 ``json.dumps(obj, indent=2) + "\\n"`` on every value fdsi writes, and every
-file and stdout of the command line is in that layout."""
+file and stdout of the command line is in that layout.  The reader:
+``serialize._read_json`` gives what ``json.loads`` gives, value or error."""
 
 import enum
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from fdsi.cli import main
 from fdsi.generators import CANNED
-from fdsi.serialize import dumps
+from fdsi.model import ValidationError
+from fdsi.serialize import _loads, _read_json, _unique_keys, dumps
 
 
 class _Level(enum.IntEnum):
@@ -135,3 +138,94 @@ class TestCommandOutput:
         assert outputs[1]["witness"] is not None
         assert isinstance(outputs[2]["count"], int)
         assert outputs[3]["bundles"]["joe"] == []
+
+
+# text, then an id; every kind of text the reader must treat as json does
+_CORPUS = [
+    ('{"agents": [{"id": "a1", "weight": 2}], "items": ["g1"]}', "object"),
+    ('[1, -2, 3.5e-1, "x", true, false, null, [], {}]', "array"),
+    ('"plain"', "string"),
+    ("\ufeff{}", "bom"),
+    ("\ufeff", "bom-only"),
+    ("{} {}", "second-object"),
+    ("{}x", "trailing-junk"),
+    ("", "empty"),
+    (" \t\n\r ", "whitespace-only"),
+    (" \n{}\t\r\n ", "surrounding-whitespace"),
+    ("NaN", "nan"),
+    ("[Infinity, -Infinity, NaN]", "infinities"),
+    ('{"a": 1, "a": 2}', "duplicate-key"),
+    ('{"a": {"b": [{"c": 1, "c": 1}]}}', "nested-duplicate-key"),
+    ('"\x01"', "raw-control-character"),
+    ('"\\u0001\\t"', "escaped-control-character"),
+    ('"\\ud800"', "escaped-lone-surrogate"),
+    ('"\ud800"', "raw-lone-surrogate"),
+    ("9" * 5000, "long-integer"),
+    ("[" * 100_000, "deep-nesting"),
+    ("tru", "truncated-true"),
+    ("nul", "truncated-null"),
+    ("-Infin", "truncated-infinity"),
+    ('{"a" 1}', "missing-colon"),
+    ("[1 2]", "missing-comma"),
+    ('{"a": [1, 2', "truncated-array"),
+]
+
+
+def _outcome(read, arg):
+    """What ``read(arg)`` gives: its value's repr (NaN is not equal to
+    itself), or its exception's type name and message."""
+    try:
+        return ("value", repr(read(arg)))
+    except (ValueError, RecursionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _json_loads(text):
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _json_reader(path):
+    """The reader as it was with the json package."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _json_loads(fh.read())
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+
+
+class TestReader:
+    @pytest.mark.parametrize("unloaded", [False, True], ids=["json-loaded", "json-unloaded"])
+    @pytest.mark.parametrize("text", [t for t, _ in _CORPUS], ids=[i for _, i in _CORPUS])
+    def test_same_outcome_as_json(self, tmp_path, monkeypatch, text, unloaded):
+        path = tmp_path / "in.json"
+        # a raw lone surrogate becomes bytes that are not UTF-8
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        expected = _outcome(_json_reader, path), _outcome(_json_loads, text)
+        if unloaded:
+            # as in a fresh call: a malformed text is the first to need json
+            for name in [m for m in sys.modules if m == "json" or m.startswith("json.")]:
+                monkeypatch.delitem(sys.modules, name)
+        assert (_outcome(_read_json, path), _outcome(_loads, text)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.floats() | _ints | _text,
+            lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_text, inner, max_size=5),
+            max_leaves=30,
+        ),
+        st.text(" \t\n\r"),
+        st.text(" \t\n\r"),
+        st.sampled_from([None, 0, 2]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_same_outcome_as_json_on_dumped_values(
+        self, obj, before, after, indent, ascii_only, data
+    ):
+        text = before + json.dumps(obj, indent=indent, ensure_ascii=ascii_only) + after
+        # and on a random cut of it, which is malformed unless the cut
+        # drops only whitespace
+        cut = text[: data.draw(st.integers(0, len(text)), label="cut")]
+        for t in (text, cut):
+            assert _outcome(_loads, t) == _outcome(_json_loads, t)
