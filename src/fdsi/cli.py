@@ -54,11 +54,18 @@ def _witness_obj(inst: Instance, verdict: Verdict):
 
 
 def _notion_from_args(args) -> Notion:
+    """The spec's notion (``Notion.parse``) with the awareness mode of
+    ``--sa``, ``--alpha`` or ``--wsa``: one mode at most, from either."""
     # an empty --alpha is a bad rational, not a missing one
     alpha = None if args.alpha is None else exact_rational(args.alpha, "rational")
-    return serialize.parse_notion_spec(
-        args.notion, sa=args.sa, alpha=alpha, wsa=args.wsa
-    )
+    notion = Notion.parse(args.notion)
+    flags = (("sa", args.sa), ("alpha", alpha is not None), ("wsa", args.wsa))
+    modes = [mode for mode, on in flags if on]
+    if not modes:
+        return notion
+    if len(modes) > 1 or notion.awareness:
+        raise ValidationError("awareness modifiers are mutually exclusive")
+    return Notion(notion.base, modes[0], alpha)
 
 
 def _positive_int(text: str) -> int:
@@ -206,6 +213,7 @@ _NOTION_FLAGS = [
     ("--alpha", {"metavar": "P/Q", "help": "alpha-scaled awareness"}),
     ("--wsa", {"action": "store_true", "help": "proportional awareness"}),
 ]
+_NOTION = {"help": "a notion spec: <base>, sa-<base>, wsa-<base> or <p/q>-sa-<base>"}
 _BUDGET = {"type": _positive_int, "default": None}
 
 # command -> (its help line; its handler; its arguments in help order, each a
@@ -218,7 +226,7 @@ _COMMANDS = {
         [
             ("instance", {}),
             ("allocation", {}),
-            ("notion", {}),
+            ("notion", _NOTION),
             *_NOTION_FLAGS,
             ("--require-sim", {
                 "action": "store_true",
@@ -231,7 +239,7 @@ _COMMANDS = {
         _cmd_solve,
         [
             ("instance", {}),
-            ("notion", {}),
+            ("notion", _NOTION),
             *_NOTION_FLAGS,
             ("--method", {
                 "choices": ("auto", "picking", "efl", "exact", "brute", "sa-empty"),

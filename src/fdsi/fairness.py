@@ -25,10 +25,11 @@ ordered pair (i, j) with i != j, A_j is empty or s_i(A_j) < s_j(A_j).
 Every notion is stated once, over bundle sums: ``V[i][j] = v_i(A_j)`` and
 ``S[i][j] = s_i(A_j)``.  An ordered pair (i, j) is *envious* when
 ``V[i][i] * w_j < V[i][j] * w_i``; a pair that is not envious passes every
-base.  Per pair, the notions differ only in the weights (``Notion.weights``),
-the removals (``REMOVALS``) and the observers an awareness mode may excuse,
-and at what ratio (``Notion.excusable``, ``Notion.ratio``); the checker, the
-oracle's bit sets and the exact walk all read them from here.  Envious pairs are
+base.  Per pair, the notions differ only in the base's row of ``RULES``
+(``Notion.rule``), the weights (``Notion.weights``) and the observers an
+awareness mode may excuse, and at what ratio (``Notion.excusable``,
+``Notion.ratio``); the checker, the oracle's bit sets and the exact walk
+all read them through :class:`Notion`.  Envious pairs are
 decided from V, S and, only then, the values in i's eyes of the items of
 A_j: the largest removal, the positive values for ``efl``, or the per-item
 test of the universal-item bases.  ``decider`` compiles a notion once per
@@ -57,9 +58,8 @@ from .model import (
     _set,
     all_maximizers,
     exact_rational,
-    require_complete,
     require_goods,
-    validate_allocation,
+    valid_owners,
 )
 
 TYPE_CHECKING = False
@@ -67,11 +67,35 @@ if TYPE_CHECKING:
     from collections.abc import Callable, Sequence
     from fractions import Fraction
 
-BASES = ("ef", "ef1", "sef1", "wef1", "swef1", "efl", "tef1")
-TARGET_BASES = ("sef1", "swef1")
-WEIGHTED_BASES = ("wef1", "swef1")
 SA_EMPTY = "sa-empty"
 AWARENESS_MODES = (None, "sa", "alpha", "wsa")
+
+
+class Rule(Frozen):
+    """What a base asks of an envious ordered pair (i, j), one row of
+    ``RULES``: ``k``, the removals the pair may make; ``weighted``, whether
+    the instance weights apply; ``universal``, whether one removed item
+    must serve every observer of A_j; ``capped``, whether the removed item
+    may be worth no more than A_i to i."""
+
+    __slots__ = ("k", "weighted", "universal", "capped")
+
+    def __init__(self, k: int, weighted=False, universal=False, capped=False) -> None:
+        for name, value in zip(self.__slots__, (k, weighted, universal, capped)):
+            _set(self, name, value)
+
+
+# base -> its rule; tef1 counts its removal twice, since the item moves to A_i
+RULES = {
+    "ef": Rule(0),
+    "ef1": Rule(1),
+    "sef1": Rule(1, universal=True),
+    "wef1": Rule(1, weighted=True),
+    "swef1": Rule(1, weighted=True, universal=True),
+    "efl": Rule(1, capped=True),
+    "tef1": Rule(2),
+}
+BASES = tuple(RULES)
 
 
 class Notion(Frozen):
@@ -81,9 +105,10 @@ class Notion(Frozen):
     in [0, 1].  It is stored as a ``Fraction`` and given as anything
     :func:`~fdsi.model.exact_rational` accepts, so not as a ``float``.  The
     standalone notion ``sa-empty`` takes no awareness mode.  What a notion
-    reads of an instance is stated here, for every layer and for picking:
-    its :meth:`weights`, the :meth:`excusable` observers and the excuse
-    :meth:`ratio`.
+    asks and reads is stated here, for every layer and for picking: its
+    base's :meth:`rule`, its :meth:`weights`, the :meth:`excusable`
+    observers and the excuse :meth:`ratio`.  :meth:`parse` reads back what
+    :meth:`label` writes.
     """
 
     __slots__ = ("base", "awareness", "alpha")
@@ -108,9 +133,30 @@ class Notion(Frozen):
         _set(self, "awareness", awareness)
         _set(self, "alpha", alpha)
 
+    @classmethod
+    def parse(cls, text: str) -> Notion:
+        """The notion a spec names: a base, ``sa-<base>``, ``wsa-<base>`` or
+        ``<p/q>-sa-<base>``, as :meth:`label` writes it; case and
+        surrounding spaces are ignored.  A spec in no such form names an
+        unknown base."""
+        text = text.strip().lower()
+        if text == SA_EMPTY:
+            return cls(text)
+        mode, dash, rest = text.partition("-")
+        if dash and mode in ("sa", "wsa"):
+            return cls(rest, mode)
+        if rest.startswith("sa-"):
+            return cls(rest[3:], "alpha", mode)
+        return cls(text)
+
+    def rule(self) -> Rule | None:
+        """The row of the notion's base in ``RULES``; None for ``sa-empty``."""
+        return RULES.get(self.base)
+
     def weights(self, inst: Instance) -> tuple[int, ...]:
-        """The instance's weights under ``wef1``/``swef1``, ones otherwise."""
-        return inst.weights if self.base in WEIGHTED_BASES else (1,) * inst.n
+        """The instance's weights under a weighted base, ones otherwise."""
+        rule = self.rule()
+        return inst.weights if rule and rule.weighted else (1,) * inst.n
 
     def excusable(self, inst: Instance) -> tuple[bool, ...]:
         """The ``aware`` flags under an awareness mode, none otherwise."""
@@ -123,7 +169,7 @@ class Notion(Frozen):
         return alpha.numerator, alpha.denominator
 
     def label(self) -> str:
-        if self.base == SA_EMPTY or self.awareness is None:
+        if self.awareness is None:  # sa-empty has none
             return self.base
         if self.awareness == "alpha":
             p, q = self.ratio()
@@ -173,9 +219,8 @@ def is_sim(inst: Instance, alloc: Allocation) -> Verdict:
     impact maximizers.  The witness names the first misplaced item and an
     agent with strictly larger impact for it.
     """
-    require_complete(inst, alloc)
+    owners = valid_owners(inst, alloc, complete=True)
     maxsets = all_maximizers(inst)
-    owners = alloc.owners(inst.m)
     for g in range(inst.m):
         owner = owners[g]
         if owner not in maxsets[g]:
@@ -241,15 +286,6 @@ class Sums:
         return packed
 
 
-def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
-    """The item -> owner map of ``alloc`` (None when unallocated), after
-    checking bundle count, item indices and disjointness."""
-    errors = validate_allocation(inst, alloc)
-    if errors:
-        raise ValidationError("; ".join(errors))
-    return alloc.owners(inst.m)
-
-
 # -- per-notion formulas -------------------------------------------------------
 #
 # An envious ordered pair (i, j) passes the removal test with k removals when
@@ -258,16 +294,12 @@ def valid_owners(inst: Instance, alloc: Allocation) -> list[int | None]:
 # first item of ``ranked`` that j holds.  ``ranked`` lists the items i values
 # positively as (item, value) pairs, largest value first and ties by index
 # (``_ranked``), and item g lies in A_j when ``owners[g] == j``.  Envy needs
-# a positive item, so A_j holds at least one ranked item.  ``REMOVALS`` states
-# k per base: the test is the base itself for ``EXACT_REMOVAL`` (ef 0, ef1
-# and wef1 1, tef1 2: moving the item to A_i counts it twice), and for the
-# other bases k = 1 is a test every passing pair meets (efl and sef1 imply
-# ef1, swef1 implies wef1), which ``efl`` and the universal-item bases then
-# refine.  The brute-force oracle's bit sets and the exact walk's leaf read
-# the same table.
-
-REMOVALS = {"ef": 0, "ef1": 1, "wef1": 1, "tef1": 2, "efl": 1, "sef1": 1, "swef1": 1}
-EXACT_REMOVAL = ("ef", "ef1", "wef1", "tef1")
+# a positive item, so A_j holds at least one ranked item.  The rule's k
+# (``Rule``) is the removal test's k: the test is the base itself unless the
+# rule is capped or universal, and then k = 1 is a test every passing pair
+# meets (efl and sef1 imply ef1, swef1 implies wef1), which ``efl`` and the
+# universal-item bases refine.  The brute-force oracle's bit sets and the
+# exact walk's leaf read the same rule.
 
 
 def _ranked(row: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -339,7 +371,9 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
     excuse = _excuse(inst, notion, S)
     wt = notion.weights(inst)
     rankings = [_ranked(row) for row in inst.valuations]
-    if notion.base in TARGET_BASES:
+    rule = notion.rule()
+    k, efl = rule.k, rule.capped
+    if rule.universal:
         # per target j: j, w_j and its observers i != j ascending, each with
         # its fields, excuse, weight, value row, ranking and the observers after it
         targets = []
@@ -352,7 +386,7 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
 
         def fails(P: int, owners: Owners):
             # one removed item g of A_j must serve every envious observer i of j
-            # that is not excused: v_i(g) * w_i >= need_i, where
+            # that is not excused: k * v_i(g) * w_i >= need_i, where
             # need_i = v_i(A_j) * w_i - v_i(A_i) * w_j is positive exactly when i envies j
             first = None
             for j, wj, observers in targets:
@@ -367,13 +401,13 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
                 # ranking; one held by j must serve the later observers too
                 served = False
                 for g, v in ranked:
-                    if v * wi < need:
+                    if k * v * wi < need:
                         break
                     if owners[g] != j:
                         continue
                     for _, s_own, m_own, s_oth, m_oth, ex, wk, row, _ in later:
                         own, other = P >> s_own & m_own, P >> s_oth & m_oth
-                        if row[g] * wk < other * wk - own * wj and not (ex and ex(P, own, other)):
+                        if own * wj < (other - k * row[g]) * wk and not (ex and ex(P, own, other)):
                             break
                     else:
                         served = True
@@ -390,7 +424,6 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
             return first
 
         return sums, fails
-    k, efl = REMOVALS[notion.base], notion.base == "efl"
     rows = [
         (*V[i][i], wt[i], rankings[i],
          [(pair[i][j], j, *V[i][j], excuse[i][j], wt[j]) for j in rng if j != i])
@@ -431,7 +464,7 @@ def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
     """
     if notion.base != SA_EMPTY:
         require_goods(inst)
-    owners = valid_owners(inst, alloc)
+    owners = valid_owners(inst, alloc, complete=False)
     sums, fails = decider(inst, notion)
     failing = fails(sums.pack(owners), owners)
     if failing is None:

@@ -310,12 +310,17 @@ def is_complete(inst: Instance, alloc: Allocation) -> bool:
     return allocated == set(range(inst.m))
 
 
-def require_complete(inst: Instance, alloc: Allocation) -> None:
+def valid_owners(inst: Instance, alloc: Allocation, *, complete: bool) -> list[int | None]:
+    """The item -> owner map of ``alloc`` (None when unallocated), after
+    checking bundle count, item indices and disjointness and, when
+    ``complete``, that every item is allocated."""
     errors = validate_allocation(inst, alloc)
     if errors:
         raise ValidationError("; ".join(errors))
-    if not is_complete(inst, alloc):
+    owners = alloc.owners(inst.m)
+    if complete and None in owners:
         raise IncompleteAllocationError("allocation does not cover every item")
+    return owners
 
 
 def total_social_impact(inst: Instance, alloc: Allocation) -> int:
@@ -323,10 +328,8 @@ def total_social_impact(inst: Instance, alloc: Allocation) -> int:
 
     Requires a complete allocation.
     """
-    require_complete(inst, alloc)
-    return sum(
-        row[g] for row, bundle in zip(inst.impacts, alloc.bundles) for g in bundle
-    )
+    owners = valid_owners(inst, alloc, complete=True)
+    return sum(inst.impacts[i][g] for g, i in enumerate(owners))
 
 
 def impact_maximizers(inst: Instance, g: int) -> frozenset[int]:

@@ -9,13 +9,13 @@ sums are additive over items, so ``_scan`` splits the items into a head and
 a tail (a meet in the middle, as in Horowitz and Sahni's sorted halves) and
 decides all the tails of one head at once, as a bit set.  Per ordered pair,
 every test of the notion that is linear in the sums (envy, the removal test
-with ``fairness.REMOVALS`` removals, an ``sa``/``alpha`` excuse, the
+with the k of the base's ``Notion.rule``, an ``sa``/``alpha`` excuse, the
 ``sa-empty`` impact test) compares a key of the tail with a threshold the
 head sets, so the tails sorted by key once give the tails meeting any
-threshold by one bisect.  The tails the bit sets cannot settle (``efl``, and
-``sef1`` and ``swef1`` past two agents, with an envious pair; ``wsa``'s
-bilinear excuse) go one by one through the same decider that ``check``
-uses.  It builds an :class:`Allocation` only for the answer it returns.
+threshold by one bisect.  The tails the bit sets cannot settle (a capped
+rule, ``efl``, and a universal one, ``sef1`` and ``swef1``, past two
+agents, with an envious pair; ``wsa``'s bilinear excuse) go one by one
+through the same decider that ``check`` uses.  It builds an :class:`Allocation` only for the answer it returns.
 ``brute_force_solve`` and ``brute_force_count`` share that one scan, and the
 candidate cap bounds the candidate set on every path, ``notion=None``
 included.
@@ -32,15 +32,7 @@ from bisect import bisect_left
 from itertools import permutations, product
 from operator import getitem
 
-from .fairness import (
-    EXACT_REMOVAL,
-    REMOVALS,
-    SA_EMPTY,
-    TARGET_BASES,
-    Notion,
-    Sums,
-    decider,
-)
+from .fairness import SA_EMPTY, Notion, Sums, decider
 from .model import (
     Allocation,
     BudgetExceededError,
@@ -81,7 +73,7 @@ def _largest(row, owners, j: int, first: int = 0) -> int:
     return max((row[g] for g, o in enumerate(owners, first) if o == j), default=0)
 
 
-def _pair_tests(inst: Instance, notion: Notion, sums: Sums, k: int, tails, packed) -> list:
+def _pair_tests(inst: Instance, notion: Notion, sums: Sums, first: int, tails, packed) -> list:
     """Per ordered pair (i, j), i != j, ``test(P, head)``: the bit sets of the
     tails with which the candidate ``head + tail`` surely passes the pair,
     and with which it may, from the head's packed sums P.
@@ -90,18 +82,19 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, k: int, tails, packe
     threshold the head sets is one bisect: envy-freeness, d >= e with
     d = v_i(T_i) * w_j - v_i(T_j) * w_i and e the head's v_i(H_j) * w_i -
     v_i(H_i) * w_j; the removal test with the largest removal in the head or
-    in the tail (``fairness.REMOVALS``); an ``sa``/``alpha`` excuse, and
-    under ``sa-empty`` the tails that give j nothing.  Where the removal test
-    is not the base (``efl``, and ``sef1``/``swef1`` past two agents) only
-    an envy-free or excused pair surely passes, and under ``wsa``, whose
-    excuse is bilinear, an aware observer's pair may pass with every tail.
-    The weights, the observers that may be excused and the excuse ratio are
-    the notion's own (``Notion.weights``, ``excusable``, ``ratio``); under
-    ``sa-empty`` every observer's impact test is an excuse at ratio 1/1.
+    in the tail, made ``rule.k`` times; an ``sa``/``alpha`` excuse,
+    and under ``sa-empty`` the tails that give j nothing.  Where the removal
+    test is not the base (a capped rule, and a universal one past two
+    agents) only an envy-free or excused pair surely passes, and under
+    ``wsa``, whose excuse is bilinear, an aware observer's pair may pass
+    with every tail.  The rule, the weights, the observers that may be
+    excused and the excuse ratio are the notion's own (``Notion.rule``,
+    ``weights``, ``excusable``, ``ratio``); under ``sa-empty`` every
+    observer's impact test is an excuse at ratio 1/1.
     """
-    base = notion.base
-    sa_empty, every = base == SA_EMPTY, (1 << len(tails)) - 1
-    exact = sa_empty or base in EXACT_REMOVAL or base in TARGET_BASES and inst.n == 2
+    sa_empty, every = notion.base == SA_EMPTY, (1 << len(tails)) - 1
+    rule = notion.rule()
+    exact = sa_empty or not (rule.capped or rule.universal and inst.n > 2)
     wt = notion.weights(inst)
     excusable = (True,) * inst.n if sa_empty else notion.excusable(inst)
     p, q = notion.ratio()
@@ -126,10 +119,10 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, k: int, tails, packe
                 return passed, passed
 
             return test
-        kw = REMOVALS[base] * wi
+        kw = rule.k * wi
         d = [a * wj - b * wi for a, b in zip(field(sums.V[i][i]), field(sums.V[i][j]))]
         envy_free = _at_least(d)
-        removal = kw and _at_least([x + kw * _largest(row, t, j, k) for x, t in zip(d, tails)])
+        removal = kw and _at_least([x + kw * _largest(row, t, j, first) for x, t in zip(d, tails)])
         bilinear = notion.awareness == "wsa" and excusable[i]
 
         def test(P: int, head: tuple):

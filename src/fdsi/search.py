@@ -22,22 +22,24 @@ a Pareto set, so every move has one successor per assignee.  Assignees are
 the item's impact maximizers, so a path is the owner tuple of an
 impact-maximizing allocation.
 
-How ``y`` moves is one entry per base of ``_ENCODING``.  The one-removal
-family keeps a running maximum.  The universal-item family keeps, as one id
-in ``y_bb``, b's Pareto set (the maxima of a vector set; Kung, Luccio and
-Preparata, JACM 1975) of the value vectors, to b's observers, of b's items:
-one removed item must serve them all, and an item that another equals or
-beats for every observer serves no one the other does not.  The
-one-less-preferred notion keeps, per pair, the set of distinct positive
-values, in a's eyes, of the items in b's bundle, one bit per distinct
-positive value in a's row, so its width does not grow with how large the
-values are (a zero value could only pass a pair without envy, which passes
-anyway).  A leaf (layer m) accepts when every unflagged pair passes one
-removal test, ``x_aa * w_b >= (x_ab - k * y_ab) * w_a``, with the notion's
-weights (``Notion.weights``) and k = ``fairness.REMOVALS`` of the base (ef
-0, where y is absent and reads 0; tef1 2; under ``sef1``/``swef1`` y_ab is
-a's value of one member of b's set that all of b's observers share); only
-``efl`` tests its value set instead.
+How ``y`` moves follows from the base's ``Notion.rule``.  A universal rule
+(``sef1``/``swef1``) keeps, as one id in ``y_bb``, b's Pareto set (the
+maxima of a vector set; Kung, Luccio and Preparata, JACM 1975) of the value
+vectors, to b's observers, of b's items: one removed item must serve them
+all, and an item that another equals or beats for every observer serves no
+one the other does not.  A capped rule (``efl``) keeps, per pair, the set
+of distinct positive values, in a's eyes, of the items in b's bundle, one
+bit per distinct positive value in a's row, so its width does not grow
+with how large the values are (a zero value could only pass a pair without
+envy, which passes anyway).  Any other rule with k > 0 keeps a running
+maximum, and ``ef`` (k = 0) keeps no ``y``.
+
+A leaf (layer m) accepts when every unflagged pair passes one removal test,
+``x_aa * w_b >= (x_ab - k * y_ab) * w_a``, with the notion's weights
+(``Notion.weights``) and the rule's k (ef 0, where y is absent and reads 0;
+tef1 2; under a universal rule y_ab is a's value of one member of b's set
+that all of b's observers share); only a capped rule tests its value set
+instead.
 
 The walk keeps one set of created states per layer and never enters a state
 twice, and it tries assignees ascending, so the allocation it returns is the
@@ -55,7 +57,7 @@ import os
 from itertools import product
 
 from . import fairness
-from .fairness import BASES, REMOVALS, Notion
+from .fairness import BASES, Notion
 from .model import (
     Allocation,
     BudgetExceededError,
@@ -90,16 +92,6 @@ def default_state_budget() -> int:
     return value
 
 
-# -- per-base encoding ---------------------------------------------------------
-#
-# How y moves when c receives an item: not at all (no ``y``), "bits" (each
-# observer's value joins its set), "max" (a running maximum per observer)
-# or "pareto" (the item's class joins c's Pareto set, whose id is y_cc).
-
-_ENCODING = {"ef": None, "ef1": "max", "wef1": "max", "tef1": "max",
-             "sef1": "pareto", "swef1": "pareto", "efl": "bits"}
-
-
 def _less_preferred(xaa: int, xab: int, yab: int, values: list[int]) -> bool:
     # an envious pair: one item carries all of b's bundle value for a (at most
     # one positive item), or some value v in the set has x_ab - x_aa <= v <= x_aa
@@ -115,9 +107,10 @@ class _Layout:
     ``x[p]``, ``y[p]`` and ``flag[p]``: ``x_ab``, as wide as a's row sum;
     ``y_ab`` for a != b, as wide as a's largest value, or for "bits" one bit
     per distinct positive value in a's row (bit i for ``values[a][i]``, the
-    i-th smallest), or under "pareto" only ``y_bb``, the id of b's Pareto
-    set in ``sets``; and a 1-bit flag when a is an excusable observer of
-    b != a.  A field of width 0 (mask 0) is absent, so the root is 0.
+    i-th smallest; ``bit_of[a]`` maps each value to its i), or under
+    "pareto" only ``y_bb``, the id of b's Pareto set in ``sets``; and a
+    1-bit flag when a is an excusable observer of b != a.  A field of width
+    0 (mask 0) is absent, so the root is 0.
 
     An item's class for target b is its value column with b's entry 0; b's
     set holds the classes of b's items that no other one equals or beats
@@ -148,9 +141,15 @@ class _Layout:
             )
         n = self.n = inst.n
         rows = inst.valuations
-        self.ymove, self.k = _ENCODING[notion.base], REMOVALS[notion.base]
+        rule = notion.rule()
+        self.k = rule.k
+        # y keeps a Pareto set per bundle, a value set per pair, a running maximum or nothing
+        self.ymove = ("pareto" if rule.universal else "bits" if rule.capped
+                      else "max" if rule.k else None)
         w, excusable = notion.weights(inst), notion.excusable(inst)
         self.values = [sorted(set(row) - {0}) for row in rows]
+        if self.ymove == "bits":
+            self.bit_of = [{v: i for i, v in enumerate(values)} for values in self.values]
         self.id_mask = (1 << (n * budget).bit_length()) - 1 if self.ymove == "pareto" else 0
         self.sets = [frozenset({(0,) * n})]
         self.ids, self.joins = {self.sets[0]: 0}, {}
@@ -196,7 +195,7 @@ class _Layout:
             if flag_mask and inst.impacts[c][g] > inst.impacts[a][g]:
                 bits |= 1 << flag_shift
             if self.ymove == "bits" and y_mask and v:
-                bits |= 1 << (y_shift + self.values[a].index(v))
+                bits |= 1 << (y_shift + self.bit_of[a][v])
             elif self.ymove == "max" and y_mask and v:
                 raised.append((y_mask << y_shift, v << y_shift))
         if self.ymove != "pareto":

@@ -1,4 +1,4 @@
-"""Strict JSON serialization for instances and allocations, plus notion specs.
+"""Strict JSON serialization for instances and allocations.
 
 File formats (canonical field order, integers only, no floats):
 
@@ -19,11 +19,8 @@ Allocation file::
     {"bundles": {"a1": ["g1"], ...}}
 
 Agents may be omitted (empty bundle); bundles must be disjoint and hold item
-ids, which are strings.
-
-A notion spec is a base name from {ef, ef1, sef1, wef1, swef1, efl, tef1,
-sa-empty}, optionally prefixed with ``sa-`` or ``wsa-`` (so ``sa-ef1``); the
-alpha mode is selected via an explicit rational like ``1/2``.
+ids, which are strings.  A notion spec is no file format: ``Notion.parse``
+reads it.
 """
 
 from __future__ import annotations
@@ -32,12 +29,10 @@ from __future__ import annotations
 # _json skips the json package's Python layer and its regex compiles
 from _json import encode_basestring_ascii, make_scanner
 
-from .fairness import SA_EMPTY, Notion
 from .model import Allocation, Instance, ValidationError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
     from os import PathLike
 
 _AGENT_KEYS = {"id", "weight", "aware"}
@@ -274,37 +269,3 @@ def load_allocation(inst: Instance, path: str | PathLike) -> Allocation:
 def save_instance(inst: Instance, path: str | PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(instance_to_obj(inst)))
-
-
-def parse_notion_spec(
-    text: str,
-    *,
-    sa: bool = False,
-    alpha: Fraction | None = None,
-    wsa: bool = False,
-) -> Notion:
-    """Resolve a notion spec string plus optional modifier flags.
-
-    The string may carry the modifier itself (``sa-ef1``, ``wsa-efl``); the
-    flags mirror the command-line modifiers and are mutually exclusive with
-    each other and with an in-string prefix.
-    """
-    text = text.strip().lower()
-    base = text
-    prefix: str | None = None
-    if text != SA_EMPTY:
-        if text.startswith("sa-"):
-            prefix, base = "sa", text[3:]
-        elif text.startswith("wsa-"):
-            prefix, base = "wsa", text[4:]
-    modifiers = [m for m, on in (("sa", sa), ("alpha", alpha is not None), ("wsa", wsa)) if on]
-    if prefix is not None:
-        modifiers.append(prefix)
-    if len(modifiers) > 1:
-        raise ValidationError("awareness modifiers are mutually exclusive")
-    if not modifiers:
-        return Notion(base)
-    mode = modifiers[0]
-    if mode == "alpha":
-        return Notion(base, "alpha", alpha)
-    return Notion(base, mode)

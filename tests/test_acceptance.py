@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from fdsi.allocators import sa_efl_allocate, sa_weighted_picking
-from fdsi.fairness import BASES, WEIGHTED_BASES, Notion, certify, check, is_sim
+from fdsi.fairness import BASES, Notion, certify, check, is_sim
 from fdsi.generators import (
     RX3CInput,
     canned,
@@ -121,7 +121,7 @@ def test_criterion_3_binary_equal_valuation_impact():
             by_weights = sa_weighted_picking(inst)
             equal = sa_weighted_picking(inst, weights=(1,) * n)
             for base in ("sef1", "ef1", "efl", "tef1", "wef1", "swef1"):
-                alloc = by_weights if base in WEIGHTED_BASES else equal
+                alloc = by_weights if Notion(base).rule().weighted else equal
                 assert is_sim(inst, alloc).fair
                 assert check(inst, alloc, Notion(base)).fair
                 assert check(inst, alloc, Notion(base, "sa")).fair

@@ -7,8 +7,10 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,6 @@ from fdsi.serialize import (
     instance_to_obj,
     load_allocation,
     load_instance,
-    parse_notion_spec,
     save_instance,
 )
 
@@ -96,29 +97,71 @@ class TestSerialization:
         assert alloc.bundles == (frozenset({0, 1}), frozenset())
 
 
+def _from_args(notion: str, sa=False, alpha=None, wsa=False) -> Notion:
+    """The notion of a command line with this spec and these flags."""
+    return cli._notion_from_args(SimpleNamespace(notion=notion, sa=sa, alpha=alpha, wsa=wsa))
+
+
+# every notion: sa-empty, and each base plain, sa, wsa or alpha = p/q, 0 <= p <= q <= 50
+_NOTIONS = st.one_of(
+    st.just(Notion("sa-empty")),
+    st.builds(Notion, st.sampled_from(fairness.BASES), st.sampled_from((None, "sa", "wsa"))),
+    st.builds(
+        lambda base, pq: Notion(base, "alpha", Fraction(*pq)),
+        st.sampled_from(fairness.BASES),
+        st.integers(1, 50).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+    ),
+)
+
+
 class TestNotionSpecs:
     def test_plain_bases(self):
-        assert parse_notion_spec("ef1") == Notion("ef1")
-        assert parse_notion_spec("sa-empty") == Notion("sa-empty")
+        assert Notion.parse("ef1") == Notion("ef1")
+        assert Notion.parse("sa-empty") == Notion("sa-empty")
 
     def test_prefixes(self):
-        assert parse_notion_spec("sa-ef1") == Notion("ef1", "sa")
-        assert parse_notion_spec("wsa-efl") == Notion("efl", "wsa")
+        assert Notion.parse("sa-ef1") == Notion("ef1", "sa")
+        assert Notion.parse("wsa-efl") == Notion("efl", "wsa")
+        assert Notion.parse(" 1/2-SA-Swef1 ") == Notion("swef1", "alpha", Fraction(1, 2))
 
     def test_flags(self):
-        assert parse_notion_spec("ef1", sa=True) == Notion("ef1", "sa")
+        assert _from_args("ef1", sa=True) == Notion("ef1", "sa")
         half = exact_rational("1/2", "rational")
-        assert parse_notion_spec("swef1", alpha=half) == Notion("swef1", "alpha", half)
+        assert _from_args("swef1", alpha="1/2") == Notion("swef1", "alpha", half)
 
     def test_mutually_exclusive(self):
-        with pytest.raises(ValidationError):
-            parse_notion_spec("sa-ef1", wsa=True)
-        with pytest.raises(ValidationError):
-            parse_notion_spec("ef1", sa=True, wsa=True)
+        for spec, flags in (
+            ("sa-ef1", {"wsa": True}),
+            ("ef1", {"sa": True, "wsa": True}),
+            ("1/2-sa-ef1", {"sa": True}),
+            ("wsa-ef1", {"alpha": "1/2"}),
+        ):
+            with pytest.raises(ValidationError, match="^awareness modifiers are mutually"):
+                _from_args(spec, **flags)
 
     def test_unknown_base(self):
         with pytest.raises(ValidationError):
-            parse_notion_spec("efx")
+            Notion.parse("efx")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_NOTIONS)
+    def test_parse_reads_label(self, notion):
+        assert Notion.parse(notion.label()) == notion
+
+    @pytest.mark.parametrize(
+        "spec, err",
+        [
+            ("0.5-sa-ef1", "bad alpha '0.5': expected p or p/q"),
+            ("3/2-sa-ef1", "alpha must lie in [0, 1]"),
+            ("1/2-sa-sa-empty", "sa-empty takes no awareness modifier"),
+            ("1/2-wsa-ef1", "unknown notion base '1/2-wsa-ef1'"),
+        ],
+    )
+    def test_bad_alpha_spec_exit_2(self, tmp_path, capsys, spec, err):
+        inst = tmp_path / "p.json"
+        save_instance(gen_partition_ef1((1, 1, 2)), inst)
+        assert main(["solve", str(inst), spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_rationals(self):
         assert exact_rational("1/2", "rational") == exact_rational("2/4", "rational")
@@ -159,6 +202,17 @@ class TestCommands:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["sim"] is True and verdict["fair"] is False
         assert verdict["witness"]["observer"] == "a1"
+
+    def test_check_reads_its_own_reason(self, tmp_path, capsys):
+        # the witness reason of an alpha verdict is a spec that check reads
+        inst, alloc = self._gen(tmp_path, "alpha-nonexistence", alloc=True)
+        capsys.readouterr()
+        assert main(["check", str(inst), str(alloc), "ef1", "--alpha", "1/2"]) == 1
+        out = capsys.readouterr().out
+        reason = json.loads(out)["witness"]["reason"]
+        assert reason == "1/2-sa-ef1"
+        assert main(["check", str(inst), str(alloc), reason]) == 1
+        assert capsys.readouterr() == (out, "")
 
     def test_check_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
