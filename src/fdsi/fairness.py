@@ -29,9 +29,9 @@ base.  Per pair, the notions differ only in the base's row of ``RULES``
 (``Notion.rule``), the weights (``Notion.weights``) and the observers an
 awareness mode may excuse, and at what ratio (``Notion.excusable``,
 ``Notion.ratio``); the checker, the oracle's bit sets and the exact walk
-all read them through :class:`Notion`.  Envious pairs are
-decided from V, S and, only then, the values in i's eyes of the items of
-A_j: the largest removal, the positive values for ``efl``, or the per-item
+all read them through :class:`Notion`.  Envious pairs are decided from V, S
+and, only then, the values in i's eyes of the items of A_j: the largest
+removal, under ``efl`` the largest worth at most v_i(A_i), or the per-item
 test of the universal-item bases.  ``decider`` compiles a notion once per
 instance into a :class:`Sums`, which decides which entries of V and S the
 notion reads (and, for ``sa-empty``, each bundle's item count), lays them
@@ -39,7 +39,8 @@ out in one int and sums them, and a function of (that int, owners) that
 returns the first failing (observer, target) pair.  The compiled form lists
 the ordered pairs i != j once, each with what it reads: the fields of its
 sums, the pair's weights and the observer's items ranked by value, largest
-first, so the best removal from A_j is the first ranked item j holds.
+first, so the best removal from A_j is the first ranked item j holds that
+the rule allows.
 ``check`` packs the sums of one allocation; the brute-force oracle adds the
 packed sums of its items, decides most candidates in bulk from the same
 sums, and calls the decider only on those its bit sets cannot settle.
@@ -76,7 +77,8 @@ class Rule(Frozen):
     ``RULES``: ``k``, the removals the pair may make; ``weighted``, whether
     the instance weights apply; ``universal``, whether one removed item
     must serve every observer of A_j; ``capped``, whether the removed item
-    may be worth no more than A_i to i."""
+    may be worth no more than A_i to i, unless it is A_j's one positive
+    item."""
 
     __slots__ = ("k", "weighted", "universal", "capped")
 
@@ -289,35 +291,21 @@ class Sums:
 # -- per-notion formulas -------------------------------------------------------
 #
 # An envious ordered pair (i, j) passes the removal test with k removals when
-# ``v_i(A_i) * w_j >= (v_i(A_j) - k * largest) * w_i``, with ``largest`` the
-# value to i of A_j's most valuable item, which the decider reads as the
-# first item of ``ranked`` that j holds.  ``ranked`` lists the items i values
-# positively as (item, value) pairs, largest value first and ties by index
-# (``_ranked``), and item g lies in A_j when ``owners[g] == j``.  Envy needs
-# a positive item, so A_j holds at least one ranked item.  The rule's k
-# (``Rule``) is the removal test's k: the test is the base itself unless the
-# rule is capped or universal, and then k = 1 is a test every passing pair
-# meets (efl and sef1 imply ef1, swef1 implies wef1), which ``efl`` and the
-# universal-item bases refine.  The brute-force oracle's bit sets and the
-# exact walk's leaf read the same rule.
+# ``v_i(A_i) * w_j >= (v_i(A_j) - k * r) * w_i``.  The decider reads r from
+# ``ranked``, the items i values positively as (item, value) pairs, largest
+# value first and ties by index (``_ranked``); item g lies in A_j when
+# ``owners[g] == j``, and envy needs a ranked item in A_j.  r is the first
+# ranked item j holds, or under a capped rule (efl) the first worth at most
+# v_i(A_i), else all of v_i(A_j) when A_j holds one ranked item, else 0.  With
+# r uncapped, the test with the rule's k is the base itself unless the rule
+# is capped or universal, and then a test every passing pair meets (efl and
+# sef1 imply ef1, swef1 implies wef1): the oracle's bit sets use it, and only
+# the universal-item bases refine it, item by item.  The exact walk's leaf
+# reads the same rule.
 
 
 def _ranked(row: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(((g, v) for g, v in enumerate(row) if v > 0), key=lambda gv: -gv[1]))
-
-
-def _efl(own, other, ranked, owners: Owners, j: int) -> bool:
-    # at most one positive item, or a removal that kills the envy and is not
-    # itself worth more than A_i.  The first value v <= own of A_j decides:
-    # no later one is larger, and if v is too small A_j holds a second
-    # positive item (with v alone, other = v <= own and i would not envy j).
-    held = 0
-    for g, v in ranked:
-        if owners[g] == j:
-            if v <= own:
-                return v >= other - own
-            held += 1
-    return held <= 1
 
 
 def _excuse(inst: Instance, notion: Notion, S) -> list[list]:
@@ -372,7 +360,7 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
     wt = notion.weights(inst)
     rankings = [_ranked(row) for row in inst.valuations]
     rule = notion.rule()
-    k, efl = rule.k, rule.capped
+    k, capped = rule.k, rule.capped
     if rule.universal:
         # per target j: j, w_j and its observers i != j ascending, each with
         # its fields, excuse, weight, value row, ranking and the observers after it
@@ -437,14 +425,17 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
                 other = P >> s_oth & m_oth
                 if own * wj >= other * wi or ex and ex(P, own, other):  # not envious, or excused
                     continue
-                if efl:
-                    if _efl(own, other, ranked, owners, j):
-                        continue
-                elif k:  # ef has no removal
-                    for g, largest in ranked:
+                if k:  # ef has no removal
+                    # every held value is at most v_i(A_j), so only efl's cap skips any
+                    cap, over = own if capped else other, 0
+                    for g, r in ranked:
                         if owners[g] == j:
-                            break
-                    if own * wj >= (other - k * largest) * wi:
+                            if r <= cap:
+                                break
+                            over += 1
+                    else:  # a lone item above the cap goes whole
+                        r = other if over == 1 else 0
+                    if own * wj >= (other - k * r) * wi:
                         continue
                 return ij
         return None

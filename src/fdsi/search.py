@@ -37,9 +37,10 @@ maximum, and ``ef`` (k = 0) keeps no ``y``.
 A leaf (layer m) accepts when every unflagged pair passes one removal test,
 ``x_aa * w_b >= (x_ab - k * y_ab) * w_a``, with the notion's weights
 (``Notion.weights``) and the rule's k (ef 0, where y is absent and reads 0;
-tef1 2; under a universal rule y_ab is a's value of one member of b's set
-that all of b's observers share); only a capped rule tests its value set
-instead.
+tef1 2): every rule is that one test.  Under a universal rule y_ab is a's
+value of one member of b's set that all of b's observers share; under a
+capped rule it is x_ab if its own bit is set, else the largest value in the
+set at most x_aa.
 
 The walk keeps one set of created states per layer and never enters a state
 twice, and it tries assignees ascending, so the allocation it returns is the
@@ -54,6 +55,7 @@ exists.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from itertools import product
 
 from . import fairness
@@ -92,13 +94,6 @@ def default_state_budget() -> int:
     return value
 
 
-def _less_preferred(xaa: int, xab: int, yab: int, values: list[int]) -> bool:
-    # an envious pair: one item carries all of b's bundle value for a (at most
-    # one positive item), or some value v in the set has x_ab - x_aa <= v <= x_aa
-    held = [v for i, v in enumerate(values) if yab >> i & 1]
-    return xab in held or any(xab - xaa <= v <= xaa for v in held)
-
-
 class _Layout:
     """Where each field of a search key lies, for one instance and notion.
 
@@ -107,7 +102,7 @@ class _Layout:
     ``x[p]``, ``y[p]`` and ``flag[p]``: ``x_ab``, as wide as a's row sum;
     ``y_ab`` for a != b, as wide as a's largest value, or for "bits" one bit
     per distinct positive value in a's row (bit i for ``values[a][i]``, the
-    i-th smallest; ``bit_of[a]`` maps each value to its i), or under
+    i-th smallest; ``bit_of[a]`` maps each value to its bit), or under
     "pareto" only ``y_bb``, the id of b's Pareto set in ``sets``; and a
     1-bit flag when a is an excusable observer of b != a.  A field of width
     0 (mask 0) is absent, so the root is 0.
@@ -147,9 +142,9 @@ class _Layout:
         self.ymove = ("pareto" if rule.universal else "bits" if rule.capped
                       else "max" if rule.k else None)
         w, excusable = notion.weights(inst), notion.excusable(inst)
-        self.values = [sorted(set(row) - {0}) for row in rows]
         if self.ymove == "bits":
-            self.bit_of = [{v: i for i, v in enumerate(values)} for values in self.values]
+            self.values = [sorted(set(row) - {0}) for row in rows]
+            self.bit_of = [{v: 1 << i for i, v in enumerate(values)} for values in self.values]
         self.id_mask = (1 << (n * budget).bit_length()) - 1 if self.ymove == "pareto" else 0
         self.sets = [frozenset({(0,) * n})]
         self.ids, self.joins = {self.sets[0]: 0}, {}
@@ -171,7 +166,9 @@ class _Layout:
             for g, column in enumerate(candidate_columns(inst))
         ]
         # per target b, y_bb's field and the leaf's pairs (a, b), a != b: the
-        # flag bit, x_aa, x_ab, y_ab, the weights, a's values, and a
+        # flag bit, x_aa, x_ab, y_ab, the weights, a's values and bits under
+        # "bits" (else None), and a
+        tables = list(zip(self.values, self.bit_of)) if self.ymove == "bits" else [None] * n
         self.targets = []
         for b in range(n):
             pairs = []
@@ -179,7 +176,7 @@ class _Layout:
                 if a != b:
                     shift, mask = self.flag[a * n + b]
                     pairs.append((mask << shift, self.x[a * n + a], self.x[a * n + b],
-                                  self.y[a * n + b], w[a], w[b], self.values[a], a))
+                                  self.y[a * n + b], w[a], w[b], tables[a], a))
             self.targets.append((self.y[b * n + b], pairs))
 
     def _move(self, inst: Instance, g: int, c: int) -> tuple:
@@ -195,7 +192,7 @@ class _Layout:
             if flag_mask and inst.impacts[c][g] > inst.impacts[a][g]:
                 bits |= 1 << flag_shift
             if self.ymove == "bits" and y_mask and v:
-                bits |= 1 << (y_shift + self.bit_of[a][v])
+                bits |= self.bit_of[a][v] << y_shift
             elif self.ymove == "max" and y_mask and v:
                 raised.append((y_mask << y_shift, v << y_shift))
         if self.ymove != "pareto":
@@ -244,23 +241,30 @@ class _Layout:
         A flagged pair passes (only excusable observers carry a flag), and
         so does a pair without envy; every other pair must pass the removal
         test ``x_aa * w_b >= (x_ab - k * y_ab) * w_a``, under "pareto" with
-        a's value of one class of b's set that b's observers share, or
-        under ``efl`` the test of the value set.
+        a's value of one class of b's set that b's observers share, under
+        "bits" with x_ab if its bit is set, else the set's largest value at
+        most x_aa.
         """
-        k, efl = self.k, self.ymove == "bits"
+        k = self.k
         for (s_id, m_id), pairs in self.targets:
             live = []  # under "pareto", (a, w_a, x_ab * w_a - x_aa * w_b)
-            for flag, (s_aa, m_aa), (s_ab, m_ab), (s_y, m_y), wa, wb, values, a in pairs:
+            for flag, (s_aa, m_aa), (s_ab, m_ab), (s_y, m_y), wa, wb, table, a in pairs:
                 xaa, xab = key >> s_aa & m_aa, key >> s_ab & m_ab
                 need = xab * wa - xaa * wb
                 if need <= 0 or key & flag:
                     continue
                 if m_id:
                     live.append((a, wa, need))
-                elif not efl:
-                    if k * (key >> s_y & m_y) * wa < need:
-                        return False
-                elif not _less_preferred(xaa, xab, key >> s_y & m_y, values):
+                    continue
+                y = key >> s_y & m_y
+                if table:
+                    values, bit_of = table
+                    if y & bit_of.get(xab, 0):  # one positive item, removed whole
+                        y = xab
+                    else:  # the largest value in the set at most x_aa
+                        y &= (1 << bisect_right(values, xaa)) - 1
+                        y = values[y.bit_length() - 1] if y else 0
+                if k * y * wa < need:
                     return False
             if live and not any(all(k * cls[a] * wa >= need for a, wa, need in live)
                                 for cls in self.sets[key >> s_id & m_id]):

@@ -77,6 +77,22 @@ class TestPairwise:
         assert check(inst, alloc, Notion("ef1")).fair
         assert not check(inst, alloc, Notion("efl")).fair
 
+    @pytest.mark.parametrize("own, held, fair", [
+        (5, (5, 3, 2), True),  # the removal may be worth exactly v_0(A_0)
+        (5, (4, 4, 1), True),  # removing 4 = v_0(A_1) - v_0(A_0) just kills the envy
+        (1, (9, 0), True),  # one positive item goes whole, though worth more than A_0
+        (4, (5, 5), False),  # two equal items, both above the cap
+        (5, (5, 5), True),  # two equal items at the cap
+        (5, (6, 1, 1), False),  # the only envy-killing item lies above the cap
+    ])
+    def test_efl_cap_boundaries(self, own, held, fair):
+        # agent 0 holds one item worth ``own`` to it, agent 1 the items ``held``
+        m = 1 + len(held)
+        inst = make_instance(((own, *held), (0,) + (1,) * len(held)), ((1,) * m,) * 2)
+        alloc = Allocation((frozenset({0}), frozenset(range(1, m))))
+        assert naive_base(inst, alloc, 0, 1, "efl") == fair
+        assert check(inst, alloc, Notion("efl")).fair == fair
+
     def test_trivial_cases(self):
         # agent 0 sees an empty target bundle, agent 1 values nothing
         inst = make_instance(((1, 1), (0, 0)), ((1, 1), (1, 1)))
@@ -203,6 +219,21 @@ class TestCheckGoldens:
         verdict = check(inst, alloc, Notion("ef1"))
         assert (verdict.witness.observer, verdict.witness.target) == (0, 1)
         assert verdict.witness.item in alloc.bundles[1]
+
+    def test_efl_witnesses(self):
+        # agent 1 holds items 1-3; agent 0 sees two items of 5 above its 1,
+        # agent 2 an envy-killing 6 above its 5.  Aware agent 0 is excused
+        # (s_0(A_1) = 0 < 6 = s_1(A_1)), agent 2 is not (6 = 6)
+        inst = make_instance(
+            ((1, 5, 5, 0, 0), (0, 1, 1, 1, 0), (0, 6, 1, 1, 5)),
+            ((1, 0, 0, 0, 0), (0, 2, 2, 2, 0), (0, 2, 2, 2, 1)),
+            aware=(True, False, False),
+        )
+        alloc = Allocation.from_assignment(3, (0, 1, 1, 1, 2))
+        for notion, want in ((Notion("efl"), ("efl", 0, 1, 1)),
+                             (Notion("efl", "sa"), ("sa-efl", 2, 1, 1))):
+            witness = check(inst, alloc, notion).witness
+            assert (witness.reason, witness.observer, witness.target, witness.item) == want
 
     def test_single_agent_always_fair(self):
         inst = make_instance(((3, 1),), ((1, 1),))

@@ -291,9 +291,13 @@ class TestAcceptingState:
         # one item carries the whole bundle value: at most one positive item
         assert accepts(0, 9, {9})
         assert not accepts(0, 9, {4, 5})
-        # some value v with x_ab - x_aa <= v <= x_aa
+        # two items of value 4 set one bit, yet 8 (a value of a's too) is
+        # not in the set: x_ab's own bit is read, not "one bit is set"
+        assert not accepts(0, 8, {4})
+        # the largest value v <= x_aa has x_ab - x_aa <= v
         assert accepts(5, 8, {1, 3, 4})
         assert accepts(5, 9, {4, 5})
+        assert accepts(5, 10, {2, 3, 5})  # v may be x_aa itself
         # the only value large enough to kill the envy (6 >= 8 - 5) exceeds x_aa
         assert not accepts(5, 8, {1, 6})
 
