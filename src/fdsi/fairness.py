@@ -20,7 +20,9 @@ bounds proportional value gain by proportional impact gain,
 v_i(A_j) * s_i(A_j) <= v_i(A_i) * s_j(A_j).  Agents whose ``aware`` flag is
 off never get an override.  The standalone notion ``sa-empty`` demands that
 every non-empty bundle strictly impact-dominates all other agents: for each
-ordered pair (i, j) with i != j, A_j is empty or s_i(A_j) < s_j(A_j).
+ordered pair (i, j) with i != j, A_j is empty or s_i(A_j) < s_j(A_j).  That
+is ``ef`` with v_i(A_i) read as 0 and v_i(A_j) as |A_j|, and the ``sa``
+excuse for every agent, aware or not.
 
 Every notion is stated once, over bundle sums: ``V[i][j] = v_i(A_j)`` and
 ``S[i][j] = s_i(A_j)``.  An ordered pair (i, j) is *envious* when
@@ -29,16 +31,18 @@ base.  Per pair, the notions differ only in the base's row of ``RULES``
 (``Notion.rule``), the weights (``Notion.weights``) and the observers an
 awareness mode may excuse, and at what ratio (``Notion.excusable``,
 ``Notion.ratio``); the checker, the oracle's bit sets and the exact walk
-all read them through :class:`Notion`.  Envious pairs are decided from V, S
-and, only then, the values in i's eyes of the items of A_j: the largest
-removal, under ``efl`` the largest worth at most v_i(A_i), or the per-item
-test of the universal-item bases.  ``decider`` compiles a notion once per
-instance into a :class:`Sums`, which decides which entries of V and S the
-notion reads (and, for ``sa-empty``, each bundle's item count), lays them
-out in one int and sums them, and a function of (that int, owners) that
-returns the first failing (observer, target) pair.  The compiled form lists
-the ordered pairs i != j once, each with what it reads: the fields of its
-sums, the pair's weights and the observer's items ranked by value, largest
+all read them through :class:`Notion`.  ``sa-empty`` is ``ef``'s row, read
+by the checker and the oracle over the V that :class:`Sums` lays out for it
+(``V[i][i]`` reads 0, ``V[i][j]`` reads |A_j|).  Envious pairs are decided
+from V, S and, only then, the values in i's eyes of the items of A_j: the
+largest removal, under ``efl`` the largest worth at most v_i(A_i), or the
+per-item test of the universal-item bases.  ``decider`` compiles a notion
+once per instance into a :class:`Sums`, which decides which entries of V
+and S the notion reads, lays them out in one int and sums them, and a
+function of (that int, owners) that returns the first failing (observer,
+target) pair.  The compiled form lists the ordered pairs i != j once, each
+with what it reads: the fields of its sums, the pair's weights and, when
+the rule removes an item, the observer's items ranked by value, largest
 first, so the best removal from A_j is the first ranked item j holds that
 the rule allows.
 ``check`` packs the sums of one allocation; the brute-force oracle adds the
@@ -151,18 +155,19 @@ class Notion(Frozen):
             return cls(rest[3:], "alpha", mode)
         return cls(text)
 
-    def rule(self) -> Rule | None:
-        """The row of the notion's base in ``RULES``; None for ``sa-empty``."""
-        return RULES.get(self.base)
+    def rule(self) -> Rule:
+        """The row of the notion's base in ``RULES``; ``ef``'s for
+        ``sa-empty``, which :class:`Sums` reads over bundle sizes."""
+        return RULES["ef" if self.base == SA_EMPTY else self.base]
 
     def weights(self, inst: Instance) -> tuple[int, ...]:
         """The instance's weights under a weighted base, ones otherwise."""
-        rule = self.rule()
-        return inst.weights if rule and rule.weighted else (1,) * inst.n
+        return inst.weights if self.rule().weighted else (1,) * inst.n
 
     def excusable(self, inst: Instance) -> tuple[bool, ...]:
-        """The ``aware`` flags under an awareness mode, none otherwise."""
-        return inst.aware if self.awareness else (False,) * inst.n
+        """The ``aware`` flags under an awareness mode; every agent under
+        ``sa-empty``, aware or not; none otherwise."""
+        return inst.aware if self.awareness else (self.base == SA_EMPTY,) * inst.n
 
     def ratio(self) -> tuple[int, int]:
         """(p, q) of the impact excuse q * s_i(A_j) < p * s_j(A_j): alpha,
@@ -182,8 +187,9 @@ class Notion(Frozen):
 class Witness(Frozen):
     """Minimal evidence for an unfair verdict, re-checkable from the inputs.
 
-    ``item`` is the strongest single-removal candidate examined (or the
-    misplaced item for SIM violations)."""
+    ``item`` is the item of the target's bundle worth most to the observer,
+    the lowest index on ties; None under ``sa-empty``, and the misplaced
+    item for SIM violations."""
 
     __slots__ = ("reason", "observer", "target", "item")
     reason: str
@@ -246,9 +252,12 @@ class Sums:
     and the ints that :meth:`add` and :meth:`pack` build in that layout.
 
     ``V[i][j]``, ``S[i][j]`` and ``count[j]`` are the (shift, mask) of the
-    fields of v_i(A_j), s_i(A_j) and |A_j|.  V is packed for every base but
-    ``sa-empty``, whose values may be negative; S for ``sa-empty`` and
-    whenever some observer can be excused; |A_j| only for ``sa-empty``.
+    fields of v_i(A_j), s_i(A_j) and |A_j|.  The values are packed for
+    every base but ``sa-empty``, whose values may be negative; it reads
+    ``ef`` over bundle sizes instead, so its ``V[i][i]`` is a width-0 field
+    and ``V[i][j]`` (j != i) is ``count[j]``, packed only for it.  S is
+    packed whenever some observer can be excused (``Notion.excusable``), so
+    under ``sa-empty`` too.
     Any other field has width 0 and reads 0.  A field is as wide as the
     largest sum it holds (i's value-row or impact-row sum, or m) and every
     packed entry is non-negative, so no field carries into the next, and the
@@ -259,7 +268,7 @@ class Sums:
 
     def __init__(self, inst: Instance, notion: Notion) -> None:
         sa_empty = notion.base == SA_EMPTY
-        read_s = sa_empty or any(notion.excusable(inst))
+        read_s = any(notion.excusable(inst))
         n, shift = inst.n, 0
         # the per-item rows summed: values and impacts per observer, then ones
         self._rows, self._fields = inst.valuations + inst.impacts + ((1,) * inst.m,), []
@@ -268,6 +277,9 @@ class Sums:
             self._fields.append([(shift + j * width, (1 << width) - 1) for j in range(n)])
             shift += n * width
         self.V, self.S, (self.count,) = self._fields[:n], self._fields[n:-1], self._fields[-1:]
+        if sa_empty:  # v_i(A_i) reads 0 and v_i(A_j) reads |A_j|
+            self.V = [[V_ij if i == j else self.count[j] for j, V_ij in enumerate(V_i)]
+                      for i, V_i in enumerate(self.V)]
 
     def add(self, g: int, c: int) -> int:
         """The int that giving item g to agent c adds."""
@@ -337,30 +349,22 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
     order, or None when the allocation is fair.  For the universal-item bases
     a failing target j contributes (its least non-excused observer, j).
     Everything a pair reads of the instance (the fields of its sums, its
-    weights, its excuse and the observer's ranked items) is compiled here
-    once per instance, and so is the pair it returns, so a call builds no
-    list, tuple or generator.  Nothing is validated here: callers pass the sums of a valid
-    allocation of a goods instance (any instance for ``sa-empty``).
+    weights, its excuse and, under k > 0, the observer's ranked items) is
+    compiled here once per instance, and so is the pair it returns, so a
+    call builds no list, tuple or generator; ``sa-empty`` takes the
+    pairwise path.  Nothing is validated here: callers pass the sums of a
+    valid allocation of a goods instance (any instance for ``sa-empty``).
     """
     sums = Sums(inst, notion)
     rng = range(inst.n)
-    V, S, C = sums.V, sums.S, sums.count
+    V, S = sums.V, sums.S
     pair = [[(i, j) for j in rng] for i in rng]
-    if notion.base == SA_EMPTY:
-        pairs = [(pair[i][j], *S[i][j], *S[j][j], *C[j]) for i in rng for j in rng if i != j]
-
-        def fails(P: int, owners: Owners):
-            for ij, s_ij, m_ij, s_jj, m_jj, s_c, m_c in pairs:
-                if P >> s_ij & m_ij >= P >> s_jj & m_jj and P >> s_c & m_c:
-                    return ij
-            return None
-
-        return sums, fails
     excuse = _excuse(inst, notion, S)
     wt = notion.weights(inst)
-    rankings = [_ranked(row) for row in inst.valuations]
     rule = notion.rule()
     k, capped = rule.k, rule.capped
+    # only a removal reads the rankings, so k = 0 (ef, sa-empty) sorts no row
+    rankings = [_ranked(row) for row in inst.valuations] if k else [()] * inst.n
     if rule.universal:
         # per target j: j, w_j and its observers i != j ascending, each with
         # its fields, excuse, weight, value row, ranking and the observers after it
@@ -461,16 +465,15 @@ def check(inst: Instance, alloc: Allocation, notion: Notion) -> Verdict:
     if failing is None:
         return Verdict(fair=True)
     i, j = failing
-    if notion.base == SA_EMPTY:
-        return Verdict(fair=False, witness=Witness(reason=SA_EMPTY, observer=i, target=j))
+    # the item of A_j worth most to i, the lowest index on ties; sa-empty reads no values
+    bundle = () if notion.base == SA_EMPTY else sorted(alloc.bundles[j])
     return Verdict(
         fair=False,
         witness=Witness(
             reason=notion.label(),
             observer=i,
             target=j,
-            # the item of A_j worth most to i, the lowest index on ties
-            item=max(sorted(alloc.bundles[j]), key=inst.valuations[i].__getitem__, default=None),
+            item=max(bundle, key=inst.valuations[i].__getitem__, default=None),
         ),
     )
 

@@ -9,13 +9,15 @@ sums are additive over items, so ``_scan`` splits the items into a head and
 a tail (a meet in the middle, as in Horowitz and Sahni's sorted halves) and
 decides all the tails of one head at once, as a bit set.  Per ordered pair,
 every test of the notion that is linear in the sums (envy, the removal test
-with the k of the base's ``Notion.rule``, an ``sa``/``alpha`` excuse, the
-``sa-empty`` impact test) compares a key of the tail with a threshold the
-head sets, so the tails sorted by key once give the tails meeting any
-threshold by one bisect.  The tails the bit sets cannot settle (a capped
-rule, ``efl``, and a universal one, ``sef1`` and ``swef1``, past two
-agents, with an envious pair; ``wsa``'s bilinear excuse) go one by one
-through the same decider that ``check`` uses.  It builds an :class:`Allocation` only for the answer it returns.
+with the k of the base's ``Notion.rule``, an ``sa``/``alpha`` excuse)
+compares a key of the tail with a threshold the head sets, so the tails
+sorted by key once give the tails meeting any threshold by one bisect.
+``sa-empty`` is ``ef`` with every observer excused at 1/1 over the sums
+``Sums`` lays out for it, so it takes the same tests.  The tails the bit
+sets cannot settle (a capped rule, ``efl``, and a universal one, ``sef1``
+and ``swef1``, past two agents, with an envious pair; ``wsa``'s bilinear
+excuse) go one by one through the same decider that ``check`` uses.  It
+builds an :class:`Allocation` only for the answer it returns.
 ``brute_force_solve`` and ``brute_force_count`` share that one scan, and the
 candidate cap bounds the candidate set on every path, ``notion=None``
 included.
@@ -82,21 +84,20 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, first: int, tails, p
     threshold the head sets is one bisect: envy-freeness, d >= e with
     d = v_i(T_i) * w_j - v_i(T_j) * w_i and e the head's v_i(H_j) * w_i -
     v_i(H_i) * w_j; the removal test with the largest removal in the head or
-    in the tail, made ``rule.k`` times; an ``sa``/``alpha`` excuse,
-    and under ``sa-empty`` the tails that give j nothing.  Where the removal
-    test is not the base (a capped rule, and a universal one past two
-    agents) only an envy-free or excused pair surely passes, and under
-    ``wsa``, whose excuse is bilinear, an aware observer's pair may pass
-    with every tail.  The rule, the weights, the observers that may be
-    excused and the excuse ratio are the notion's own (``Notion.rule``,
-    ``weights``, ``excusable``, ``ratio``); under ``sa-empty`` every
-    observer's impact test is an excuse at ratio 1/1.
+    in the tail, made ``rule.k`` times; and an ``sa``/``alpha`` excuse.
+    Where the removal test is not the base (a capped rule, and a universal
+    one past two agents) only an envy-free or excused pair surely passes,
+    and under ``wsa``, whose excuse is bilinear, an aware observer's pair
+    may pass with every tail.  The rule, the weights, the observers that
+    may be excused and the excuse ratio are the notion's own
+    (``Notion.rule``, ``weights``, ``excusable``, ``ratio``).  Under
+    ``sa-empty`` d = -|T_j| and e = |H_j|, so the envy-free tails are
+    those that give j nothing, when the head gives j nothing too.
     """
-    sa_empty, every = notion.base == SA_EMPTY, (1 << len(tails)) - 1
-    rule = notion.rule()
-    exact = sa_empty or not (rule.capped or rule.universal and inst.n > 2)
+    every, rule = (1 << len(tails)) - 1, notion.rule()
+    exact = not (rule.capped or rule.universal and inst.n > 2)
     wt = notion.weights(inst)
-    excusable = (True,) * inst.n if sa_empty else notion.excusable(inst)
+    excusable = notion.excusable(inst)
     p, q = notion.ratio()
 
     def field(shift_mask):
@@ -110,15 +111,6 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, first: int, tails, p
         excuse = excusable[i] and notion.awareness != "wsa" and _at_least(
             [p * b - q * a for a, b in zip(field(sums.S[i][j]), field(sums.S[j][j]))]
         )
-        if sa_empty:
-            empty = sum(1 << t for t, tail in enumerate(tails) if j not in tail)
-
-            def test(P: int, head: tuple):
-                passed = excuse(1 - p * (P >> s_jj & m_jj) + q * (P >> s_ij & m_ij))
-                passed |= 0 if j in head else empty
-                return passed, passed
-
-            return test
         kw = rule.k * wi
         d = [a * wj - b * wi for a, b in zip(field(sums.V[i][i]), field(sums.V[i][j]))]
         envy_free = _at_least(d)

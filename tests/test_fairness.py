@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fdsi.fairness import (
     BASES,
+    RULES,
     Notion,
     certify,
     check,
@@ -17,8 +19,10 @@ from fdsi.model import (
     Allocation,
     GoodsOnlyError,
     ValidationError,
+    candidate_columns,
     make_instance,
 )
+from fdsi.oracle import brute_force_count, brute_force_solve
 
 from helpers import (
     impact_of,
@@ -274,6 +278,43 @@ class TestSaEmpty:
         alloc = Allocation(tuple(bundles))
         assert is_sim(inst, alloc).fair
         assert check(inst, alloc, Notion("sa-empty")).fair
+
+    def test_rule_row(self):
+        # ef over bundle sizes, every agent excusable at ratio 1/1, unweighted
+        inst = make_instance(((1, 2),) * 3, ((1, 1),) * 3, weights=(2, 1, 3),
+                             aware=(True, False, True))
+        notion = Notion("sa-empty")
+        assert notion.rule() is RULES["ef"]
+        assert notion.excusable(inst) == (True, True, True)
+        assert notion.weights(inst) == (1, 1, 1)
+        assert notion.ratio() == (1, 1)
+
+    def test_awareness_and_values_are_not_read(self):
+        # negative values and random aware flags: the verdict, its witness
+        # and the oracle's count and first answer are those of every agent
+        # aware, and those of the literal definition
+        rng = random.Random(34)
+        notion = Notion("sa-empty")
+        unfair = 0
+        for inst in random_instances(300, 35, 1, 4, 0, 6, 4, 3, 3):
+            rows = [[rng.randint(-5, 5) for _ in range(inst.m)] for _ in range(inst.n)]
+            inst = inst.replace(valuations=rows, aware=[rng.random() < 0.5 for _ in range(inst.n)])
+            aware = inst.replace(aware=[True] * inst.n)
+            for _ in range(3):
+                alloc = random_allocation(inst, rng)
+                verdict = check(inst, alloc, notion)
+                assert verdict == check(aware, alloc, notion)
+                assert verdict.fair == naive_check(inst, alloc, notion)
+                unfair += not verdict.fair
+            for require_sim in (True, False):
+                columns = candidate_columns(inst, require_sim)
+                allocs = [Allocation.from_assignment(inst.n, owners) for owners in product(*columns)]
+                passing = [alloc for alloc in allocs if naive_check(inst, alloc, notion)]
+                for case in (inst, aware):
+                    assert brute_force_count(case, notion, require_sim=require_sim) == len(passing)
+                    first = brute_force_solve(case, notion, require_sim=require_sim)
+                    assert first == (passing[0] if passing else None)
+        assert unfair > 50
 
 
 class TestLatticeAndCollapse:

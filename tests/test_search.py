@@ -1034,13 +1034,19 @@ class TestPackedSums:
     @pytest.mark.parametrize("n, m", ((3, 3), (3, 4), (2, 7), (2, 8)))
     def test_sa_empty_fields(self, scale, n, m):
         # item counts m = 2**k - 1 and 2**k, and negative values, which
-        # sa-empty never reads
+        # sa-empty never reads: it is ef over bundle sizes, so V[i][i] reads
+        # 0 and V[i][j] is the |A_j| field, and S is packed
         inst = _edge_instance(scale, 9, n, m)
         rng = random.Random(m)
         inst = inst.replace(valuations=[[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
         notion = Notion("sa-empty")
-        assert _packed(fairness.Sums(inst, notion)) == (False, True)
-        assert fairness.Sums(inst, notion).V == [[(0, 0)] * n] * n
+        sums = fairness.Sums(inst, notion)
+        assert sums.V == [[(0, 0) if i == j else sums.count[j] for j in range(n)] for i in range(n)]
+        assert all(mask for _, mask in sums.count)
+        assert _packed(sums) == (True, True)
+        zero = fairness.Sums(inst.replace(valuations=[[0] * m] * n), notion)
+        for g, c in product(range(m), range(n)):
+            assert sums.add(g, c) == zero.add(g, c), (g, c)
         _assert_check_is_naive(inst, notion)
         _assert_oracle_is_naive(inst, notion, require_sim=False)
 
