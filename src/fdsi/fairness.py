@@ -42,9 +42,8 @@ and S the notion reads, lays them out in one int and sums them, and a
 function of (that int, owners) that returns the first failing (observer,
 target) pair.  The compiled form lists the ordered pairs i != j once, each
 with what it reads: the fields of its sums, the pair's weights and, when
-the rule removes an item, the observer's items ranked by value, largest
-first, so the best removal from A_j is the first ranked item j holds that
-the rule allows.
+the rule removes an item, the observer's value row, from which an envious
+pair reads the best removal the rule allows in one pass over the owners.
 ``check`` packs the sums of one allocation; the brute-force oracle adds the
 packed sums of its items, decides most candidates in bulk from the same
 sums, and calls the decider only on those its bit sets cannot settle.
@@ -303,21 +302,17 @@ class Sums:
 # -- per-notion formulas -------------------------------------------------------
 #
 # An envious ordered pair (i, j) passes the removal test with k removals when
-# ``v_i(A_i) * w_j >= (v_i(A_j) - k * r) * w_i``.  The decider reads r from
-# ``ranked``, the items i values positively as (item, value) pairs, largest
-# value first and ties by index (``_ranked``); item g lies in A_j when
-# ``owners[g] == j``, and envy needs a ranked item in A_j.  r is the first
-# ranked item j holds, or under a capped rule (efl) the first worth at most
-# v_i(A_i), else all of v_i(A_j) when A_j holds one ranked item, else 0.  With
-# r uncapped, the test with the rule's k is the base itself unless the rule
-# is capped or universal, and then a test every passing pair meets (efl and
-# sef1 imply ef1, swef1 implies wef1): the oracle's bit sets use it, and only
-# the universal-item bases refine it, item by item.  The exact walk's leaf
+# ``v_i(A_i) * w_j >= (v_i(A_j) - k * r) * w_i``.  The decider reads r in one
+# pass over i's value row and ``owners`` (item g lies in A_j when
+# ``owners[g] == j``): r is the largest value i holds in A_j up to the cap,
+# v_i(A_i) under a capped rule (efl) and v_i(A_j) otherwise, and all of
+# v_i(A_j) when A_j's one positive item lies above the cap.  With r uncapped,
+# the test with the rule's k is the base itself unless the rule is capped or
+# universal, and then a test every passing pair meets (efl and sef1 imply
+# ef1, swef1 implies wef1): the oracle's bit sets use it for the candidates
+# that may pass, settle efl's by the cap as well, and leave the
+# universal-item bases to be refined item by item.  The exact walk's leaf
 # reads the same rule.
-
-
-def _ranked(row: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(((g, v) for g, v in enumerate(row) if v > 0), key=lambda gv: -gv[1]))
 
 
 def _excuse(inst: Instance, notion: Notion, S) -> list[list]:
@@ -349,9 +344,11 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
     order, or None when the allocation is fair.  For the universal-item bases
     a failing target j contributes (its least non-excused observer, j).
     Everything a pair reads of the instance (the fields of its sums, its
-    weights, its excuse and, under k > 0, the observer's ranked items) is
-    compiled here once per instance, and so is the pair it returns, so a
-    call builds no list, tuple or generator; ``sa-empty`` takes the
+    weights, its excuse and, under k > 0, the observer's value row) is
+    compiled here once per instance, and so is the pair it returns.  A call
+    reads the owners once per envious pair that is not excused: a pairwise
+    base for its removal, a universal-item base to keep the items of A_j
+    that serve every such observer of j so far.  ``sa-empty`` takes the
     pairwise path.  Nothing is validated here: callers pass the sums of a
     valid allocation of a goods instance (any instance for ``sa-empty``).
     """
@@ -363,18 +360,14 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
     wt = notion.weights(inst)
     rule = notion.rule()
     k, capped = rule.k, rule.capped
-    # only a removal reads the rankings, so k = 0 (ef, sa-empty) sorts no row
-    rankings = [_ranked(row) for row in inst.valuations] if k else [()] * inst.n
     if rule.universal:
         # per target j: j, w_j and its observers i != j ascending, each with
-        # its fields, excuse, weight, value row, ranking and the observers after it
-        targets = []
-        for j in rng:
-            observers = [
-                (i, *V[i][i], *V[i][j], excuse[i][j], wt[i], inst.valuations[i], rankings[i])
-                for i in rng if i != j
-            ]
-            targets.append((j, wt[j], [o + (observers[k + 1:],) for k, o in enumerate(observers)]))
+        # its fields, excuse, weight and value row
+        targets = [
+            (j, wt[j], [(i, *V[i][i], *V[i][j], excuse[i][j], wt[i], inst.valuations[i])
+                        for i in rng if i != j])
+            for j in rng
+        ]
 
         def fails(P: int, owners: Owners):
             # one removed item g of A_j must serve every envious observer i of j
@@ -382,31 +375,20 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
             # need_i = v_i(A_j) * w_i - v_i(A_i) * w_j is positive exactly when i envies j
             first = None
             for j, wj, observers in targets:
-                for i, s_own, m_own, s_oth, m_oth, ex, wi, _, ranked, later in observers:
+                served = None  # the items of A_j serving every envious observer so far
+                for i, s_own, m_own, s_oth, m_oth, ex, wi, row in observers:
                     own, other = P >> s_own & m_own, P >> s_oth & m_oth
                     need = other * wi - own * wj
-                    if need > 0 and not (ex and ex(P, own, other)):
+                    if need <= 0 or ex and ex(P, own, other):
+                        continue
+                    if served is None:
+                        served = [g for g, o in enumerate(owners) if o == j]
+                    served = [g for g in served if k * row[g] * wi >= need]
+                    if not served:
                         break
                 else:
-                    continue  # no observer of j needs a removal
-                # the items serving that first observer are a prefix of its
-                # ranking; one held by j must serve the later observers too
-                served = False
-                for g, v in ranked:
-                    if k * v * wi < need:
-                        break
-                    if owners[g] != j:
-                        continue
-                    for _, s_own, m_own, s_oth, m_oth, ex, wk, row, _ in later:
-                        own, other = P >> s_own & m_own, P >> s_oth & m_oth
-                        if own * wj < (other - k * row[g]) * wk and not (ex and ex(P, own, other)):
-                            break
-                    else:
-                        served = True
-                        break
-                if served:
-                    continue
-                for i, s_own, m_own, s_oth, m_oth, ex, _, _, _, _ in observers:
+                    continue  # some item serves them all, or no observer needs one
+                for i, s_own, m_own, s_oth, m_oth, ex, _, _ in observers:
                     if not (ex and ex(P, P >> s_own & m_own, P >> s_oth & m_oth)):
                         break
                 if first is None or i < first[0]:
@@ -417,28 +399,30 @@ def decider(inst: Instance, notion: Notion) -> tuple[Sums, Decider]:
 
         return sums, fails
     rows = [
-        (*V[i][i], wt[i], rankings[i],
+        (*V[i][i], wt[i], inst.valuations[i],
          [(pair[i][j], j, *V[i][j], excuse[i][j], wt[j]) for j in rng if j != i])
         for i in rng
     ]
 
     def fails(P: int, owners: Owners):
-        for s_own, m_own, wi, ranked, targets in rows:
+        for s_own, m_own, wi, row, targets in rows:
             own = P >> s_own & m_own
             for ij, j, s_oth, m_oth, ex, wj in targets:
                 other = P >> s_oth & m_oth
                 if own * wj >= other * wi or ex and ex(P, own, other):  # not envious, or excused
                     continue
                 if k:  # ef has no removal
-                    # every held value is at most v_i(A_j), so only efl's cap skips any
-                    cap, over = own if capped else other, 0
-                    for g, r in ranked:
-                        if owners[g] == j:
-                            if r <= cap:
-                                break
-                            over += 1
-                    else:  # a lone item above the cap goes whole
-                        r = other if over == 1 else 0
+                    # r: i's largest value in A_j up to the cap; no held value
+                    # tops v_i(A_j), so only efl's cap skips any
+                    cap, r, over = own if capped else other, 0, 0
+                    for v, o in zip(row, owners):
+                        if o == j:
+                            if v > cap:
+                                over += 1
+                            elif v > r:
+                                r = v
+                    if not r and over == 1:  # a lone item above the cap goes whole
+                        r = other
                     if own * wj >= (other - k * r) * wi:
                         continue
                 return ij

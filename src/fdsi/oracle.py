@@ -13,10 +13,11 @@ with the k of the base's ``Notion.rule``, an ``sa``/``alpha`` excuse)
 compares a key of the tail with a threshold the head sets, so the tails
 sorted by key once give the tails meeting any threshold by one bisect.
 ``sa-empty`` is ``ef`` with every observer excused at 1/1 over the sums
-``Sums`` lays out for it, so it takes the same tests.  The tails the bit
-sets cannot settle (a capped rule, ``efl``, and a universal one, ``sef1``
-and ``swef1``, past two agents, with an envious pair; ``wsa``'s bilinear
-excuse) go one by one through the same decider that ``check`` uses.  It
+``Sums`` lays out for it, so it takes the same tests; under ``efl`` two
+more keys per pair settle the removals worth at most v_i(A_i).  The tails
+the bit sets cannot settle (``sef1`` and ``swef1`` past two agents with an
+envious pair, ``wsa``'s bilinear excuse, ``efl``'s lone item above the
+cap) go one by one through the same decider that ``check`` uses.  It
 builds an :class:`Allocation` only for the answer it returns.
 ``brute_force_solve`` and ``brute_force_count`` share that one scan, and the
 candidate cap bounds the candidate set on every path, ``notion=None``
@@ -85,17 +86,19 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, first: int, tails, p
     d = v_i(T_i) * w_j - v_i(T_j) * w_i and e the head's v_i(H_j) * w_i -
     v_i(H_i) * w_j; the removal test with the largest removal in the head or
     in the tail, made ``rule.k`` times; and an ``sa``/``alpha`` excuse.
-    Where the removal test is not the base (a capped rule, and a universal
-    one past two agents) only an envy-free or excused pair surely passes,
-    and under ``wsa``, whose excuse is bilinear, an aware observer's pair
-    may pass with every tail.  The rule, the weights, the observers that
-    may be excused and the excuse ratio are the notion's own
+    Under ``efl`` the pair also surely passes when the head's largest
+    removal r, or the tail's L_T, kills the envy and is at most v_i(A_i):
+    v_i(T_i) >= r - v_i(H_i), or v_i(T_i) - L_T >= -v_i(H_i).  Under a
+    universal rule past two agents only an envy-free or excused pair surely
+    passes, and under ``wsa``, whose excuse is bilinear, an aware
+    observer's pair may pass with every tail.  The rule, the weights, the
+    observers that may be excused and the excuse ratio are the notion's own
     (``Notion.rule``, ``weights``, ``excusable``, ``ratio``).  Under
     ``sa-empty`` d = -|T_j| and e = |H_j|, so the envy-free tails are
     those that give j nothing, when the head gives j nothing too.
     """
     every, rule = (1 << len(tails)) - 1, notion.rule()
-    exact = not (rule.capped or rule.universal and inst.n > 2)
+    exact = not (rule.universal and inst.n > 2)
     wt = notion.weights(inst)
     excusable = notion.excusable(inst)
     p, q = notion.ratio()
@@ -112,15 +115,24 @@ def _pair_tests(inst: Instance, notion: Notion, sums: Sums, first: int, tails, p
             [p * b - q * a for a, b in zip(field(sums.S[i][j]), field(sums.S[j][j]))]
         )
         kw = rule.k * wi
-        d = [a * wj - b * wi for a, b in zip(field(sums.V[i][i]), field(sums.V[i][j]))]
+        own = field(sums.V[i][i])
+        d = [a * wj - b * wi for a, b in zip(own, field(sums.V[i][j]))]
         envy_free = _at_least(d)
-        removal = kw and _at_least([x + kw * _largest(row, t, j, first) for x, t in zip(d, tails)])
+        largest = kw and [_largest(row, t, j, first) for t in tails]
+        removal = kw and _at_least([x + kw * r for x, r in zip(d, largest)])
+        if rule.capped:  # v_i(T_i), and v_i(T_i) - L_T, against the cap v_i(A_i)
+            held, spare = _at_least(own), _at_least([a - r for a, r in zip(own, largest)])
         bilinear = notion.awareness == "wsa" and excusable[i]
 
         def test(P: int, head: tuple):
-            e = (P >> s_oth & m_oth) * wi - (P >> s_own & m_own) * wj
-            passed = envy_free(e - kw * _largest(row, head, j)) | removal(e) if kw else envy_free(e)
+            own_head = P >> s_own & m_own
+            e = (P >> s_oth & m_oth) * wi - own_head * wj
+            r = kw and _largest(row, head, j)
+            by_head, by_tail = envy_free(e - kw * r), kw and removal(e)
+            passed = by_head | by_tail
             sure = passed if exact else envy_free(e)
+            if rule.capped:  # the head's r or the tail's L_T, if worth at most v_i(A_i)
+                sure = envy_free(e) | by_head & held(r - own_head) | by_tail & spare(-own_head)
             if excuse:
                 excused = excuse(1 - p * (P >> s_jj & m_jj) + q * (P >> s_ij & m_ij))
                 return sure | excused, passed | excused
@@ -180,11 +192,12 @@ def _scan(inst: Instance, notion: Notion, require_sim: bool, cap: int | None):
         for head in product(*columns[:k]):
             head_sums = sum(map(getitem, head_adds, head))
             sure = maybe = every
-            for test in tests:
+            for x, test in enumerate(tests):
                 pair_sure, pair_maybe = test(head_sums, head)
                 sure &= pair_sure
                 maybe &= pair_maybe
-                if not maybe:
+                if not maybe:  # the next head tries this pair first
+                    tests.insert(0, tests.pop(x))
                     break
             unsure = maybe ^ sure  # a pair's sure set lies in its maybe set
             while unsure:

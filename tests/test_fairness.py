@@ -26,6 +26,7 @@ from fdsi.oracle import brute_force_count, brute_force_solve
 
 from helpers import (
     impact_of,
+    literal_picking,
     matrices,
     naive_base,
     naive_check,
@@ -382,6 +383,44 @@ class TestLatticeAndCollapse:
             assert verdicts[-1] == check(inst, alloc, Notion("ef1", "sa")).fair
 
 
+MODES = ((None, None), ("sa", None), ("alpha", Fraction(1, 2)), ("wsa", None))
+NOTIONS = [Notion(b, mode, alpha) for b in BASES for mode, alpha in MODES] + [Notion("sa-empty")]
+WIDE_COUNT = 150
+
+
+def _round_robin(inst, rng, items) -> Allocation:
+    """``items`` dealt round robin in a seeded agent order: the agent whose
+    turn it is takes its most valued item left (lowest index on ties), or,
+    one turn in five, a random one."""
+    order, left = rng.sample(range(inst.n), inst.n), sorted(items)
+    bundles = [set() for _ in range(inst.n)]
+    for turn in range(len(left)):
+        i = order[turn % inst.n]
+        best = max(left, key=inst.valuations[i].__getitem__)
+        g = rng.choice(left) if rng.random() < 0.2 else best
+        left.remove(g)
+        bundles[i].add(g)
+    return Allocation(tuple(map(frozenset, bundles)))
+
+
+def _wide_cases(count, seed):
+    """A seeded stream of (instance, allocation) wider than the small
+    ensembles: 2-6 agents, up to 40 items and values up to 20, so bundles
+    hold many items of tied value.  The allocations take turns being
+    complete and partial (about a quarter of the items left out), both
+    dealt round robin, and impact maximizing (the picking sequence)."""
+    rng = random.Random(seed)
+    for k, inst in enumerate(random_instances(count, seed, 2, 6, 0, 40, 20, 3, 3)):
+        inst = inst.replace(aware=tuple(rng.random() < 0.7 for _ in range(inst.n)))
+        if k % 3 == 0:
+            alloc = _round_robin(inst, rng, range(inst.m))
+        elif k % 3 == 1:
+            alloc = _round_robin(inst, rng, [g for g in range(inst.m) if rng.random() < 0.75])
+        else:
+            alloc = literal_picking(inst)
+        yield inst, alloc
+
+
 class TestAgainstNaive:
     def test_agreement_on_random_triples(self):
         rng = random.Random(123)
@@ -416,6 +455,15 @@ class TestAgainstNaive:
                 assert got == want, (inst, alloc, notion)
                 trials += 1
         assert trials >= 10_000
+
+    def test_agreement_on_wide_instances(self):
+        fair = 0
+        for inst, alloc in _wide_cases(WIDE_COUNT, 505):
+            for notion in NOTIONS:
+                got = check(inst, alloc, notion).fair
+                assert got == naive_check(inst, alloc, notion), (inst, alloc, notion)
+                fair += got
+        assert 0 < fair < WIDE_COUNT * len(NOTIONS)
 
     def test_witness_is_recheckable(self):
         rng = random.Random(321)
@@ -494,9 +542,29 @@ def _naive_witness(inst, alloc, notion):
     )
 
 
-class TestWitnessParity:
-    MODES = ((None, None), ("sa", None), ("alpha", Fraction(1, 2)), ("wsa", None))
+def _assert_witness(inst, alloc, notion) -> bool:
+    """Assert that ``check`` gives the literal definitions' verdict and
+    first failing pair, and the item of A_j worth most to the observer
+    (lowest index on ties; none under sa-empty); True when unfair."""
+    verdict = check(inst, alloc, notion)
+    want = _naive_witness(inst, alloc, notion)
+    assert verdict.fair == (want is None), notion.label()
+    if want is None:
+        assert verdict.witness is None
+        return False
+    w = verdict.witness
+    assert (w.observer, w.target) == want, notion.label()
+    assert w.reason == notion.label()
+    if notion.base == "sa-empty":
+        assert w.item is None
+        return True
+    i, j = want
+    best = min(alloc.bundles[j], key=lambda g: (-inst.valuations[i][g], g), default=None)
+    assert w.item == best
+    return True
 
+
+class TestWitnessParity:
     def test_witness_matches_naive_first_failing_pair(self):
         rng = random.Random(404)
         unfair = 0
@@ -509,29 +577,16 @@ class TestWitnessParity:
             owners = [rng.choice(range(-1, inst.n)) for _ in range(inst.m)]
             bundles = [frozenset(g for g, o in enumerate(owners) if o == i) for i in range(inst.n)]
             alloc = Allocation(tuple(bundles))
-            for base in BASES + ("sa-empty",):
-                modes = ((None, None),) if base == "sa-empty" else self.MODES
-                for mode, alpha in modes:
-                    notion = Notion(base, mode, alpha)
-                    verdict = check(inst, alloc, notion)
-                    want = _naive_witness(inst, alloc, notion)
-                    assert verdict.fair == (want is None), notion.label()
-                    if want is None:
-                        assert verdict.witness is None
-                        continue
-                    unfair += 1
-                    w = verdict.witness
-                    assert (w.observer, w.target) == want, notion.label()
-                    assert w.reason == notion.label()
-                    if base == "sa-empty":
-                        assert w.item is None
-                        continue
-                    i, j = want
-                    best = min(
-                        bundles[j], key=lambda g: (-inst.valuations[i][g], g), default=None
-                    )
-                    assert w.item == best
+            for notion in NOTIONS:
+                unfair += _assert_witness(inst, alloc, notion)
         assert unfair > 1000
+
+    def test_witness_on_wide_instances(self):
+        unfair = 0
+        for inst, alloc in _wide_cases(WIDE_COUNT, 606):
+            for notion in NOTIONS:
+                unfair += _assert_witness(inst, alloc, notion)
+        assert unfair > WIDE_COUNT
 
     def test_unknown_item_index_rejected_at_entry(self):
         inst = make_instance(((1, 2), (3, 4)), ((1, 1), (1, 1)))

@@ -920,6 +920,24 @@ class TestOracleScanDifferential:
                 naive = sum(naive_check(inst, a, notion) for a in allocs)
                 assert brute_force_count(inst, notion) == naive, (base, notion.awareness)
 
+    @pytest.mark.parametrize("seed, count", ((1, 6127), (2, 5956), (3, 5679)))
+    def test_efl_settles_in_bulk(self, seed, count, monkeypatch):
+        # an envious pair passes efl when the head's or the tail's largest
+        # held item kills the envy and is worth at most v_i(A_i); on two
+        # agents and 14 co-maximized items the bit sets settle every
+        # candidate that way, so none goes one by one through the decider
+        decider, reached = oracle.decider, []
+
+        def counting(inst, notion):
+            sums, fails = decider(inst, notion)
+            return sums, lambda P, owners: reached.append(owners) or fails(P, owners)
+
+        monkeypatch.setattr(oracle, "decider", counting)
+        inst = gen_random(2, 14, 9, 0, 1, seed)
+        for notion in (Notion("efl"), Notion("efl", "sa")):
+            assert brute_force_count(inst, notion) == count, notion.label()
+        assert len(reached) == 0
+
     def test_count_any_needs_no_scan(self):
         inst = make_instance(((1, 1, 1), (1, 1, 1)), ((2, 1, 1), (1, 1, 1)))
         assert brute_force_count(inst, None) == 4
